@@ -1,5 +1,6 @@
 """Tests for dataset generation, splitting, verification, and export."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -420,3 +421,43 @@ class TestStatsAndExport:
         path = rewrite(tmp_path / "unsafe.jsonl", config, bad)
         with pytest.raises(DatasetError, match="unsafe record id"):
             export_dimacs_files(path, tmp_path / "out")
+
+
+# ---------------------------------------------------------------------------
+# Golden digests: the dataset bytes for a fixed configuration
+# ---------------------------------------------------------------------------
+
+# Bands of bench/data/calibration.txt at (p_int=1.0, p_neg=0.5).  The
+# biased strategy gets a narrow band instead, so that both of its ranges,
+# [1/2, lo/2] and [2*hi, 8], are non-empty.
+BIASED_BAND = (Fraction(2), Fraction(3))
+GOLDEN_BANDS = {
+    6: (Fraction(31, 6), Fraction(35, 6)),
+    8: (Fraction(39, 8), Fraction(11, 2)),
+    10: (Fraction(47, 10), Fraction(26, 5)),
+    12: (Fraction(19, 4), Fraction(61, 12)),
+}
+
+# sha256 of the written file; any change to sampling, labelling,
+# rendering or the record layout moves these.
+GOLDEN_DIGESTS = {
+    ("grl", (8, 10), "hard"): "706fc8d492b9fc698337bd8f50a1e829401bbef4d3d6c21bf550b3e231dd3da4",
+    ("rcl", (10, 12), "hard"): "97ca4b1a035226ca6db6654292066bf23e9fb9d8baac5e90860f2ee3a5efc3bb",
+    ("ruletaker", (6, 8), "hard"): "ac105b5a3be017202d5312376faf3ea7336eeaf55bf18df130a33cdaab45dde4",
+    ("grl", (8, 10), "biased"): "6de1b73a0c4683118afcacefcaa8f18d79a87be5f5ea2b4879aa3f8d0fb019cd",
+    ("grl", (8, 10), "naive"): "ba117d01940544326ed70615498c3729bfbc0fcca21ec741dbc5d13c7e732ab3",
+}
+
+
+@pytest.mark.parametrize("fragment,sizes,strategy", sorted(GOLDEN_DIGESTS))
+def test_golden_dataset_digest(tmp_path, fragment, sizes, strategy):
+    table = CalibrationTable()
+    for n, band in GOLDEN_BANDS.items():
+        table.set_band(n, 1.0, 0.5, *(BIASED_BAND if strategy == "biased" else band))
+    config = DatasetConfig(
+        fragment=fragment, sizes=sizes, count_per_size=40, seed=108, strategy=strategy
+    )
+    path = tmp_path / "golden.jsonl"
+    write_dataset(path, config, generate_records(config, table))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_DIGESTS[(fragment, sizes, strategy)]

@@ -1,5 +1,6 @@
 """Random formula generation, phase curve estimation, calibration, strategies."""
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -427,3 +428,33 @@ def test_hard_sampling_lands_near_even_odds():
         _, result = sample_with_strategy(spec, band, rng)
         sat_count += result.label == SAT
     assert 0.40 < sat_count / trials < 0.60
+
+
+# ---------------------------------------------------------------- golden stream
+
+
+def _sampler_transcript() -> str:
+    """Every sampling entry point, run on fixed seeds, as one string."""
+    out = []
+    for with_replacement in (False, True):
+        spec = SampleSpec(n=7, p_int=0.7, p_neg=0.5, alpha_min=2, alpha_max=5,
+                          with_replacement=with_replacement)
+        for i in range(20):
+            f = sample_formula(spec, derive_rng("golden-formula", with_replacement, i))
+            out.append(repr([cl.to_ints() for cl in f.clauses]))
+    band = (Fraction(2), Fraction(3))
+    for strategy in STRATEGIES:
+        spec = SampleSpec(n=9, p_int=1.0, p_neg=0.5, strategy=strategy)
+        rng = derive_rng("golden-strategy", strategy)
+        for _ in range(20):
+            f, result = sample_with_strategy(spec, band, rng)
+            out.append(f"{f.to_int_clauses()} {result.label} {result.stats.as_dict()}")
+    out.append(repr(estimate_psat(8, 1.0, 0.5, Fraction(9, 2), trials=100, seed=1)))
+    result = calibrate_critical(6, 1.0, 0.5, trials_per_point=100, seed=0)
+    out.append(repr((result.alpha_c, result.band, result.points)))
+    return "\n".join(out)
+
+
+def test_sampling_transcript_is_pinned():
+    digest = hashlib.sha256(_sampler_transcript().encode()).hexdigest()
+    assert digest == "c5db0e08f4c3414cda3fedf78be5ba5adfcc51d6c365945cb82370a8631c5dfe"
