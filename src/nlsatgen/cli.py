@@ -28,28 +28,14 @@ from .pipeline import (
     verify_dataset,
     write_dataset,
 )
-from .rng import derive_rng
-from .ruletaker import (
-    LABEL_FALSE,
-    LABEL_TRUE,
-    RetrofitVocab,
-    conjecture_pools,
-    make_instance,
-    reindex_theory,
-    render_ruletaker,
-    bind_attributes,
-    sample_retrofit_theory,
-)
 from .sampler import (
     CalibrationError,
     CalibrationTable,
-    SampleSpec,
     STRATEGIES,
     calibrate_critical,
     calibration_cache_path,
 )
 from .solver import BudgetExhaustedError
-from . import lexicon as lexicon_mod
 from . import rcl as rcl_mod
 
 
@@ -212,49 +198,34 @@ def cmd_export_dimacs(args) -> int:
 
 
 def cmd_retrofit(args) -> int:
-    vocab = RetrofitVocab(
-        lexicon_mod.load_wordlist(args.attributes) if args.attributes
-        else lexicon_mod.default_attributes(),
-        lexicon_mod.load_wordlist(args.entities) if args.entities
-        else lexicon_mod.default_entities(),
+    """Print ruletaker records drawn from [--alpha-min, --alpha-max].
+
+    The records are exactly those of ``generate --fragment ruletaker``
+    with that band as the calibrated one and no diversity draws; labels
+    are balanced when the count is even.
+    """
+    table = CalibrationTable()
+    table.set_band(
+        args.n, args.p_int, args.p_neg,
+        Fraction(str(args.alpha_min)), Fraction(str(args.alpha_max)),
     )
-    spec = SampleSpec(
-        n=args.n,
+    config = DatasetConfig(
+        fragment=RULETAKER,
+        sizes=(args.n,),
+        count_per_size=args.count,
+        seed=args.seed,
         p_int=args.p_int,
         p_neg=args.p_neg,
-        alpha_min=Fraction(str(args.alpha_min)),
-        alpha_max=Fraction(str(args.alpha_max)),
-        with_replacement=True,
+        diversity_fraction=0.0,
+        balance_labels=args.count % 2 == 0,
+        attributes_path=args.attributes,
+        entities_path=args.entities,
     )
-    printed = 0
-    attempts = 0
-    index = 0
-    while printed < args.count:
-        if attempts >= 200 * args.count:
-            raise GenerationStallError(
-                f"only {printed}/{args.count} theories in {attempts} attempts"
-            )
-        rng = derive_rng(args.seed, "retrofit-cli", args.n, index)
-        index += 1
-        attempts += 1
-        theory = sample_retrofit_theory(spec, rng)
-        if theory is None:
-            continue
-        theory, _ = reindex_theory(theory)
-        pools = conjecture_pools(theory)
-        label = LABEL_TRUE if printed % 2 == 0 else LABEL_FALSE
-        if not pools[label]:
-            label = LABEL_FALSE if label == LABEL_TRUE else LABEL_TRUE
-        instance = make_instance(theory, label, rng, pools)
-        if instance is None:
-            continue
-        binding = bind_attributes(theory, vocab, rng)
-        rendered, conjecture_text = render_ruletaker(theory, binding, instance.conjecture)
-        print(rendered.text)
-        print(f"conjecture: {conjecture_text}")
-        print(f"label: {instance.label}")
+    for rec in generate_records(config, table):
+        print(rec["text"])
+        print(f"conjecture: {rec['conjecture_text']}")
+        print(f"label: {rec['label']}")
         print()
-        printed += 1
     return 0
 
 

@@ -42,11 +42,9 @@ Assignment = dict
 
 
 def _is_canonical(literals: Sequence[Literal]) -> bool:
-    for a, b in zip(literals, literals[1:]):
-        if (a.var, a.negated) >= (b.var, b.negated):
-            return False
-    # strictly increasing (var, polarity) still admits v and -v side by side
-    return all(a.var != b.var for a, b in zip(literals, literals[1:]))
+    # sorted, duplicate-free and tautology-free together mean strictly
+    # increasing variables
+    return all(a.var < b.var for a, b in zip(literals, literals[1:]))
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,7 @@ class Clause:
     @classmethod
     def from_ints(cls, *values: int) -> "Clause":
         """Build a canonical clause from signed ints, sorting as needed."""
-        lits = sorted((Literal.from_int(v) for v in values), key=lambda l: (l.var, l.negated))
+        lits = sorted(Literal.from_int(v) for v in values)
         return cls(tuple(lits))
 
     @classmethod
@@ -104,7 +102,7 @@ def normalize_clause(clause: Clause) -> Optional[Clause]:
     clause can normalize to a unit or a two-literal clause.  Idempotent
     on canonical input.
     """
-    unique = sorted(set(clause.literals), key=lambda l: (l.var, l.negated))
+    unique = sorted(set(clause.literals))
     seen_vars = set()
     for lit in unique:
         if lit.var in seen_vars:

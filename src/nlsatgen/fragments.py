@@ -142,29 +142,27 @@ def appearance_map(var_walk: Iterable) -> dict:
     return mapping
 
 
+def check_all_mentioned(mapping: dict, n: int, what: str = "variables") -> None:
+    """Reject a renumbering that misses some id in 1..n (it would change n)."""
+    if len(mapping) != n:
+        missing = sorted(set(range(1, n + 1)) - set(mapping))
+        raise FragmentError(f"{what} never mentioned: {missing}")
+
+
+def remap_clause(cl: Clause, mapping: dict) -> Clause:
+    """Renumber a clause's variables, restoring canonical literal order."""
+    return Clause(tuple(sorted(Literal(mapping[l.var], l.negated) for l in cl.literals)))
+
+
 def reindex_formula(f: CnfFormula) -> tuple:
     """Renumber variables by first appearance in clause-literal order.
 
     Returns (formula, old-to-new map).  Requires every variable 1..n
     to occur in some clause, otherwise the renumbering would change n.
     """
-    walk = (lit.var for cl in f.clauses for lit in cl.literals)
-    mapping = appearance_map(walk)
-    if len(mapping) != f.n_vars:
-        missing = sorted(set(range(1, f.n_vars + 1)) - set(mapping))
-        raise FragmentError(f"variables never mentioned: {missing}")
-    clauses = tuple(
-        Clause(
-            tuple(
-                sorted(
-                    (Literal(mapping[l.var], l.negated) for l in cl.literals),
-                    key=lambda lit: (lit.var, lit.negated),
-                )
-            )
-        )
-        for cl in f.clauses
-    )
-    return CnfFormula(f.n_vars, clauses), mapping
+    mapping = appearance_map(lit.var for cl in f.clauses for lit in cl.literals)
+    check_all_mentioned(mapping, f.n_vars)
+    return CnfFormula(f.n_vars, tuple(remap_clause(cl, mapping) for cl in f.clauses)), mapping
 
 
 def parse_theory(text, fragment: str, lexicon=None, strict: bool = True):

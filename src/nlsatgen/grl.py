@@ -138,8 +138,7 @@ def parse_grl(sentences, lexicon, strict: bool = True):
         literals.append(atom_literal(cons_toks, idx, consequent=True))
         if len({l.var for l in literals}) != len(literals):
             raise ParseError(idx, None, "a noun repeats within the sentence")
-        ordered = tuple(sorted(literals, key=lambda l: (l.var, l.negated)))
-        clauses.append(Clause(ordered))
+        clauses.append(Clause(tuple(sorted(literals))))
 
     f = CnfFormula(len(noun_to_var), tuple(clauses))
     binding = VarBinding({v: noun for noun, v in noun_to_var.items()})

@@ -34,7 +34,6 @@ from .fragments import (
     bind_vocabulary,
     parse_theory,
     reindex_formula,
-    split_sentences,
 )
 from .rng import derive_rng
 from .sampler import (
@@ -44,8 +43,8 @@ from .sampler import (
     STRATEGIES,
     CalibrationError,
     SampleSpec,
-    sample_clause,
-    strategy_m_candidates,
+    draw_m,
+    sample_clauses,
 )
 from .solver import (
     CONTRADICTED,
@@ -191,13 +190,6 @@ def _check_vocabulary_capacity(config: DatasetConfig, vocab) -> None:
             )
 
 
-def required_calibration_keys(config: DatasetConfig) -> list:
-    """(n, p_int, p_neg) keys the strategy needs calibrated bands for."""
-    if config.strategy == NAIVE:
-        return []
-    return [(size, config.p_int, config.p_neg) for size in config.sizes]
-
-
 def bands_for_config(config: DatasetConfig, table) -> dict:
     """Resolve the critical band per size, or raise for missing calibration."""
     bands = {}
@@ -255,17 +247,12 @@ def _is_diverse(config, band, ratio: Fraction) -> bool:
     return not Fraction(band[0]) <= ratio <= Fraction(band[1])
 
 
-def _draw_m(config, band, spec, rng) -> int:
-    ms = strategy_m_candidates(spec, band, rng, config.diversity_fraction)
-    return ms[rng.randrange(len(ms))]
-
-
 def _grl_candidate(config, band, vocab, size, index, rng):
     spec = SampleSpec(
         n=size, p_int=config.p_int, p_neg=config.p_neg, strategy=config.strategy
     )
-    m = _draw_m(config, band, spec, rng)
-    f = CnfFormula(size, tuple(sample_clause(spec, rng) for _ in range(m)))
+    m = draw_m(spec, band, rng, config.diversity_fraction)
+    f = CnfFormula(size, sample_clauses(spec, m, rng))
     try:
         f, _ = reindex_formula(f)
     except FragmentError:
@@ -289,7 +276,7 @@ def _rcl_candidate(config, band, vocab, size, index, rng):
     spec = SampleSpec(
         n=size, p_int=1.0, p_neg=config.p_neg, strategy=config.strategy
     )
-    total_m = _draw_m(config, band, spec, rng)
+    total_m = draw_m(spec, band, rng, config.diversity_fraction)
     try:
         m_universal, m_ground = rcl.split_clause_budget(total_m, n_consts)
     except ValueError:
@@ -326,9 +313,9 @@ def _rt_candidate(config, band, vocab, size, index, rng):
         with_replacement=True,
         strategy=config.strategy,
     )
-    m = _draw_m(config, band, spec, rng)
-    raw = CnfFormula(size, tuple(sample_clause(spec, rng) for _ in range(m)))
-    theory = ruletaker.retrofit(raw, rng, spec)
+    m = draw_m(spec, band, rng, config.diversity_fraction)
+    raw = CnfFormula(size, sample_clauses(spec, m, rng))
+    theory = ruletaker.retrofit(raw, rng, spec, config.max_decisions)
     if theory is None:
         return None  # contradictory facts or unsatisfiable rules
     try:
@@ -571,6 +558,8 @@ def read_dataset(path) -> tuple:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"{path}: line {line_no} is not JSON: {exc}") from None
+        if not isinstance(rec, dict):
+            raise DatasetError(f"{path}: line {line_no} is not a JSON object")
         records.append(rec)
     if not records:
         raise DatasetError(f"{path}: no instance records")
@@ -709,9 +698,18 @@ def _default_vocab(fragment: str):
     )
 
 
+def _require_keys(path, records, keys) -> None:
+    for rec in records:
+        for key in keys:
+            if key not in rec:
+                rid = rec.get("id", "<missing id>")
+                raise DatasetError(f"{path}: record {rid} has no {key!r}")
+
+
 def stats_report(path) -> str:
     """Human-readable summary: counts, balance, splits, solver effort."""
     header, records = read_dataset(path)
+    _require_keys(path, records, ("size", "label", "split", "stats"))
     labels = RT_LABELS if header.get("fragment") == RULETAKER else SAT_LABELS
     lines = [
         f"fragment: {header.get('fragment')}",
@@ -753,6 +751,7 @@ def stats_report(path) -> str:
 def export_dimacs_files(path, out_dir) -> int:
     """Write each record's formula as <id>.cnf; returns the file count."""
     _, records = read_dataset(path)
+    _require_keys(path, records, ("id", "dimacs"))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for rec in records:

@@ -37,9 +37,11 @@ from .fragments import (
     ParseError,
     VarBinding,
     appearance_map,
+    check_all_mentioned,
     check_token_budget,
+    remap_clause,
 )
-from .sampler import SampleSpec, sample_clause
+from .sampler import SampleSpec, sample_clauses
 
 DEFAULT_NO_REWRITE_PROB = 0.25
 
@@ -166,15 +168,16 @@ def sample_rcl_problem(
     if m_ground < n_constants:
         raise ValueError("need at least one ground clause per constant")
     spec = SampleSpec(n=n_predicates, p_int=1.0, p_neg=p_neg)
-    universals = tuple(sample_clause(spec, rng) for _ in range(m_universal))
+    universals = sample_clauses(spec, m_universal, rng)
     counts = [1] * n_constants
     for _ in range(m_ground - n_constants):
         counts[rng.randrange(n_constants)] += 1
-    grounds = []
-    for cid in range(1, n_constants + 1):
-        for _ in range(counts[cid - 1]):
-            grounds.append((cid, sample_clause(spec, rng)))
-    return RclProblem(n_predicates, n_constants, universals, tuple(grounds))
+    grounds = tuple(
+        (cid, cl)
+        for cid in range(1, n_constants + 1)
+        for cl in sample_clauses(spec, counts[cid - 1], rng)
+    )
+    return RclProblem(n_predicates, n_constants, universals, grounds)
 
 
 def _restrictor_index(cl: Clause) -> int:
@@ -206,26 +209,11 @@ def reindex_problem(p: RclProblem) -> tuple:
     for _, cl in p.ground_clauses:
         pred_walk.extend(l.var for l in cl.literals)
     pred_map = appearance_map(pred_walk)
-    if len(pred_map) != p.n_predicates:
-        missing = sorted(set(range(1, p.n_predicates + 1)) - set(pred_map))
-        raise FragmentError(f"predicates never mentioned: {missing}")
+    check_all_mentioned(pred_map, p.n_predicates, "predicates")
     const_map = appearance_map(cid for cid, _ in p.ground_clauses)
-    if len(const_map) != p.n_constants:
-        missing = sorted(set(range(1, p.n_constants + 1)) - set(const_map))
-        raise FragmentError(f"constants never mentioned: {missing}")
-
-    def remap(cl: Clause) -> Clause:
-        return Clause(
-            tuple(
-                sorted(
-                    (Literal(pred_map[l.var], l.negated) for l in cl.literals),
-                    key=lambda lit: (lit.var, lit.negated),
-                )
-            )
-        )
-
-    universals = tuple(remap(cl) for cl in p.universal_clauses)
-    grounds = tuple((const_map[cid], remap(cl)) for cid, cl in p.ground_clauses)
+    check_all_mentioned(const_map, p.n_constants, "constants")
+    universals = tuple(remap_clause(cl, pred_map) for cl in p.universal_clauses)
+    grounds = tuple((const_map[cid], remap_clause(cl, pred_map)) for cid, cl in p.ground_clauses)
     return RclProblem(p.n_predicates, p.n_constants, universals, grounds), pred_map, const_map
 
 
@@ -349,9 +337,7 @@ class _RclParser:
     def add_universal(self, literals, idx: int) -> None:
         if len({l.var for l in literals}) != len(literals):
             raise ParseError(idx, None, "a noun repeats within the sentence")
-        self.universals.append(
-            Clause(tuple(sorted(literals, key=lambda l: (l.var, l.negated))))
-        )
+        self.universals.append(Clause(tuple(sorted(literals))))
 
     def sentence(self, s: str, idx: int) -> None:
         if not s.endswith(".") or s.count(".") != 1:
@@ -388,7 +374,7 @@ class _RclParser:
             if len({l.var for l in lits}) != len(lits):
                 raise ParseError(idx, None, "a noun repeats within the sentence")
             self.grounds.append(
-                (cid, Clause(tuple(sorted(lits, key=lambda l: (l.var, l.negated)))))
+                (cid, Clause(tuple(sorted(lits))))
             )
             return
         raise ParseError(idx, None, f"sentence does not match the fragment grammar: {s!r}")

@@ -32,9 +32,11 @@ from .fragments import (
     ParseError,
     VarBinding,
     appearance_map,
+    check_all_mentioned,
     check_token_budget,
+    remap_clause,
 )
-from .sampler import SampleSpec, sample_clause, sample_formula
+from .sampler import SampleSpec, sample_clause
 from .solver import (
     CONTRADICTED,
     DEFAULT_MAX_DECISIONS,
@@ -106,14 +108,20 @@ class RetrofitTheory:
         return len(self.rules) + len(self.facts)
 
 
-def retrofit(f: CnfFormula, rng=None, spec: SampleSpec = None):
+def retrofit(
+    f: CnfFormula,
+    rng=None,
+    spec: SampleSpec = None,
+    max_decisions: int = DEFAULT_MAX_DECISIONS,
+):
     """Normalize a with-replacement formula into rules and facts.
 
     Tautological clauses are redrawn (``spec`` and ``rng`` required for
     that); collapsed units become facts, deduplicated in first-seen
     order.  Returns None when the result is unusable as a theory:
-    contradictory facts, or rules (alone or with the facts) that are
-    unsatisfiable.
+    contradictory facts, or rules and facts that are unsatisfiable
+    together.  Since the facts never contradict each other, one solve
+    of the whole theory also covers the rules alone.
     """
     rules = []
     facts = []
@@ -135,18 +143,9 @@ def retrofit(f: CnfFormula, rng=None, spec: SampleSpec = None):
         else:
             rules.append(norm)
     theory = RetrofitTheory(f.n_vars, tuple(rules), tuple(facts))
-    if rules and solve(CnfFormula(f.n_vars, tuple(rules))).label != SAT:
-        return None
-    if facts and solve(theory.formula()).label != SAT:
+    if solve(theory.formula(), max_decisions).label != SAT:
         return None
     return theory
-
-
-def sample_retrofit_theory(spec: SampleSpec, rng):
-    """Draw one with-replacement formula and retrofit it; None on rejection."""
-    if not spec.with_replacement:
-        raise ValueError("retrofit sampling requires with_replacement=True")
-    return retrofit(sample_formula(spec, rng), rng, spec)
 
 
 def conjecture_pools(theory: RetrofitTheory, max_decisions: int = DEFAULT_MAX_DECISIONS) -> dict:
@@ -160,7 +159,7 @@ def conjecture_pools(theory: RetrofitTheory, max_decisions: int = DEFAULT_MAX_DE
     formula = theory.formula()
     pools = {LABEL_TRUE: [], LABEL_FALSE: []}
     for v in range(1, theory.n_vars + 1):
-        status = check_entailment(formula, Literal(v))
+        status = check_entailment(formula, Literal(v), max_decisions)
         if status == ENTAILED:
             pools[LABEL_TRUE].append(Literal(v))
             pools[LABEL_FALSE].append(Literal(v, True))
@@ -172,20 +171,6 @@ def conjecture_pools(theory: RetrofitTheory, max_decisions: int = DEFAULT_MAX_DE
     if inferred:
         pools[LABEL_TRUE] = inferred
     return pools
-
-
-@dataclass(frozen=True)
-class RetrofitInstance:
-    """A theory, a conjecture literal, and its entailment label."""
-
-    theory: RetrofitTheory
-    conjecture: Literal
-    label: str
-    stats: object  # SolveStats of the refuting run
-
-    def __post_init__(self):
-        if self.label not in (LABEL_TRUE, LABEL_FALSE):
-            raise ValueError(f"label must be true/false, got {self.label!r}")
 
 
 def refutation_stats(
@@ -208,26 +193,6 @@ def refutation_stats(
     return result.stats
 
 
-def make_instance(
-    theory: RetrofitTheory,
-    target_label: str,
-    rng,
-    pools: dict = None,
-    max_decisions: int = DEFAULT_MAX_DECISIONS,
-):
-    """Pick a conjecture with the requested label; None if none exists."""
-    if target_label not in (LABEL_TRUE, LABEL_FALSE):
-        raise ValueError(f"label must be true/false, got {target_label!r}")
-    if pools is None:
-        pools = conjecture_pools(theory, max_decisions)
-    pool = pools[target_label]
-    if not pool:
-        return None
-    q = pool[rng.randrange(len(pool))]
-    stats = refutation_stats(theory, q, target_label, max_decisions)
-    return RetrofitInstance(theory, q, target_label, stats)
-
-
 def reindex_theory(theory: RetrofitTheory) -> tuple:
     """Renumber variables by first appearance over rules then facts.
 
@@ -237,20 +202,8 @@ def reindex_theory(theory: RetrofitTheory) -> tuple:
     walk = [lit.var for cl in theory.rules for lit in cl.literals]
     walk.extend(lit.var for lit in theory.facts)
     mapping = appearance_map(walk)
-    if len(mapping) != theory.n_vars:
-        missing = sorted(set(range(1, theory.n_vars + 1)) - set(mapping))
-        raise FragmentError(f"variables never mentioned: {missing}")
-    rules = tuple(
-        Clause(
-            tuple(
-                sorted(
-                    (Literal(mapping[l.var], l.negated) for l in cl.literals),
-                    key=lambda lit: (lit.var, lit.negated),
-                )
-            )
-        )
-        for cl in theory.rules
-    )
+    check_all_mentioned(mapping, theory.n_vars)
+    rules = tuple(remap_clause(cl, mapping) for cl in theory.rules)
     facts = tuple(Literal(mapping[l.var], l.negated) for l in theory.facts)
     return RetrofitTheory(theory.n_vars, rules, facts), mapping
 
@@ -362,9 +315,7 @@ class _RtParser:
             literals.append(self.atom(cons_text, idx))
             if len({l.var for l in literals}) != len(literals):
                 raise ParseError(idx, None, "an attribute repeats within the rule")
-            self.rules.append(
-                Clause(tuple(sorted(literals, key=lambda l: (l.var, l.negated))))
-            )
+            self.rules.append(Clause(tuple(sorted(literals))))
             return
         self.facts.append(self.fact_literal(body, idx))
 

@@ -24,7 +24,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from .cnf import Clause, CnfFormula, Literal
 from .rng import derive_rng
@@ -101,6 +101,11 @@ def admissible_m(n: int, alpha_min: Fraction, alpha_max: Fraction) -> range:
     return range(max(lo, 0), hi + 1)
 
 
+def sample_clauses(spec: SampleSpec, m: int, rng) -> tuple:
+    """Draw m independent clauses, in order."""
+    return tuple(sample_clause(spec, rng) for _ in range(m))
+
+
 def sample_formula(spec: SampleSpec, rng) -> CnfFormula:
     """Draw m uniformly from the admissible band, then m clauses.
 
@@ -113,7 +118,7 @@ def sample_formula(spec: SampleSpec, rng) -> CnfFormula:
             f"no integer m with {spec.alpha_min} <= m/{spec.n} <= {spec.alpha_max}"
         )
     m = ms[rng.randrange(len(ms))]
-    return CnfFormula(spec.n, tuple(sample_clause(spec, rng) for _ in range(m)))
+    return CnfFormula(spec.n, sample_clauses(spec, m, rng))
 
 
 def wilson_halfwidth(p_hat: float, trials: int, z: float = _WILSON_Z) -> float:
@@ -163,7 +168,7 @@ def estimate_psat(
     sat_hits = 0
     for _ in range(trials):
         for attempt in range(5):
-            f = CnfFormula(n, tuple(sample_clause(spec, rng) for _ in range(m)))
+            f = CnfFormula(n, sample_clauses(spec, m, rng))
             try:
                 result = solve(f, max_decisions)
             except BudgetExhaustedError:
@@ -174,48 +179,6 @@ def estimate_psat(
             break
     p_hat = sat_hits / trials
     return PsatEstimate(exact, m, p_hat, wilson_halfwidth(p_hat, trials), trials)
-
-
-@dataclass(frozen=True)
-class PhaseCurve:
-    """Satisfiable-fraction estimates along increasing ratios."""
-
-    n: int
-    p_int: float
-    p_neg: float
-    alphas: tuple
-    p_hats: tuple
-    halfwidths: tuple
-    trials: int
-
-    def __post_init__(self):
-        if list(self.alphas) != sorted(set(self.alphas)):
-            raise ValueError("alphas must be strictly increasing")
-        if not (len(self.alphas) == len(self.p_hats) == len(self.halfwidths)):
-            raise ValueError("curve arrays must have equal length")
-
-
-def estimate_curve(
-    n: int,
-    p_int: float,
-    p_neg: float,
-    alphas,
-    trials: int,
-    seed: int = 0,
-    max_decisions: int = DEFAULT_MAX_DECISIONS,
-) -> PhaseCurve:
-    estimates = [
-        estimate_psat(n, p_int, p_neg, a, trials, seed, max_decisions) for a in alphas
-    ]
-    return PhaseCurve(
-        n,
-        p_int,
-        p_neg,
-        tuple(e.alpha for e in estimates),
-        tuple(e.p_hat for e in estimates),
-        tuple(e.halfwidth for e in estimates),
-        trials,
-    )
 
 
 def _key(n: int, p_int: float, p_neg: float) -> tuple:
@@ -410,18 +373,16 @@ def strategy_m_candidates(
     band: Optional[tuple],
     rng,
     diversity_fraction: float = DIVERSITY_FRACTION,
-    widen: Fraction = DIVERSITY_WIDEN,
-    naive_band: tuple = NAIVE_BAND,
-) -> range:
+) -> Sequence:
     """Admissible clause counts for one draw under a sampling strategy.
 
     For the hard strategy this consumes one rng draw to decide whether
     the critical band or the widened diversity band applies.
     """
     if spec.strategy == NAIVE:
-        ms = admissible_m(spec.n, naive_band[0], naive_band[1])
+        ms = admissible_m(spec.n, *NAIVE_BAND)
         if len(ms) == 0:
-            raise ValueError(f"empty naive band {naive_band} at n={spec.n}")
+            raise ValueError(f"empty naive band {NAIVE_BAND} at n={spec.n}")
         return ms
     if band is None:
         raise CalibrationError(
@@ -431,41 +392,32 @@ def strategy_m_candidates(
     lo, hi = Fraction(band[0]), Fraction(band[1])
     if spec.strategy == HARD:
         if rng.random() < diversity_fraction:
-            lo = max(lo - widen, Fraction(1, spec.n))
-            hi = hi + widen
+            lo = max(lo - DIVERSITY_WIDEN, Fraction(1, spec.n))
+            hi = hi + DIVERSITY_WIDEN
         ms = admissible_m(spec.n, lo, hi)
         if len(ms) == 0:
             raise ValueError(f"empty hard band [{lo}, {hi}] at n={spec.n}")
         return ms
     # biased: far left and far right of the band, inside the naive limits
-    left = admissible_m(spec.n, naive_band[0], lo / 2)
-    right = admissible_m(spec.n, 2 * hi, naive_band[1])
-    if len(left) == 0 and len(right) == 0:
+    left = admissible_m(spec.n, NAIVE_BAND[0], lo / 2)
+    right = admissible_m(spec.n, 2 * hi, NAIVE_BAND[1])
+    ms = [*left, *right]
+    if not ms:
         raise ValueError(
             f"biased strategy bands empty for band [{lo}, {hi}] at n={spec.n}"
         )
-    if len(left) == 0:
-        return right
-    if len(right) == 0:
-        return left
-    return _RangeUnion(left, right)
+    return ms
 
 
-class _RangeUnion:
-    """Two disjoint ranges behaving like one indexable sequence."""
-
-    def __init__(self, first: range, second: range):
-        self.first, self.second = first, second
-
-    def __len__(self) -> int:
-        return len(self.first) + len(self.second)
-
-    def __getitem__(self, i: int) -> int:
-        if i < 0:
-            i += len(self)
-        if i < len(self.first):
-            return self.first[i]
-        return self.second[i - len(self.first)]
+def draw_m(
+    spec: SampleSpec,
+    band: Optional[tuple],
+    rng,
+    diversity_fraction: float = DIVERSITY_FRACTION,
+) -> int:
+    """One clause count under spec.strategy, uniform over its candidates."""
+    ms = strategy_m_candidates(spec, band, rng, diversity_fraction)
+    return ms[rng.randrange(len(ms))]
 
 
 def sample_with_strategy(
@@ -473,8 +425,6 @@ def sample_with_strategy(
     band: Optional[tuple],
     rng,
     diversity_fraction: float = DIVERSITY_FRACTION,
-    widen: Fraction = DIVERSITY_WIDEN,
-    naive_band: tuple = NAIVE_BAND,
     max_decisions: int = DEFAULT_MAX_DECISIONS,
 ) -> tuple:
     """Draw one formula under spec.strategy and solve it.
@@ -482,7 +432,6 @@ def sample_with_strategy(
     ``band`` is the calibrated critical band for (n, p_int, p_neg);
     the naive strategy ignores it.  Returns (formula, SolveResult).
     """
-    ms = strategy_m_candidates(spec, band, rng, diversity_fraction, widen, naive_band)
-    m = ms[rng.randrange(len(ms))]
-    f = CnfFormula(spec.n, tuple(sample_clause(spec, rng) for _ in range(m)))
+    m = draw_m(spec, band, rng, diversity_fraction)
+    f = CnfFormula(spec.n, sample_clauses(spec, m, rng))
     return f, solve(f, max_decisions)

@@ -27,7 +27,7 @@ import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .cnf import Clause, CnfFormula, Literal, to_dimacs
 
@@ -203,46 +203,6 @@ def solve(f: CnfFormula, max_decisions: int = DEFAULT_MAX_DECISIONS) -> SolveRes
         stats.decisions += 1
         dstack.append((var, len(trail), False))
         enqueue(var, -1)  # first branch: False
-
-
-class PropagationResult(NamedTuple):
-    assignment: Optional[dict]
-    conflict: bool
-    propagations: int
-
-
-def unit_propagate(f: CnfFormula, assignment: dict) -> PropagationResult:
-    """Run unit propagation from a partial assignment to fixpoint.
-
-    Returns the extended assignment, or conflict=True (with
-    assignment=None) when a clause is falsified along the way.
-    """
-    a = dict(assignment)
-    forced = 0
-    changed = True
-    while changed:
-        changed = False
-        for cl in f.clauses:
-            unassigned = None
-            count_unassigned = 0
-            satisfied = False
-            for lit in cl.literals:
-                if lit.var in a:
-                    if a[lit.var] != lit.negated:
-                        satisfied = True
-                        break
-                else:
-                    unassigned = lit
-                    count_unassigned += 1
-            if satisfied:
-                continue
-            if count_unassigned == 0:
-                return PropagationResult(None, True, forced)
-            if count_unassigned == 1:
-                a[unassigned.var] = not unassigned.negated
-                forced += 1
-                changed = True
-    return PropagationResult(a, False, forced)
 
 
 ENTAILED = "entailed"

@@ -213,6 +213,19 @@ class TestGenerate:
 # ---------------------------------------------------------------------------
 
 
+def _with_second_record(dataset, tmp_path, change):
+    """A copy of the dataset whose second record is change(record)."""
+    lines = dataset.read_text().splitlines()
+    lines[2] = json.dumps(change(json.loads(lines[2])), sort_keys=True)
+    path = tmp_path / "malformed.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _without(key):
+    return lambda rec: {k: v for k, v in rec.items() if k != key}
+
+
 class TestVerify:
     def test_clean_dataset_passes(self, small_dataset, capsys):
         assert main(["verify", str(small_dataset)]) == 0
@@ -235,6 +248,11 @@ class TestVerify:
         assert main(["verify", str(tmp_path / "nope.jsonl")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_non_object_record_is_a_usage_error(self, small_dataset, tmp_path, capsys):
+        bad = _with_second_record(small_dataset, tmp_path, lambda rec: [1, 2])
+        assert main(["verify", str(bad)]) == 2
+        assert "line 3 is not a JSON object" in capsys.readouterr().err
+
 
 class TestStats:
     def test_prints_report(self, small_dataset, capsys):
@@ -249,6 +267,11 @@ class TestStats:
         assert main(["stats", str(small_dataset), "--out", str(out_path)]) == 0
         assert out_path.read_text() == capsys.readouterr().out
 
+    def test_record_without_label_is_a_usage_error(self, small_dataset, tmp_path, capsys):
+        bad = _with_second_record(small_dataset, tmp_path, _without("label"))
+        assert main(["stats", str(bad)]) == 2
+        assert "record grl-n5-000001 has no 'label'" in capsys.readouterr().err
+
 
 class TestExportDimacs:
     def test_writes_cnf_files(self, small_dataset, tmp_path, capsys):
@@ -260,6 +283,11 @@ class TestExportDimacs:
         assert all(n.startswith("grl-n5-") and n.endswith(".cnf") for n in files)
         for name in files:
             assert (out_dir / name).read_text().startswith("p cnf ")
+
+    def test_record_without_dimacs_is_a_usage_error(self, small_dataset, tmp_path, capsys):
+        bad = _with_second_record(small_dataset, tmp_path, _without("dimacs"))
+        assert main(["export-dimacs", str(bad), str(tmp_path / "cnfs")]) == 2
+        assert "has no 'dimacs'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -330,3 +358,21 @@ class TestRetrofitCommand:
         first = capsys.readouterr().out
         main(["retrofit", "--n", "5", "--seed", "3", "--count", "1"])
         assert capsys.readouterr().out == first
+
+    def test_prints_what_generate_writes(self, tmp_path, capsys):
+        rc = main(["retrofit", "--n", "6", "--seed", "9", "--count", "4",
+                   "--alpha-min", "1.5", "--alpha-max", "2.5"])
+        assert rc == 0
+        printed = capsys.readouterr().out
+        cache = tmp_path / "band.txt"
+        cache.write_text("# nlsatgen-calibration v1\nband 6 1.0 0.5 3/2 5/2\n")
+        out = tmp_path / "rt.jsonl"
+        rc = main(["generate", "--fragment", "ruletaker", "--sizes", "6", "--per-size", "4",
+                   "--seed", "9", "--diversity-fraction", "0", "--jobs", "1",
+                   "--cache", str(cache), "--out", str(out)])
+        assert rc == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+        assert printed == "".join(
+            f"{r['text']}\nconjecture: {r['conjecture_text']}\nlabel: {r['label']}\n\n"
+            for r in records
+        )

@@ -9,24 +9,27 @@ from nlsatgen.fragments import FragmentError, ParseError, VarBinding
 from nlsatgen.ruletaker import (
     LABEL_FALSE,
     LABEL_TRUE,
-    RetrofitInstance,
     RetrofitTheory,
     RetrofitVocab,
     bind_attributes,
     conjecture_pools,
-    make_instance,
     parse_conjecture,
     parse_ruletaker,
     refutation_stats,
     reindex_theory,
     render_ruletaker,
     retrofit,
-    sample_retrofit_theory,
 )
-from nlsatgen.sampler import SampleSpec, sample_clause
-from nlsatgen.solver import SAT, solve
+from nlsatgen.sampler import SampleSpec, sample_clause, sample_formula
+from nlsatgen.solver import SAT, BudgetExhaustedError, solve
 
 VOCAB = RetrofitVocab(("red", "round", "green", "big", "blue"), ("lion", "bear"))
+
+
+def draw_theory(spec, seed):
+    """One with-replacement draw, retrofitted; None on rejection."""
+    rng = random.Random(seed)
+    return retrofit(sample_formula(spec, rng), rng, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -68,11 +71,6 @@ class TestContainers:
         f = theory.formula()
         assert f.to_int_clauses() == [[-1, 2], [-3], [1]]
         assert theory.m_sentences == 3
-
-    def test_instance_label_validation(self):
-        theory = RetrofitTheory(1, (), (Literal(1),))
-        with pytest.raises(ValueError, match="label must be true/false"):
-            RetrofitInstance(theory, Literal(1), "maybe", None)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +133,14 @@ class TestRetrofit:
         assert theory is not None
         assert theory.m_sentences == 1
 
+    def test_solve_respects_the_decision_budget(self):
+        f = CnfFormula(3, (Clause.raw_from_ints(1, 2, 2), Clause.raw_from_ints(2, 3, 3)))
+        with pytest.raises(BudgetExhaustedError):
+            retrofit(f, max_decisions=0)
+        assert retrofit(f, max_decisions=1).rules == (
+            Clause.from_ints(1, 2), Clause.from_ints(2, 3)
+        )
+
 
 # ---------------------------------------------------------------------------
 # Sampling
@@ -142,16 +148,11 @@ class TestRetrofit:
 
 
 class TestSampleRetrofitTheory:
-    def test_requires_with_replacement(self):
-        spec = SampleSpec(n=5, p_int=1.0, with_replacement=False)
-        with pytest.raises(ValueError, match="requires with_replacement=True"):
-            sample_retrofit_theory(spec, random.Random(0))
-
     def test_sweep_produces_valid_theories(self):
         spec = SampleSpec(n=6, p_int=0.5, with_replacement=True)
         accepted = 0
         for seed in range(300):
-            theory = sample_retrofit_theory(spec, random.Random(seed))
+            theory = draw_theory(spec, seed)
             if theory is None:
                 continue
             accepted += 1
@@ -164,9 +165,7 @@ class TestSampleRetrofitTheory:
 
     def test_deterministic(self):
         spec = SampleSpec(n=5, p_int=1.0, with_replacement=True)
-        assert sample_retrofit_theory(spec, random.Random(17)) == sample_retrofit_theory(
-            spec, random.Random(17)
-        )
+        assert draw_theory(spec, 17) == draw_theory(spec, 17)
 
     def test_with_replacement_collapse_rates(self):
         # three independent uniform draws over n=5 variables: all equal with
@@ -214,20 +213,14 @@ class TestConjectures:
         theory = RetrofitTheory(2, (Clause.from_ints(1, 2),), ())
         pools = conjecture_pools(theory)
         assert pools == {LABEL_TRUE: [], LABEL_FALSE: []}
-        assert make_instance(theory, LABEL_TRUE, random.Random(0)) is None
-        assert make_instance(theory, LABEL_FALSE, random.Random(0)) is None
 
-    def test_make_instance(self):
-        theory = RetrofitTheory(2, (Clause.from_ints(-1, 2),), (Literal(1),))
-        instance = make_instance(theory, LABEL_FALSE, random.Random(1))
-        assert instance.label == LABEL_FALSE
-        assert instance.conjecture in (Literal(1, True), Literal(2, True))
-        assert instance.stats.decisions == 0
-
-    def test_make_instance_label_validation(self):
-        theory = RetrofitTheory(1, (), (Literal(1),))
-        with pytest.raises(ValueError, match="label must be true/false"):
-            make_instance(theory, "open", random.Random(0))
+    def test_pools_respect_the_decision_budget(self):
+        # deciding Literal(1) against (1 v 2)(2 v 3) needs a branch on
+        # the side where 1 holds, which a zero budget does not allow
+        theory = RetrofitTheory(3, (Clause.from_ints(1, 2), Clause.from_ints(2, 3)), ())
+        with pytest.raises(BudgetExhaustedError):
+            conjecture_pools(theory, max_decisions=0)
+        assert conjecture_pools(theory, max_decisions=1) == {LABEL_TRUE: [], LABEL_FALSE: []}
 
     def test_refutation_stats_checks_label(self):
         theory = RetrofitTheory(2, (Clause.from_ints(-1, 2),), (Literal(1),))
@@ -242,7 +235,7 @@ class TestConjectures:
         spec = SampleSpec(n=6, p_int=0.5, with_replacement=True)
         checked = 0
         for seed in range(120):
-            theory = sample_retrofit_theory(spec, random.Random(seed))
+            theory = draw_theory(spec, seed)
             if theory is None:
                 continue
             pools = conjecture_pools(theory)
@@ -273,7 +266,7 @@ class TestReindexTheory:
     def test_fixpoint(self):
         spec = SampleSpec(n=6, p_int=0.5, with_replacement=True)
         for seed in range(60):
-            theory = sample_retrofit_theory(spec, random.Random(seed))
+            theory = draw_theory(spec, seed)
             if theory is None:
                 continue
             try:
@@ -352,7 +345,7 @@ class TestParseRuletaker:
         rng = random.Random(606)
         done = 0
         for seed in range(200):
-            theory = sample_retrofit_theory(spec, random.Random(seed))
+            theory = draw_theory(spec, seed)
             if theory is None:
                 continue
             try:

@@ -18,13 +18,11 @@ from nlsatgen.sampler import (
     STRATEGIES,
     CalibrationError,
     CalibrationTable,
-    PhaseCurve,
     PsatEstimate,
     SampleSpec,
     admissible_m,
     calibrate_critical,
     calibration_cache_path,
-    estimate_curve,
     estimate_psat,
     sample_clause,
     sample_formula,
@@ -235,22 +233,6 @@ def test_psat_deterministic_for_fixed_seed():
 def test_psat_gives_up_after_repeated_budget_exhaustion():
     with pytest.raises(BudgetExhaustedError):
         estimate_psat(8, 1.0, 0.5, Fraction(5), trials=3, max_decisions=0)
-
-
-def test_phase_curve_requires_increasing_alphas():
-    curve = PhaseCurve(10, 1.0, 0.5, (Fraction(1), Fraction(2)), (1.0, 0.8), (0.01, 0.02), 100)
-    assert curve.p_hats[0] == 1.0
-    with pytest.raises(ValueError):
-        PhaseCurve(10, 1.0, 0.5, (Fraction(2), Fraction(1)), (0.8, 1.0), (0.02, 0.01), 100)
-    with pytest.raises(ValueError):
-        PhaseCurve(10, 1.0, 0.5, (Fraction(1), Fraction(1)), (0.8, 1.0), (0.02, 0.01), 100)
-
-
-def test_estimate_curve_orders_points():
-    curve = estimate_curve(10, 1.0, 0.5, [Fraction(1), Fraction(3), Fraction(8)], trials=30)
-    assert curve.alphas == (Fraction(1), Fraction(3), Fraction(8))
-    assert len(curve.p_hats) == len(curve.halfwidths) == 3
-    assert curve.p_hats[0] >= curve.p_hats[-1]
 
 
 # ---------------------------------------------------------------- calibration

@@ -21,7 +21,6 @@ from nlsatgen.solver import (
     solve,
     solve_bruteforce,
     solve_external,
-    unit_propagate,
 )
 
 
@@ -96,25 +95,17 @@ def test_budget_exhaustion_raises():
 # ---------------------------------------------------------------- propagation
 
 
-def test_unit_propagate_runs_to_fixpoint():
-    f = CnfFormula.from_ints(2, [(1,), (-1, 2)])
-    r = unit_propagate(f, {})
-    assert r.assignment == {1: True, 2: True}
-    assert r.conflict is False
-    assert r.propagations == 2
+def test_solve_propagates_units_to_fixpoint():
+    r = solve(CnfFormula.from_ints(3, [(1,), (-1, 2), (-2, 3)]))
+    assert r.label == SAT
+    assert r.model == {1: True, 2: True, 3: True}
+    assert (r.stats.decisions, r.stats.propagations) == (0, 3)
 
 
-def test_unit_propagate_with_seed_assignment():
-    f = CnfFormula.from_ints(2, [(-1, 2)])
-    start = {1: True}
-    r = unit_propagate(f, start)
-    assert r.assignment == {1: True, 2: True}
-    assert start == {1: True}  # caller's dict untouched
-
-
-def test_unit_propagate_reports_conflict():
-    r = unit_propagate(CnfFormula.from_ints(1, [(1,), (-1,)]), {})
-    assert r.conflict is True
+def test_solve_refutes_complementary_units_by_propagation():
+    r = solve(CnfFormula.from_ints(1, [(1,), (-1,)]))
+    assert r.label == UNSAT
+    assert (r.stats.decisions, r.stats.conflicts) == (0, 1)
 
 
 # a small propositional theory in the style of fact/rule reasoning demos:
@@ -146,8 +137,6 @@ def test_fact_rule_theory_entailment_answers():
 
 def test_fact_rule_theory_conflict_by_propagation_only():
     denied = CnfFormula.from_ints(10, _FACTS + _RULES + [(-7,)])
-    r = unit_propagate(denied, {})
-    assert r.conflict is True
     r2 = solve(denied)
     assert r2.label == UNSAT
     assert r2.stats.decisions == 0
@@ -262,7 +251,7 @@ def test_solve_agrees_with_bruteforce_on_retrofit_theories():
     # with-replacement draws that collapse into fact/rule theories —
     # the shape that historically stressed counter bookkeeping across
     # backtracking the hardest
-    from nlsatgen.ruletaker import reindex_theory, sample_retrofit_theory
+    from nlsatgen.ruletaker import reindex_theory, retrofit
 
     checked = 0
     for seed in range(500):
@@ -276,7 +265,7 @@ def test_solve_agrees_with_bruteforce_on_retrofit_theories():
             seed=seed,
         )
         rng = derive_rng("retrofit-sweep", seed)
-        theory = sample_retrofit_theory(spec, rng)
+        theory = retrofit(sample_formula(spec, rng), rng, spec)
         if theory is None:
             continue
         for candidate in (theory.formula(),):
