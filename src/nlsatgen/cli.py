@@ -16,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .cnf import to_dimacs
+from .fileio import atomic_writer
 from .fragments import FRAGMENTS, GRL, RCL, RULETAKER, FragmentError, ParseError, parse_theory
 from .pipeline import (
     DatasetConfig,
@@ -141,7 +142,9 @@ def cmd_generate(args) -> int:
     records = generate_records(config, table, jobs=jobs)
     write_dataset(args.out, config, records)
     stats_path = Path(args.out).with_suffix(".stats.txt")
-    stats_path.write_text(stats_report(args.out), encoding="utf-8")
+    report = stats_report(args.out)
+    with atomic_writer(stats_path) as fh:
+        fh.write(report)
     print(f"wrote {len(records)} records to {args.out}")
     print(f"wrote stats report to {stats_path}")
     return 0
@@ -151,7 +154,8 @@ def cmd_stats(args) -> int:
     report = stats_report(args.dataset)
     sys.stdout.write(report)
     if args.out:
-        Path(args.out).write_text(report, encoding="utf-8")
+        with atomic_writer(args.out) as fh:
+            fh.write(report)
     return 0
 
 

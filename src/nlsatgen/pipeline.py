@@ -24,6 +24,7 @@ from pathlib import Path
 
 from . import grl, lexicon as lexicon_mod, rcl, ruletaker
 from .cnf import CnfFormula, alpha as formula_alpha, from_dimacs, to_dimacs
+from .fileio import atomic_writer
 from .fragments import (
     FRAGMENTS,
     GRL,
@@ -525,7 +526,7 @@ def generate_records(config: DatasetConfig, table=None, jobs: int = 1) -> list:
 def write_dataset(path, config: DatasetConfig, records: list) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         fh.write(json.dumps(dataset_header(config), sort_keys=True) + "\n")
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -710,6 +711,13 @@ def stats_report(path) -> str:
     """Human-readable summary: counts, balance, splits, solver effort."""
     header, records = read_dataset(path)
     _require_keys(path, records, ("size", "label", "split", "stats"))
+    for rec in records:
+        stats = rec["stats"]
+        for key in ("decisions", "conflicts"):
+            value = stats.get(key) if isinstance(stats, dict) else None
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                rid = rec.get("id", "<missing id>")
+                raise DatasetError(f"{path}: record {rid} has no numeric 'stats.{key}'")
     labels = RT_LABELS if header.get("fragment") == RULETAKER else SAT_LABELS
     lines = [
         f"fragment: {header.get('fragment')}",

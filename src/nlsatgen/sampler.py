@@ -15,6 +15,13 @@ of three band strategies:
 
 Ratios are kept as exact fractions end to end; only Monte Carlo
 estimates are floats.
+
+Clauses are drawn as signed-int tuples (+v / -v) by one private
+routine.  The public samplers wrap each draw in a validated ``Clause``
+and ``CnfFormula`` at the boundary, where the pipeline and the CLI pick
+them up.  The Monte Carlo behind the phase curve never leaves the ints:
+it hands the drawn tuples straight to the solver's search core, since
+the formulas are thrown away once labelled.
 """
 
 from __future__ import annotations
@@ -27,8 +34,9 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .cnf import Clause, CnfFormula, Literal
+from .fileio import atomic_writer
 from .rng import derive_rng
-from .solver import DEFAULT_MAX_DECISIONS, BudgetExhaustedError, solve
+from .solver import DEFAULT_MAX_DECISIONS, BudgetExhaustedError, _dpll, solve
 
 HARD = "hard"
 NAIVE = "naive"
@@ -82,16 +90,31 @@ class SampleSpec:
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
 
-def sample_clause(spec: SampleSpec, rng) -> Clause:
-    """Draw one clause: width, then variables, then polarities."""
-    width = 3 if rng.random() < spec.p_int else 2
+def _draw_clause(spec: SampleSpec, rng) -> tuple:
+    """Draw one signed-int clause: width, then variables, then polarities.
+
+    Every draw of a clause goes through here, so the RNG calls (one
+    ``random()`` for the width, ``sample`` or ``randrange`` for the
+    variables, one ``random()`` per literal) happen in one fixed order.
+    Without replacement the variables are distinct and sorted, so the
+    clause is canonical.
+    """
+    random = rng.random
+    width = 3 if random() < spec.p_int else 2
     if spec.with_replacement:
         variables = [rng.randrange(1, spec.n + 1) for _ in range(width)]
-        lits = tuple(Literal(v, rng.random() < spec.p_neg) for v in variables)
-        return Clause(lits, raw=True)
-    variables = sorted(rng.sample(range(1, spec.n + 1), width))
-    lits = tuple(Literal(v, rng.random() < spec.p_neg) for v in variables)
-    return Clause(lits)
+    else:
+        variables = sorted(rng.sample(range(1, spec.n + 1), width))
+    p_neg = spec.p_neg
+    # list comprehensions, here and in the wrappers: every sampled clause
+    # pays for them, and they are cheaper than generator expressions
+    return tuple([-v if random() < p_neg else v for v in variables])
+
+
+def sample_clause(spec: SampleSpec, rng) -> Clause:
+    """Draw one clause; raw when the spec samples with replacement."""
+    lits = tuple([Literal(abs(v), v < 0) for v in _draw_clause(spec, rng)])
+    return Clause(lits, spec.with_replacement)
 
 
 def admissible_m(n: int, alpha_min: Fraction, alpha_max: Fraction) -> range:
@@ -103,7 +126,7 @@ def admissible_m(n: int, alpha_min: Fraction, alpha_max: Fraction) -> range:
 
 def sample_clauses(spec: SampleSpec, m: int, rng) -> tuple:
     """Draw m independent clauses, in order."""
-    return tuple(sample_clause(spec, rng) for _ in range(m))
+    return tuple([sample_clause(spec, rng) for _ in range(m)])
 
 
 def sample_formula(spec: SampleSpec, rng) -> CnfFormula:
@@ -168,9 +191,9 @@ def estimate_psat(
     sat_hits = 0
     for _ in range(trials):
         for attempt in range(5):
-            f = CnfFormula(n, sample_clauses(spec, m, rng))
+            clauses = [_draw_clause(spec, rng) for _ in range(m)]
             try:
-                result = solve(f, max_decisions)
+                result = _dpll(n, clauses, max_decisions)
             except BudgetExhaustedError:
                 if attempt == 4:
                     raise
@@ -227,7 +250,8 @@ class CalibrationTable:
             n, p_int, p_neg = key
             lo, hi = self.bands[key]
             lines.append(f"band {n} {p_int!r} {p_neg!r} {lo} {hi}")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with atomic_writer(path) as fh:
+            fh.write("\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path) -> "CalibrationTable":

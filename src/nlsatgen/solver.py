@@ -16,6 +16,13 @@ Statistics semantics:
 Once every clause is satisfied the remaining variables are filled in as
 False without branching, so formulas decided by propagation alone
 report ``decisions == 0``.
+
+Validation happens at the boundary: :func:`solve` takes a
+``CnfFormula``, whose constructors have checked every ``Clause`` and
+``Literal``, refuses raw clauses, and converts once to signed ints
+(+v / -v).  The search itself, ``_dpll``, works on those int tuples
+only and checks nothing, so the Monte Carlo in the sampler can feed it
+clauses that are canonical by construction without building objects.
 """
 
 from __future__ import annotations
@@ -75,8 +82,17 @@ def solve(f: CnfFormula, max_decisions: int = DEFAULT_MAX_DECISIONS) -> SolveRes
     """
     if not f.is_canonical():
         raise ValueError("solve requires canonical clauses; normalize first")
-    n = f.n_vars
-    clauses = f.to_int_clauses()
+    return _dpll(f.n_vars, f.to_int_clauses(), max_decisions)
+
+
+def _dpll(n: int, clauses, max_decisions: int) -> SolveResult:
+    """The search core: DPLL over signed-int clauses on variables 1..n.
+
+    ``clauses`` is a sequence of canonical signed-int clauses (tuples or
+    lists, +v / -v).  Nothing is validated here; callers either pass a
+    canonical ``CnfFormula`` through :func:`solve` or build the clauses
+    from a draw that is canonical by construction.
+    """
     m = len(clauses)
     stats = SolveStats()
 

@@ -272,6 +272,22 @@ class TestStats:
         assert main(["stats", str(bad)]) == 2
         assert "record grl-n5-000001 has no 'label'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "stats, key",
+        [
+            ({}, "decisions"),
+            ([], "decisions"),
+            ({"decisions": "many", "conflicts": 0}, "decisions"),
+            ({"decisions": 1}, "conflicts"),
+        ],
+    )
+    def test_record_with_bad_stats_is_a_usage_error(
+        self, small_dataset, tmp_path, capsys, stats, key
+    ):
+        bad = _with_second_record(small_dataset, tmp_path, lambda rec: {**rec, "stats": stats})
+        assert main(["stats", str(bad)]) == 2
+        assert f"record grl-n5-000001 has no numeric 'stats.{key}'" in capsys.readouterr().err
+
 
 class TestExportDimacs:
     def test_writes_cnf_files(self, small_dataset, tmp_path, capsys):

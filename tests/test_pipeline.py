@@ -287,6 +287,29 @@ class TestReadWrite:
         with pytest.raises(DatasetError, match="no instance records"):
             read_dataset(p)
 
+    def test_failed_write_keeps_the_old_file(self, tmp_path, grl_dataset):
+        config, records, src = grl_dataset
+        p = tmp_path / "kept.jsonl"
+        p.write_bytes(src.read_bytes())
+        # the unserializable record comes after a few good ones, so the
+        # write fails part way through
+        with pytest.raises(TypeError):
+            write_dataset(p, config, records[:3] + [{"id": object()}])
+        assert p.read_bytes() == src.read_bytes()
+        assert [q.name for q in tmp_path.iterdir()] == ["kept.jsonl"]
+
+    def test_failed_calibration_save_keeps_the_old_file(self, tmp_path):
+        p = tmp_path / "calibration.txt"
+        table = CalibrationTable()
+        table.set_band(8, 1.0, 0.5, Fraction(4), Fraction(5))
+        table.save(p)
+        before = p.read_bytes()
+        table.points[(8, 1.0, 0.5)] = {Fraction(4): None}  # cannot be unpacked
+        with pytest.raises(TypeError):
+            table.save(p)
+        assert p.read_bytes() == before
+        assert [q.name for q in tmp_path.iterdir()] == ["calibration.txt"]
+
 
 # ---------------------------------------------------------------------------
 # Verification

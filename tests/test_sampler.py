@@ -24,6 +24,7 @@ from nlsatgen.sampler import (
     calibrate_critical,
     calibration_cache_path,
     estimate_psat,
+    _draw_clause,
     sample_clause,
     sample_formula,
     sample_with_strategy,
@@ -113,6 +114,18 @@ def test_replacement_draws_are_marked_raw():
     assert all(c.raw for c in draws)
     # with replacement some draw repeats a variable eventually
     assert any(len({l.var for l in c.literals}) < c.width for c in draws)
+
+
+@pytest.mark.parametrize("with_replacement", [False, True])
+@pytest.mark.parametrize("p_int", [0.0, 0.7, 1.0])
+def test_sample_clause_wraps_the_shared_draw(with_replacement, p_int):
+    spec = SampleSpec(n=6, p_int=p_int, p_neg=0.5, with_replacement=with_replacement)
+    a, b = derive_rng("draw", p_int, with_replacement), derive_rng("draw", p_int, with_replacement)
+    for _ in range(5000):
+        clause = sample_clause(spec, a)
+        assert clause.raw == with_replacement
+        assert clause.to_ints() == _draw_clause(spec, b)
+    assert a.getstate() == b.getstate()
 
 
 def test_three_clause_distribution_is_uniform():

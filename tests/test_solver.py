@@ -4,12 +4,14 @@ import random
 import stat
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlsatgen.cnf import Clause, CnfFormula, Literal, evaluate
 from nlsatgen.rng import derive_rng
 from nlsatgen.sampler import SampleSpec, admissible_m, sample_formula
 from nlsatgen.solver import (
     CONTRADICTED,
+    DEFAULT_MAX_DECISIONS,
     ENTAILED,
     SAT,
     UNKNOWN,
@@ -22,6 +24,7 @@ from nlsatgen.solver import (
     solve_bruteforce,
     solve_external,
 )
+from nlsatgen.solver import _dpll
 
 
 # ---------------------------------------------------------------- basics
@@ -281,6 +284,38 @@ def test_solve_agrees_with_bruteforce_on_retrofit_theories():
         assert solve(f2).label == solve_bruteforce(f2).label
         checked += 1
     assert checked > 100
+
+
+@st.composite
+def canonical_formulas(draw):
+    # hypothesis picks the size, the clause count and the mix of widths;
+    # the clauses come from a seeded Random, because clause lists built
+    # element by element lean on small repeated variables, and units
+    # decide most formulas by propagation before any backtracking
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(0, 6 * n))
+    widths = draw(st.sampled_from(((3,), (2, 3, 3, 3), (1, 2, 3, 3, 3))))
+    rnd = draw(st.randoms(use_true_random=True))
+    clauses = []
+    for _ in range(m):
+        variables = sorted(rnd.sample(range(1, n + 1), min(rnd.choice(widths), n)))
+        clauses.append(Clause(tuple(Literal(v, rnd.random() < 0.5) for v in variables)))
+    return CnfFormula(n, clauses)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(canonical_formulas())
+def test_dpll_core_agrees_with_bruteforce(f):
+    result = solve(f)
+    assert result.label == solve_bruteforce(f).label
+    if result.label == SAT:
+        assert evaluate(f, result.model) is True
+    # the core gives the same answer on the boundary's lists and on the
+    # tuples the Monte Carlo hands it
+    for clauses in (f.to_int_clauses(), [cl.to_ints() for cl in f.clauses]):
+        core = _dpll(f.n_vars, clauses, DEFAULT_MAX_DECISIONS)
+        assert (core.label, core.model) == (result.label, result.model)
+        assert core.stats == result.stats
 
 
 def test_unsat_cores_with_deep_backtracking():
