@@ -472,15 +472,30 @@ GOLDEN_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("fragment,sizes,strategy", sorted(GOLDEN_DIGESTS))
-def test_golden_dataset_digest(tmp_path, fragment, sizes, strategy):
+# At p_int=0.5 about half the clauses have two literals, the width only
+# grl renders ("If no carrot then not steak."); naive needs no band.
+WIDTH2_GRL_DIGEST = "25d4646d807e2cb210fe78abc86bd21fbc55054cc41cb6d241acf423a55e19e2"
+
+
+def _golden_digest(tmp_path, fragment, sizes, strategy, p_int=1.0) -> str:
     table = CalibrationTable()
     for n, band in GOLDEN_BANDS.items():
         table.set_band(n, 1.0, 0.5, *(BIASED_BAND if strategy == "biased" else band))
     config = DatasetConfig(
-        fragment=fragment, sizes=sizes, count_per_size=40, seed=108, strategy=strategy
+        fragment=fragment, sizes=sizes, count_per_size=40, seed=108, strategy=strategy,
+        p_int=p_int,
     )
     path = tmp_path / "golden.jsonl"
     write_dataset(path, config, generate_records(config, table))
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("fragment,sizes,strategy", sorted(GOLDEN_DIGESTS))
+def test_golden_dataset_digest(tmp_path, fragment, sizes, strategy):
+    digest = _golden_digest(tmp_path, fragment, sizes, strategy)
     assert digest == GOLDEN_DIGESTS[(fragment, sizes, strategy)]
+
+
+def test_golden_width2_grl_digest(tmp_path):
+    digest = _golden_digest(tmp_path, "grl", (8, 10), "naive", p_int=0.5)
+    assert digest == WIDTH2_GRL_DIGEST
