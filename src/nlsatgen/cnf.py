@@ -9,6 +9,16 @@ A clause is *canonical* when its literals are sorted by (variable,
 polarity), no variable repeats, and no complementary pair appears.
 Clauses sampled with replacement may violate all of that; they carry
 ``raw=True`` so downstream code can tell them apart.
+
+Validation happens at the boundary: ``Literal``, ``Clause`` and
+``CnfFormula`` check themselves when built, and :func:`to_dimacs`
+refuses raw clauses.  The generators work below that boundary on
+``_IntCnf``, a formula as a variable count and canonical signed-int
+clause tuples.  Its DIMACS writer ``_dimacs`` is the one serializer:
+:func:`to_dimacs` converts a formula once and calls it.  It checks every
+clause it writes with plain code (``_check_int_clause``), so a formula
+that skipped the object constructors still cannot emit a clause that is
+not canonical.
 """
 
 from __future__ import annotations
@@ -39,6 +49,30 @@ class Literal(NamedTuple):
 
 # A (possibly partial) truth assignment, keyed by variable id.
 Assignment = dict
+
+
+class _IntCnf(NamedTuple):
+    """A formula as the int cores see it: variables 1..n_vars, clauses as
+    canonical signed-int tuples (+v / -v, strictly increasing |v|)."""
+
+    n_vars: int
+    clauses: Sequence
+
+
+def _check_int_clause(cl, n_vars: int) -> None:
+    """Raise ValueError unless cl is a canonical int clause over 1..n_vars.
+
+    Canonical means width 1..3 and strictly increasing variables, all in
+    range.  Starting at 0 also rejects a 0 literal.
+    """
+    if not 1 <= len(cl) <= 3:
+        raise ValueError(f"clause width must be 1..3, got {len(cl)}")
+    prev = 0
+    for v in cl:
+        var = v if v > 0 else -v
+        if var <= prev or var > n_vars:
+            raise ValueError(f"clause {tuple(cl)} is not canonical over 1..{n_vars}")
+        prev = var
 
 
 def _is_canonical(literals: Sequence[Literal]) -> bool:
@@ -91,7 +125,8 @@ class Clause:
         return cls(lits, raw=True)
 
     def to_ints(self) -> tuple:
-        return tuple(lit.to_int() for lit in self.literals)
+        # Literal.to_int inlined: every boundary into the int cores converts here
+        return tuple([-lit.var if lit.negated else lit.var for lit in self.literals])
 
     @property
     def width(self) -> int:
@@ -99,6 +134,11 @@ class Clause:
 
     def max_var(self) -> int:
         return max(lit.var for lit in self.literals)
+
+
+def _as_clause(ints, raw: bool = False) -> Clause:
+    """The ``Clause`` of a signed-int clause, literal order kept (and checked)."""
+    return Clause(tuple([Literal(abs(v), v < 0) for v in ints]), raw)
 
 
 def normalize_clause(clause: Clause) -> Optional[Clause]:
@@ -150,6 +190,11 @@ class CnfFormula:
         return not any(cl.raw for cl in self.clauses)
 
 
+def _as_formula(f: _IntCnf) -> CnfFormula:
+    """The validated ``CnfFormula`` of an int formula."""
+    return CnfFormula(f.n_vars, tuple([_as_clause(cl) for cl in f.clauses]))
+
+
 def alpha(f: CnfFormula) -> Fraction:
     """Clause-to-variable ratio m/n as an exact rational.
 
@@ -177,9 +222,16 @@ def to_dimacs(f: CnfFormula) -> str:
     """Serialize to DIMACS CNF: header line then one 0-terminated clause per line."""
     if not f.is_canonical():
         raise ValueError("refusing to export raw clauses; normalize first")
-    lines = [f"p cnf {f.n_vars} {f.m}"]
+    return _dimacs(_IntCnf(f.n_vars, [cl.to_ints() for cl in f.clauses]))
+
+
+def _dimacs(f: _IntCnf) -> str:
+    """The DIMACS core: checks each clause as it writes it."""
+    n_vars = f.n_vars
+    lines = [f"p cnf {n_vars} {len(f.clauses)}"]
     for cl in f.clauses:
-        lines.append(" ".join(str(v) for v in cl.to_ints()) + " 0")
+        _check_int_clause(cl, n_vars)
+        lines.append(" ".join(map(str, cl)) + " 0")
     return "\n".join(lines) + "\n"
 
 

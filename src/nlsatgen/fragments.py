@@ -7,6 +7,13 @@ reconstructs the formula, assigning variable ids by order of first
 appearance in the text.  Generators therefore reindex formulas into
 first-appearance order before rendering, which makes parse(render(x))
 reproduce x exactly; the reindexing is a fixpoint after one round.
+
+Validation happens at the boundary: :func:`reindex_formula` takes a
+``CnfFormula``, whose constructors have checked every clause, and
+returns one built (and so checked) again.  The renumbering itself,
+``_reindex``, works on signed-int clauses (``cnf._IntCnf``) and builds
+no objects, so the grl generator runs it on its draws directly; the
+renumbered clauses are checked when DIMACS writes them.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .cnf import Clause, CnfFormula, Literal
+from .cnf import Clause, CnfFormula, _as_clause, _as_formula, _IntCnf
 
 GRL = "grl"
 RCL = "rcl"
@@ -149,9 +156,14 @@ def check_all_mentioned(mapping: dict, n: int, what: str = "variables") -> None:
         raise FragmentError(f"{what} never mentioned: {missing}")
 
 
+def _remap(cl, mapping: dict) -> tuple:
+    """Renumber a signed-int clause, restoring increasing-variable order."""
+    return tuple(sorted([mapping[v] if v > 0 else -mapping[-v] for v in cl], key=abs))
+
+
 def remap_clause(cl: Clause, mapping: dict) -> Clause:
     """Renumber a clause's variables, restoring canonical literal order."""
-    return Clause(tuple(sorted(Literal(mapping[l.var], l.negated) for l in cl.literals)))
+    return _as_clause(_remap(cl.to_ints(), mapping))
 
 
 def reindex_formula(f: CnfFormula) -> tuple:
@@ -160,9 +172,15 @@ def reindex_formula(f: CnfFormula) -> tuple:
     Returns (formula, old-to-new map).  Requires every variable 1..n
     to occur in some clause, otherwise the renumbering would change n.
     """
-    mapping = appearance_map(lit.var for cl in f.clauses for lit in cl.literals)
+    g, mapping = _reindex(_IntCnf(f.n_vars, f.to_int_clauses()))
+    return _as_formula(g), mapping
+
+
+def _reindex(f: _IntCnf) -> tuple:
+    """The renumbering core, on signed-int clauses: (_IntCnf, map)."""
+    mapping = appearance_map(abs(v) for cl in f.clauses for v in cl)
     check_all_mentioned(mapping, f.n_vars)
-    return CnfFormula(f.n_vars, tuple(remap_clause(cl, mapping) for cl in f.clauses)), mapping
+    return _IntCnf(f.n_vars, [_remap(cl, mapping) for cl in f.clauses]), mapping
 
 
 def parse_theory(text, fragment: str, lexicon=None, strict: bool = True):

@@ -11,6 +11,11 @@ the antecedent and "not" in the consequent:
     (carrot v -steak)           "If no carrot then not steak."
 
 Unit clauses have no sentence form here and are rejected.
+
+Validation happens at the boundary: :func:`render_grl` takes a
+``CnfFormula`` and refuses raw clauses.  The sentences themselves come
+from ``_render``, which reads canonical signed-int clauses, so the grl
+generator renders its int clauses without building objects.
 """
 
 from __future__ import annotations
@@ -30,34 +35,33 @@ from .fragments import (
 _TOKEN = re.compile(r"\S+")
 
 
-def _antecedent_text(lit: Literal, binding: VarBinding) -> str:
-    # the antecedent holds the literal's negation
-    noun = binding.word(lit.var)
-    return noun if lit.negated else f"no {noun}"
-
-
-def _consequent_text(lit: Literal, binding: VarBinding) -> str:
-    noun = binding.word(lit.var)
-    return f"not {noun}" if lit.negated else noun
-
-
-def render_clause(clause: Clause, binding: VarBinding) -> str:
-    if clause.raw:
-        raise FragmentError("cannot render a raw clause; normalize first")
-    if clause.width < 2:
+def _sentence(cl, words: dict) -> str:
+    """One clause's sentence; ``cl`` is a canonical signed-int clause."""
+    if len(cl) < 2:
         raise FragmentError("unit clauses have no rendering in this fragment")
-    *antecedents, consequent = clause.literals
-    ante = " and ".join(_antecedent_text(l, binding) for l in antecedents)
-    return f"If {ante} then {_consequent_text(consequent, binding)}."
+    *antecedents, consequent = cl
+    # the antecedent holds each literal's negation: "no x" for +x
+    ante = " and ".join([words[-v] if v < 0 else f"no {words[v]}" for v in antecedents])
+    cons = f"not {words[-consequent]}" if consequent < 0 else words[consequent]
+    return f"If {ante} then {cons}."
+
+
+def _render(clauses, binding: VarBinding, token_budget: int) -> list:
+    """The rendering core: one sentence per signed-int clause, in order."""
+    words = binding.variables
+    sentences = []
+    for cl in clauses:
+        s = _sentence(cl, words)
+        check_token_budget(s, token_budget)
+        sentences.append(s)
+    return sentences
 
 
 def render_grl(f: CnfFormula, binding: VarBinding, token_budget: int = 30) -> NlTheory:
     """Render a canonical formula of 2- and 3-clauses, one sentence per clause."""
-    sentences = []
-    for clause in f.clauses:
-        s = render_clause(clause, binding)
-        check_token_budget(s, token_budget)
-        sentences.append(s)
+    if not f.is_canonical():
+        raise FragmentError("cannot render a raw clause; normalize first")
+    sentences = _render(f.to_int_clauses(), binding, token_budget)
     return NlTheory(GRL, tuple(sentences), binding)
 
 

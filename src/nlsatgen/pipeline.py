@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import grl, lexicon as lexicon_mod, rcl, ruletaker
-from .cnf import CnfFormula, alpha as formula_alpha, from_dimacs, to_dimacs
+from .cnf import CnfFormula, _dimacs, _IntCnf, alpha as formula_alpha, from_dimacs, to_dimacs
 from .fileio import atomic_writer
 from .fragments import (
     FRAGMENTS,
@@ -32,9 +32,9 @@ from .fragments import (
     RULETAKER,
     FragmentError,
     ParseError,
+    _reindex,
     bind_vocabulary,
     parse_theory,
-    reindex_formula,
 )
 from .rng import derive_rng
 from .sampler import (
@@ -44,6 +44,7 @@ from .sampler import (
     STRATEGIES,
     CalibrationError,
     SampleSpec,
+    _draw_clauses,
     draw_m,
     sample_clauses,
 )
@@ -53,6 +54,7 @@ from .solver import (
     ENTAILED,
     SAT,
     UNSAT,
+    _dpll,
     check_entailment,
     solve,
 )
@@ -248,23 +250,27 @@ def _is_diverse(config, band, ratio: Fraction) -> bool:
     return not Fraction(band[0]) <= ratio <= Fraction(band[1])
 
 
+# The grl and rcl candidates chain the private int cores of each layer
+# (draw, reindex, ground, solve, render, DIMACS) and build no clause
+# objects; the DIMACS core checks every clause it writes.  Verification
+# reaches the same cores through the public, validating names.
+
+
 def _grl_candidate(config, band, vocab, size, index, rng):
     spec = SampleSpec(
         n=size, p_int=config.p_int, p_neg=config.p_neg, strategy=config.strategy
     )
     m = draw_m(spec, band, rng, config.diversity_fraction)
-    f = CnfFormula(size, sample_clauses(spec, m, rng))
     try:
-        f, _ = reindex_formula(f)
+        f, _ = _reindex(_IntCnf(size, _draw_clauses(spec, m, rng)))
     except FragmentError:
         return None  # some variable never occurs; the text could not mention it
-    result = solve(f, config.max_decisions)
+    result = _dpll(size, f.clauses, config.max_decisions)
     binding = bind_vocabulary(f, vocab, rng)
-    rendered = grl.render_grl(f, binding, config.token_budget)
-    ratio = formula_alpha(f)
+    text = " ".join(grl._render(f.clauses, binding, config.token_budget))
+    ratio = Fraction(m, size)
     payload = _base_payload(
-        config, size, index, f.n_vars, f.m, ratio, result.stats,
-        rendered.text, to_dimacs(f),
+        config, size, index, size, m, ratio, result.stats, text, _dimacs(f)
     )
     payload["label"] = result.label
     return Candidate(size, index, {result.label: payload}, _is_diverse(config, band, ratio))
@@ -282,27 +288,26 @@ def _rcl_candidate(config, band, vocab, size, index, rng):
         m_universal, m_ground = rcl.split_clause_budget(total_m, n_consts)
     except ValueError:
         return None  # clause budget cannot cover every constant
-    problem = rcl.sample_rcl_problem(
-        n_preds, n_consts, m_universal, m_ground, config.p_neg, rng
-    )
+    problem = rcl._draw(n_preds, n_consts, m_universal, m_ground, config.p_neg, rng)
     try:
-        problem, _, _ = rcl.reindex_problem(problem)
+        problem, _, _ = rcl._reindex(problem)
     except FragmentError:
         return None  # some predicate never occurs; the text could not mention it
-    grounded = rcl.ground_rcl(problem)
-    result = solve(grounded, config.max_decisions)
+    grounded = rcl._ground(problem)
+    result = _dpll(grounded.n_vars, grounded.clauses, config.max_decisions)
     binding = bind_vocabulary(problem, vocab, rng)
-    rendered = rcl.render_rcl(
+    sentences = rcl._render(
         problem, binding, vocab, rng, config.no_rewrite_prob, config.token_budget
     )
-    ratio = formula_alpha(grounded)
+    n_clauses = len(grounded.clauses)
+    ratio = Fraction(n_clauses, grounded.n_vars)
     payload = _base_payload(
-        config, size, index, problem.n_predicates, grounded.m, ratio, result.stats,
-        rendered.text, to_dimacs(grounded),
+        config, size, index, n_preds, n_clauses, ratio, result.stats,
+        " ".join(sentences), _dimacs(grounded),
     )
     payload["label"] = result.label
     payload["n_ground_vars"] = grounded.n_vars
-    payload["n_constants"] = problem.n_constants
+    payload["n_constants"] = n_consts
     return Candidate(size, index, {result.label: payload}, _is_diverse(config, band, ratio))
 
 
@@ -673,7 +678,11 @@ def verify_dataset(path, config_lexicon=None, max_decisions: int = DEFAULT_MAX_D
         if rec.get("split") not in SPLIT_NAMES:
             issues.append(VerifyIssue(rid, "field", f"bad split {rec.get('split')!r}"))
         issues.extend(_verify_record(rec, vocab, max_decisions))
-        by_size.setdefault(rec.get("size"), []).append(rec.get("label"))
+        size = rec.get("size")
+        if _is_int(size):
+            by_size.setdefault(size, []).append(rec.get("label"))
+        else:
+            issues.append(VerifyIssue(rid, "field", f"bad size {size!r}"))
     if header.get("balance_labels") is False:
         return issues
     labels = RT_LABELS if fragment == RULETAKER else SAT_LABELS
@@ -699,6 +708,10 @@ def _default_vocab(fragment: str):
     )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require_keys(path, records, keys) -> None:
     for rec in records:
         for key in keys:
@@ -712,11 +725,16 @@ def stats_report(path) -> str:
     header, records = read_dataset(path)
     _require_keys(path, records, ("size", "label", "split", "stats"))
     for rec in records:
+        rid = rec.get("id", "<missing id>")
+        if not _is_int(rec["size"]):
+            raise DatasetError(f"{path}: record {rid} has a non-integer 'size'")
+        for key in ("label", "split"):
+            if not isinstance(rec[key], str):
+                raise DatasetError(f"{path}: record {rid} has a non-string {key!r}")
         stats = rec["stats"]
         for key in ("decisions", "conflicts"):
             value = stats.get(key) if isinstance(stats, dict) else None
             if not isinstance(value, (int, float)) or isinstance(value, bool):
-                rid = rec.get("id", "<missing id>")
                 raise DatasetError(f"{path}: record {rid} has no numeric 'stats.{key}'")
     labels = RT_LABELS if header.get("fragment") == RULETAKER else SAT_LABELS
     lines = [

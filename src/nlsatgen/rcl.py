@@ -22,26 +22,35 @@ Ground sentences list their literals verbatim:
 Grounding expands each universal clause over every constant.  Ground
 variable ids are constant-major: predicate p of constant c maps to
 (c - 1) * n_predicates + p.
+
+Validation happens at the boundary: the public functions take and
+return ``RclProblem`` and ``CnfFormula`` objects, which check their
+clauses when built.  Each wraps one private core (``_draw``,
+``_reindex``, ``_ground``, ``_render``) that works on ``_IntProblem``,
+the same problem with signed-int clause tuples; the rcl generator
+chains those cores and builds no clause objects, and the grounded
+clauses are checked when DIMACS writes them.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
-from .cnf import Clause, CnfFormula, Literal
+from .cnf import Clause, CnfFormula, Literal, _as_clause, _as_formula, _IntCnf
 from .fragments import (
     RCL,
     FragmentError,
     NlTheory,
     ParseError,
     VarBinding,
+    _remap,
     appearance_map,
     check_all_mentioned,
     check_token_budget,
-    remap_clause,
 )
-from .sampler import SampleSpec, sample_clauses
+from .sampler import SampleSpec, _draw_clauses
 
 DEFAULT_NO_REWRITE_PROB = 0.25
 
@@ -95,6 +104,35 @@ def ground_var(pred: int, const: int, n_predicates: int) -> int:
     return (const - 1) * n_predicates + pred
 
 
+class _IntProblem(NamedTuple):
+    """An ``RclProblem`` as the int cores see it: the same fields, with
+    each clause a canonical signed-int tuple."""
+
+    n_predicates: int
+    n_constants: int
+    universal_clauses: Sequence
+    ground_clauses: Sequence  # (constant id, int clause) pairs
+
+
+def _ints_of(p: RclProblem) -> _IntProblem:
+    return _IntProblem(
+        p.n_predicates,
+        p.n_constants,
+        [cl.to_ints() for cl in p.universal_clauses],
+        [(cid, cl.to_ints()) for cid, cl in p.ground_clauses],
+    )
+
+
+def _as_problem(p: _IntProblem) -> RclProblem:
+    """The validated ``RclProblem`` of an int problem."""
+    return RclProblem(
+        p.n_predicates,
+        p.n_constants,
+        tuple([_as_clause(cl) for cl in p.universal_clauses]),
+        tuple([(cid, _as_clause(cl)) for cid, cl in p.ground_clauses]),
+    )
+
+
 def ground_rcl(p: RclProblem) -> CnfFormula:
     """Expand universals over all constants, then append ground clauses.
 
@@ -102,27 +140,21 @@ def ground_rcl(p: RclProblem) -> CnfFormula:
     to C, followed by the ground clauses in order.  Literal order is
     preserved by the constant-major mapping, so clauses stay canonical.
     """
-    clauses = []
-    for cl in p.universal_clauses:
-        for c in range(1, p.n_constants + 1):
-            clauses.append(
-                Clause(
-                    tuple(
-                        Literal(ground_var(l.var, c, p.n_predicates), l.negated)
-                        for l in cl.literals
-                    )
-                )
-            )
-    for cid, cl in p.ground_clauses:
-        clauses.append(
-            Clause(
-                tuple(
-                    Literal(ground_var(l.var, cid, p.n_predicates), l.negated)
-                    for l in cl.literals
-                )
-            )
-        )
-    return CnfFormula(p.n_ground_vars, tuple(clauses))
+    return _as_formula(_ground(_ints_of(p)))
+
+
+def _ground(p: _IntProblem) -> _IntCnf:
+    """The grounding core: shifting predicate p of constant c by
+    ``ground_var(0, c, P)`` gives ``ground_var(p, c, P)``."""
+    n_predicates = p.n_predicates
+    offsets = [ground_var(0, c, n_predicates) for c in range(1, p.n_constants + 1)]
+    clauses = [_shift(cl, off) for cl in p.universal_clauses for off in offsets]
+    clauses += [_shift(cl, offsets[cid - 1]) for cid, cl in p.ground_clauses]
+    return _IntCnf(n_predicates * p.n_constants, clauses)
+
+
+def _shift(cl, off: int) -> tuple:
+    return tuple([v + off if v > 0 else v - off for v in cl])
 
 
 def feasible_predicate_counts(
@@ -167,34 +199,39 @@ def sample_rcl_problem(
     """
     if m_ground < n_constants:
         raise ValueError("need at least one ground clause per constant")
+    return _as_problem(_draw(n_predicates, n_constants, m_universal, m_ground, p_neg, rng))
+
+
+def _draw(n_predicates, n_constants, m_universal, m_ground, p_neg, rng) -> _IntProblem:
+    """The sampling core, on signed-int clauses; m_ground >= n_constants."""
     spec = SampleSpec(n=n_predicates, p_int=1.0, p_neg=p_neg)
-    universals = sample_clauses(spec, m_universal, rng)
+    universals = _draw_clauses(spec, m_universal, rng)
     counts = [1] * n_constants
     for _ in range(m_ground - n_constants):
         counts[rng.randrange(n_constants)] += 1
-    grounds = tuple(
+    grounds = [
         (cid, cl)
         for cid in range(1, n_constants + 1)
-        for cl in sample_clauses(spec, counts[cid - 1], rng)
-    )
-    return RclProblem(n_predicates, n_constants, universals, grounds)
+        for cl in _draw_clauses(spec, counts[cid - 1], rng)
+    ]
+    return _IntProblem(n_predicates, n_constants, universals, grounds)
 
 
-def _restrictor_index(cl: Clause) -> int:
+def _restrictor_index(cl) -> int:
     """Position of the lowest-index negative literal, or -1 if all positive."""
-    for i, lit in enumerate(cl.literals):
-        if lit.negated:
+    for i, v in enumerate(cl):
+        if v < 0:
             return i
     return -1
 
 
-def _sentence_walk(cl: Clause) -> list:
+def _sentence_walk(cl) -> list:
     """Predicates in the order the sentence mentions them."""
+    walk = [abs(v) for v in cl]
     r = _restrictor_index(cl)
-    if r < 0:
-        return [l.var for l in cl.literals]
-    rest = [l.var for i, l in enumerate(cl.literals) if i != r]
-    return [cl.literals[r].var] + rest
+    if r > 0:
+        walk.insert(0, walk.pop(r))
+    return walk
 
 
 def reindex_problem(p: RclProblem) -> tuple:
@@ -203,58 +240,61 @@ def reindex_problem(p: RclProblem) -> tuple:
     Returns (problem, predicate map, constant map).  The renumbering is
     a fixpoint: rendering the result and parsing it back reproduces it.
     """
+    q, pred_map, const_map = _reindex(_ints_of(p))
+    return _as_problem(q), pred_map, const_map
+
+
+def _reindex(p: _IntProblem) -> tuple:
+    """The renumbering core, on signed-int clauses."""
     pred_walk = []
     for cl in p.universal_clauses:
         pred_walk.extend(_sentence_walk(cl))
     for _, cl in p.ground_clauses:
-        pred_walk.extend(l.var for l in cl.literals)
+        pred_walk.extend([abs(v) for v in cl])
     pred_map = appearance_map(pred_walk)
     check_all_mentioned(pred_map, p.n_predicates, "predicates")
     const_map = appearance_map(cid for cid, _ in p.ground_clauses)
     check_all_mentioned(const_map, p.n_constants, "constants")
-    universals = tuple(remap_clause(cl, pred_map) for cl in p.universal_clauses)
-    grounds = tuple((const_map[cid], remap_clause(cl, pred_map)) for cid, cl in p.ground_clauses)
-    return RclProblem(p.n_predicates, p.n_constants, universals, grounds), pred_map, const_map
+    universals = [_remap(cl, pred_map) for cl in p.universal_clauses]
+    grounds = [(const_map[cid], _remap(cl, pred_map)) for cid, cl in p.ground_clauses]
+    return _IntProblem(p.n_predicates, p.n_constants, universals, grounds), pred_map, const_map
 
 
-def _atom_text(lit: Literal, binding: VarBinding, lexicon) -> str:
-    noun = binding.word(lit.var)
+def _atom_text(v: int, words: dict, lexicon) -> str:
+    noun = words[abs(v)]
     art = lexicon.article(noun)
-    return ("not " if lit.negated else "") + f"{art} {noun}"
+    return ("not " if v < 0 else "") + f"{art} {noun}"
 
 
-def render_universal(cl: Clause, binding: VarBinding, lexicon, rng=None,
-                     no_rewrite_prob: float = DEFAULT_NO_REWRITE_PROB) -> str:
-    if cl.width != 3:
+def _universal_sentence(cl, words: dict, lexicon, rng, no_rewrite_prob: float) -> str:
+    if len(cl) != 3:
         raise FragmentError(
-            f"universal sentences need width-3 clauses, got width {cl.width}"
+            f"universal sentences need width-3 clauses, got width {len(cl)}"
         )
     r = _restrictor_index(cl)
     if r < 0:
-        a1, a2, cons = cl.literals
+        a1, a2, cons = cl
         return (
-        f"Everyone who is not {_atom_text(a1, binding, lexicon)}"
-        f" and not {_atom_text(a2, binding, lexicon)}"
-        f" is {_atom_text(cons, binding, lexicon)}."
+        f"Everyone who is not {_atom_text(a1, words, lexicon)}"
+        f" and not {_atom_text(a2, words, lexicon)}"
+        f" is {_atom_text(cons, words, lexicon)}."
         )
-    restrictor = cl.literals[r]
-    rest = [l for i, l in enumerate(cl.literals) if i != r]
-    who, cons = rest[0].negate(), rest[1]
-    x_noun = binding.word(restrictor.var)
-    who_txt = _atom_text(who, binding, lexicon)
-    if cons.negated and rng is not None and rng.random() < no_rewrite_prob:
-        cons_txt = _atom_text(cons.negate(), binding, lexicon)
-        return f"No {x_noun} who is {who_txt} is {cons_txt}."
-    return f"Every {x_noun} who is {who_txt} is {_atom_text(cons, binding, lexicon)}."
+    restrictor = cl[r]
+    rest = [v for i, v in enumerate(cl) if i != r]
+    who, cons = -rest[0], rest[1]
+    x_noun = words[-restrictor]
+    who_txt = _atom_text(who, words, lexicon)
+    if cons < 0 and rng is not None and rng.random() < no_rewrite_prob:
+        return f"No {x_noun} who is {who_txt} is {_atom_text(-cons, words, lexicon)}."
+    return f"Every {x_noun} who is {who_txt} is {_atom_text(cons, words, lexicon)}."
 
 
-def render_ground(cid: int, cl: Clause, binding: VarBinding, lexicon) -> str:
-    if cl.width != 3:
+def _ground_sentence(name: str, cl, words: dict, lexicon) -> str:
+    if len(cl) != 3:
         raise FragmentError(
-            f"ground sentences need width-3 clauses, got width {cl.width}"
+            f"ground sentences need width-3 clauses, got width {len(cl)}"
         )
-    name = binding.constant_word(cid)
-    atoms = " or ".join(_atom_text(l, binding, lexicon) for l in cl.literals)
+    atoms = " or ".join([_atom_text(v, words, lexicon) for v in cl])
     return f"{name} is {atoms}."
 
 
@@ -272,16 +312,21 @@ def render_rcl(
     "Every ... is not ..." into the "No ... is ..." surface; omit it to
     always keep the Every form.
     """
+    sentences = _render(_ints_of(p), binding, lexicon, rng, no_rewrite_prob, token_budget)
+    return NlTheory(RCL, tuple(sentences), binding)
+
+
+def _render(p: _IntProblem, binding, lexicon, rng, no_rewrite_prob, token_budget) -> list:
+    """The rendering core, on signed-int clauses; one sentence per clause."""
+    words, names = binding.variables, binding.constants
     sentences = []
     for cl in p.universal_clauses:
-        s = render_universal(cl, binding, lexicon, rng, no_rewrite_prob)
-        check_token_budget(s, token_budget)
-        sentences.append(s)
+        sentences.append(_universal_sentence(cl, words, lexicon, rng, no_rewrite_prob))
+        check_token_budget(sentences[-1], token_budget)
     for cid, cl in p.ground_clauses:
-        s = render_ground(cid, cl, binding, lexicon)
-        check_token_budget(s, token_budget)
-        sentences.append(s)
-    return NlTheory(RCL, tuple(sentences), binding)
+        sentences.append(_ground_sentence(names[cid], cl, words, lexicon))
+        check_token_budget(sentences[-1], token_budget)
+    return sentences
 
 
 _ATOM = r"(?:not )?(?:a|an) [a-z]+"

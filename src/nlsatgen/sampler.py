@@ -18,10 +18,10 @@ estimates are floats.
 
 Clauses are drawn as signed-int tuples (+v / -v) by one private
 routine.  The public samplers wrap each draw in a validated ``Clause``
-and ``CnfFormula`` at the boundary, where the pipeline and the CLI pick
-them up.  The Monte Carlo behind the phase curve never leaves the ints:
-it hands the drawn tuples straight to the solver's search core, since
-the formulas are thrown away once labelled.
+and ``CnfFormula`` at the boundary, where the ruletaker generator and
+the CLI pick them up.  The Monte Carlo behind the phase curve and the
+grl and rcl generators never leave the ints: they take the drawn tuples
+through the int cores of reindexing, the solver and DIMACS.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .cnf import Clause, CnfFormula, Literal
+from .cnf import Clause, CnfFormula, _as_clause
 from .fileio import atomic_writer
 from .rng import derive_rng
 from .solver import DEFAULT_MAX_DECISIONS, BudgetExhaustedError, _dpll, solve
@@ -111,10 +111,14 @@ def _draw_clause(spec: SampleSpec, rng) -> tuple:
     return tuple([-v if random() < p_neg else v for v in variables])
 
 
+def _draw_clauses(spec: SampleSpec, m: int, rng) -> list:
+    """Draw m signed-int clauses, in order."""
+    return [_draw_clause(spec, rng) for _ in range(m)]
+
+
 def sample_clause(spec: SampleSpec, rng) -> Clause:
     """Draw one clause; raw when the spec samples with replacement."""
-    lits = tuple([Literal(abs(v), v < 0) for v in _draw_clause(spec, rng)])
-    return Clause(lits, spec.with_replacement)
+    return _as_clause(_draw_clause(spec, rng), spec.with_replacement)
 
 
 def admissible_m(n: int, alpha_min: Fraction, alpha_max: Fraction) -> range:
@@ -191,9 +195,8 @@ def estimate_psat(
     sat_hits = 0
     for _ in range(trials):
         for attempt in range(5):
-            clauses = [_draw_clause(spec, rng) for _ in range(m)]
             try:
-                result = _dpll(n, clauses, max_decisions)
+                result = _dpll(n, _draw_clauses(spec, m, rng), max_decisions)
             except BudgetExhaustedError:
                 if attempt == 4:
                     raise

@@ -21,8 +21,9 @@ Validation happens at the boundary: :func:`solve` takes a
 ``CnfFormula``, whose constructors have checked every ``Clause`` and
 ``Literal``, refuses raw clauses, and converts once to signed ints
 (+v / -v).  The search itself, ``_dpll``, works on those int tuples
-only and checks nothing, so the Monte Carlo in the sampler can feed it
-clauses that are canonical by construction without building objects.
+only and checks nothing, so the Monte Carlo in the sampler and the grl
+and rcl generators can feed it clauses that are canonical by
+construction without building objects.
 """
 
 from __future__ import annotations

@@ -244,6 +244,14 @@ class TestVerify:
         assert "record says" in err
         assert "verification failed: 2 issue(s)" in err
 
+    @pytest.mark.parametrize("size", [[5], "10"])
+    def test_mistyped_size_is_a_field_issue(self, small_dataset, tmp_path, capsys, size):
+        bad = _with_second_record(small_dataset, tmp_path, lambda rec: {**rec, "size": size})
+        assert main(["verify", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert f"grl-n5-000001: field: bad size {size!r}" in err
+        assert "verification failed" in err
+
     def test_missing_dataset_is_a_usage_error(self, tmp_path, capsys):
         assert main(["verify", str(tmp_path / "nope.jsonl")]) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -287,6 +295,22 @@ class TestStats:
         bad = _with_second_record(small_dataset, tmp_path, lambda rec: {**rec, "stats": stats})
         assert main(["stats", str(bad)]) == 2
         assert f"record grl-n5-000001 has no numeric 'stats.{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("size", [5], "a non-integer 'size'"),
+            ("size", "10", "a non-integer 'size'"),
+            ("label", ["sat"], "a non-string 'label'"),
+            ("split", {"a": 1}, "a non-string 'split'"),
+        ],
+    )
+    def test_record_with_mistyped_field_is_a_usage_error(
+        self, small_dataset, tmp_path, capsys, key, value, message
+    ):
+        bad = _with_second_record(small_dataset, tmp_path, lambda rec: {**rec, key: value})
+        assert main(["stats", str(bad)]) == 2
+        assert f"record grl-n5-000001 has {message}" in capsys.readouterr().err
 
 
 class TestExportDimacs:

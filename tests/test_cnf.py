@@ -13,6 +13,8 @@ from nlsatgen.cnf import (
     alpha,
     evaluate,
     from_dimacs,
+    _dimacs,
+    _IntCnf,
     normalize_clause,
     to_dimacs,
 )
@@ -240,6 +242,20 @@ def test_to_dimacs_refuses_raw_clauses():
     raw = CnfFormula(2, (Clause.raw_from_ints(1, 1),))
     with pytest.raises(ValueError):
         to_dimacs(raw)
+
+
+def test_dimacs_core_writes_canonical_int_clauses():
+    assert _dimacs(_IntCnf(3, [(1, -2, 3), (-3,)])) == "p cnf 3 2\n1 -2 3 0\n-3 0\n"
+
+
+@pytest.mark.parametrize(
+    "clause",
+    [(), (1, 2, 3, -4), (2, 1), (1, -1), (-2, -2), (0, 1), (1, 4), (-4,)],
+)
+def test_dimacs_core_refuses_non_canonical_int_clauses(clause):
+    # the generators hand the core clauses no constructor has checked
+    with pytest.raises(ValueError, match="width|not canonical"):
+        _dimacs(_IntCnf(3, [(1, 2), clause]))
 
 
 def test_from_dimacs_reads_what_to_dimacs_writes():

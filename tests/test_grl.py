@@ -3,23 +3,34 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from nlsatgen.cnf import Clause, CnfFormula
+from nlsatgen.cnf import Clause, CnfFormula, to_dimacs
 from nlsatgen.fragments import (
+    GRL,
     FragmentError,
     NlTheory,
     ParseError,
     VarBinding,
     bind_vocabulary,
+    parse_theory,
     reindex_formula,
 )
-from nlsatgen.grl import parse_grl, render_clause, render_grl
+from nlsatgen.grl import parse_grl, render_grl
 from nlsatgen.lexicon import Lexicon
+from nlsatgen.sampler import SampleSpec, sample_clauses
 
 LEX = Lexicon(("carrot", "steak", "apples", "grapes", "banana", "olive", "fig", "pear"))
 
 
 # ---------------------------------------------------------------- rendering
+
+
+def render_clause(clause, binding):
+    """The sentence of a one-clause formula."""
+    f = CnfFormula(len(binding.variables), (clause,))
+    (sentence,) = render_grl(f, binding).sentences
+    return sentence
 
 
 def test_render_mixed_signs():
@@ -209,6 +220,27 @@ def test_round_trip_random_formulas_after_reindexing():
         # strict output reparses leniently too
         lenient_f, _ = parse_grl(theory.sentences, LEX, strict=False)
         assert lenient_f == fixed
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(
+    n=st.integers(3, len(LEX.count_nouns)),
+    p_int=st.sampled_from((0.0, 0.5, 1.0)),
+    rnd=st.randoms(use_true_random=True),
+)
+def test_parse_render_reindex_round_trip_property(n, p_int, rnd):
+    # the clauses, the binding and the text come from a hypothesis-seeded
+    # Random, through the public names and so through their int cores
+    f = CnfFormula(n, sample_clauses(SampleSpec(n=n, p_int=p_int), rnd.randint(2 * n, 5 * n), rnd))
+    try:
+        fixed, _ = reindex_formula(f)
+    except FragmentError:
+        assume(False)  # a variable no clause mentions
+    binding = bind_vocabulary(fixed, LEX, rnd)
+    parsed, parsed_binding = parse_theory(render_grl(fixed, binding).text, GRL, LEX)
+    assert parsed == fixed
+    assert parsed_binding == binding
+    assert to_dimacs(parsed) == to_dimacs(fixed)
 
 
 def test_reindex_formula_orders_by_first_appearance():

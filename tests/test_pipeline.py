@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from nlsatgen.cnf import Clause, CnfFormula, Literal
 from nlsatgen.pipeline import (
     DatasetConfig,
     DatasetError,
@@ -13,13 +14,14 @@ from nlsatgen.pipeline import (
     assign_splits,
     dataset_header,
     export_dimacs_files,
+    generate_candidate,
     generate_records,
     read_dataset,
     stats_report,
     verify_dataset,
     write_dataset,
 )
-from nlsatgen.pipeline import _largest_remainder
+from nlsatgen.pipeline import _largest_remainder, load_vocabulary
 from nlsatgen.sampler import CalibrationError, CalibrationTable
 
 SPLITS = ("train", "dev", "test")
@@ -499,3 +501,25 @@ def test_golden_dataset_digest(tmp_path, fragment, sizes, strategy):
 def test_golden_width2_grl_digest(tmp_path):
     digest = _golden_digest(tmp_path, "grl", (8, 10), "naive", p_int=0.5)
     assert digest == WIDTH2_GRL_DIGEST
+
+
+@pytest.mark.parametrize("fragment,sizes", [("grl", (8, 10)), ("rcl", (10, 12))])
+def test_sat_candidates_build_no_clause_objects(monkeypatch, fragment, sizes):
+    # grl and rcl candidates stay on signed-int clauses from draw to record
+    config = DatasetConfig(
+        fragment=fragment, sizes=sizes, count_per_size=2, seed=108, strategy="naive"
+    )
+    vocab = load_vocabulary(config)
+
+    def built(*args, **kwargs):
+        raise AssertionError("a clause object was built")
+
+    monkeypatch.setattr(Clause, "__post_init__", built)
+    monkeypatch.setattr(CnfFormula, "__post_init__", built)
+    monkeypatch.setattr(Literal, "__new__", built)
+    candidates = [
+        generate_candidate(config, None, vocab, size, index)
+        for size in sizes
+        for index in range(20)
+    ]
+    assert sum(c is not None for c in candidates) > 20
