@@ -445,11 +445,16 @@ def _sampler_transcript() -> str:
             f, result = sample_with_strategy(spec, band, rng)
             out.append(f"{f.to_int_clauses()} {result.label} {result.stats.as_dict()}")
     out.append(repr(estimate_psat(8, 1.0, 0.5, Fraction(9, 2), trials=100, seed=1)))
-    result = calibrate_critical(6, 1.0, 0.5, trials_per_point=100, seed=0)
-    out.append(repr((result.alpha_c, result.band, result.points)))
     return "\n".join(out)
 
 
 def test_sampling_transcript_is_pinned():
     digest = hashlib.sha256(_sampler_transcript().encode()).hexdigest()
-    assert digest == "c5db0e08f4c3414cda3fedf78be5ba5adfcc51d6c365945cb82370a8631c5dfe"
+    assert digest == "67b5a535bb363b3a3cc2ff40edeccbd42fd564e97bcaffc4e50427f510995ce5"
+
+
+def test_calibration_transcript_is_pinned():
+    result = calibrate_critical(6, 1.0, 0.5, trials_per_point=100, seed=0)
+    transcript = repr((result.alpha_c, result.band, result.points))
+    digest = hashlib.sha256(transcript.encode()).hexdigest()
+    assert digest == "0cbc1e9a533d66c128acc4407e793fe60c4372b551089d39892b4d6bc7c707eb"
