@@ -594,6 +594,10 @@ def _verify_record(rec: dict, vocab, max_decisions: int) -> list:
         if key not in rec:
             bad("field", f"missing {key}")
             return issues
+    for key in ("text", "label", "conjecture_text"):
+        if key in rec and not isinstance(rec[key], str):
+            bad("field", f"bad {key} {rec[key]!r}")
+            return issues
     try:
         parsed = parse_theory(rec["text"], fragment, vocab, strict=True)
     except (ParseError, FragmentError, ValueError) as exc:
@@ -669,9 +673,12 @@ def verify_dataset(path, config_lexicon=None, max_decisions: int = DEFAULT_MAX_D
     by_size = {}
     for rec in records:
         rid = rec.get("id", "<missing id>")
-        if rid in seen_ids:
+        if not isinstance(rid, str):
+            issues.append(VerifyIssue(rid, "field", f"bad id {rid!r}"))
+        elif rid in seen_ids:
             issues.append(VerifyIssue(rid, "field", "duplicate id"))
-        seen_ids.add(rid)
+        else:
+            seen_ids.add(rid)
         if rec.get("fragment") != fragment:
             issues.append(VerifyIssue(rid, "field", "fragment differs from header"))
             continue

@@ -4,8 +4,9 @@ Random formulas flip from almost-surely satisfiable to almost-surely
 unsatisfiable as alpha = m/n crosses a critical value; problems drawn
 near the crossing are empirically the hardest.  This module samples
 clauses and formulas, estimates the satisfiable fraction by Monte
-Carlo, locates the crossing by bisection, and draws formulas with one
-of three band strategies:
+Carlo, locates the crossing from the unsat thresholds of random clause
+streams (the shortest unsat prefix of each, found by bisection), and
+draws formulas with one of three band strategies:
 
 * hard    alpha inside the calibrated critical band (where the
           satisfiable fraction is within 0.5 +/- 0.1), with a small
@@ -304,6 +305,22 @@ class CalibrationResult:
     trials_per_point: int
 
 
+def _unsat_threshold(n: int, clauses: list, max_decisions: int) -> int:
+    """Length of the shortest unsat prefix of clauses, or len + 1 if none.
+
+    Adding clauses never makes an unsat formula sat, so bisection finds it.
+    """
+    sat, unsat = 0, len(clauses) + 1  # known-sat and known-unsat lengths
+    probe = len(clauses)              # solve the whole stream first
+    while unsat - sat > 1:
+        if _dpll(n, clauses[:probe], max_decisions).label == "sat":
+            sat = probe
+        else:
+            unsat = probe
+        probe = (sat + unsat) // 2
+    return unsat
+
+
 def calibrate_critical(
     n: int,
     p_int: float,
@@ -316,82 +333,55 @@ def calibrate_critical(
 ) -> CalibrationResult:
     """Locate the ratio where half the sampled formulas are satisfiable.
 
-    Bisects on the integer clause count (ratios move in steps of 1/n),
-    reusing estimates, then finds the critical band as the outermost
-    evaluated ratios whose estimate lies in [0.4, 0.6].  The crossing
-    estimate must come within tolerance + its own confidence half-width
-    of 0.5; estimates that break monotonicity by far more than their
-    combined half-widths abort with advice to raise trials_per_point.
+    Each trial draws one stream of m_max = floor(alpha_max * n) clauses
+    and finds its threshold, the length of its shortest unsat prefix.
+    The share of thresholds above m is P_sat(m) for every m at once, and
+    it cannot rise with m.  alpha_c is the m/n whose P_sat is nearest 0.5;
+    it must come within tolerance + its Wilson half-width of 0.5.  The
+    critical band spans the ratios whose P_sat lies in [0.4, 0.6].  A
+    trial whose solve exhausts the decision budget redraws its stream,
+    a few times, before giving up.
     """
-    cache: dict = {}
-
-    def est(m: int, trials: int = trials_per_point) -> PsatEstimate:
-        got = cache.get(m)
-        if got is None or got.trials < trials:
-            got = estimate_psat(n, p_int, p_neg, Fraction(m, n), trials, seed, max_decisions)
-            cache[m] = got
-        return got
-
-    def check_monotone(lo_e: PsatEstimate, hi_e: PsatEstimate) -> None:
-        # p_sat should not rise with m; allow generous Monte Carlo slack
-        slack = 2.0 * (lo_e.halfwidth + hi_e.halfwidth)
-        if hi_e.p_hat > lo_e.p_hat + slack:
-            raise CalibrationError(
-                f"non-monotone estimates at n={n}: p({lo_e.alpha})={lo_e.p_hat:.3f} "
-                f"vs p({hi_e.alpha})={hi_e.p_hat:.3f}; increase trials_per_point"
-            )
-
-    m_lo, m_hi = 1, math.floor(Fraction(alpha_max) * n)
-    lo_e, hi_e = est(m_lo), est(m_hi)
-    if lo_e.p_hat < 0.5:
+    if trials_per_point <= 0:
+        raise ValueError("trials must be positive")
+    m_max = math.floor(Fraction(alpha_max) * n)
+    spec = SampleSpec(n=n, p_int=p_int, p_neg=p_neg)
+    rng = derive_rng("threshold", seed, n, float(p_int), float(p_neg), m_max)
+    thresholds = []
+    for _ in range(trials_per_point):
+        for attempt in range(5):
+            try:
+                t = _unsat_threshold(n, _draw_clauses(spec, m_max, rng), max_decisions)
+            except BudgetExhaustedError:
+                if attempt == 4:
+                    raise
+                continue
+            thresholds.append(t)
+            break
+    psat = [sum(t > m for t in thresholds) / trials_per_point for m in range(m_max + 1)]
+    if psat[m_max] >= 0.5:
         raise CalibrationError(
-            f"p_sat({lo_e.alpha}) = {lo_e.p_hat:.3f} already below 0.5; family degenerate"
+            f"p_sat({Fraction(m_max, n)}) = {psat[m_max]:.3f} still >= 0.5; raise alpha_max"
         )
-    if hi_e.p_hat >= 0.5:
+    if psat[1] < 0.5:
         raise CalibrationError(
-            f"p_sat({hi_e.alpha}) = {hi_e.p_hat:.3f} still >= 0.5; raise alpha_max"
+            f"p_sat({Fraction(1, n)}) = {psat[1]:.3f} already below 0.5; family degenerate"
         )
-    while m_hi - m_lo > 1:
-        mid = (m_lo + m_hi) // 2
-        mid_e = est(mid)
-        check_monotone(est(m_lo), mid_e)
-        check_monotone(mid_e, est(m_hi))
-        if mid_e.p_hat >= 0.5:
-            m_lo = mid
-        else:
-            m_hi = mid
-
-    m_c = min(cache, key=lambda m: (abs(cache[m].p_hat - 0.5), m))
-    best = est(m_c)
-    if abs(best.p_hat - 0.5) > tolerance + best.halfwidth:
-        best = est(m_c, trials_per_point * 4)  # one refinement pass
-        if abs(best.p_hat - 0.5) > tolerance + best.halfwidth:
-            raise CalibrationError(
-                f"|p_sat - 0.5| = {abs(best.p_hat - 0.5):.3f} at alpha={best.alpha}; "
-                "increase trials_per_point"
-            )
-
-    def bisect_crossing(threshold: float, lo: int, hi: int) -> None:
-        """Evaluate points around the m where p_hat crosses threshold."""
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if est(mid).p_hat >= threshold:
-                lo = mid
-            else:
-                hi = mid
-
-    bisect_crossing(0.6, 1, m_c)                 # populate near the p=0.6 edge
-    bisect_crossing(0.4, m_c, math.floor(Fraction(alpha_max) * n))
-
-    in_band = [m for m, e in cache.items() if 0.4 <= e.p_hat <= 0.6]
-    in_band.append(m_c)
+    m_c = min(range(m_max + 1), key=lambda m: (abs(psat[m] - 0.5), m))
+    if abs(psat[m_c] - 0.5) > tolerance + wilson_halfwidth(psat[m_c], trials_per_point):
+        raise CalibrationError(
+            f"|p_sat - 0.5| = {abs(psat[m_c] - 0.5):.3f} at alpha={Fraction(m_c, n)}; "
+            "increase trials_per_point"
+        )
+    in_band = [m for m, p in enumerate(psat) if 0.4 <= p <= 0.6] + [m_c]
     band = (Fraction(min(in_band), n), Fraction(max(in_band), n))
-
+    first = max(m for m, p in enumerate(psat) if p == 1.0)
+    last = next((m for m, p in enumerate(psat) if p == 0.0), m_max)
     points = tuple(
-        (e.alpha, e.p_hat, e.trials) for _, e in sorted(cache.items())
+        (Fraction(m, n), psat[m], trials_per_point) for m in range(first, last + 1)
     )
     return CalibrationResult(
-        n, float(p_int), float(p_neg), best.alpha, band, points, trials_per_point
+        n, float(p_int), float(p_neg), Fraction(m_c, n), band, points, trials_per_point
     )
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nlsatgen.cli import _parse_sizes, _parse_splits, main
+from nlsatgen.fragments import split_sentences
 
 
 @pytest.fixture(autouse=True)
@@ -30,6 +31,17 @@ def small_dataset(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "small.jsonl"
     rc = main([
         "generate", "--fragment", "grl", "--sizes", "5", "--per-size", "4",
+        "--seed", "1", "--strategy", "naive", "--jobs", "1", "--out", str(path),
+    ])
+    assert rc == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def small_rt_dataset(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "small-rt.jsonl"
+    rc = main([
+        "generate", "--fragment", "ruletaker", "--sizes", "5", "--per-size", "4",
         "--seed", "1", "--strategy", "naive", "--jobs", "1", "--out", str(path),
     ])
     assert rc == 0
@@ -250,6 +262,31 @@ class TestVerify:
         assert main(["verify", str(bad)]) == 1
         err = capsys.readouterr().err
         assert f"grl-n5-000001: field: bad size {size!r}" in err
+        assert "verification failed" in err
+
+    @pytest.mark.parametrize(
+        "dataset, key, value",
+        [
+            ("small_dataset", "id", ["grl-n5-000001"]),
+            ("small_dataset", "text", 7),
+            ("small_dataset", "text", None),  # the record's sentences as a list
+            ("small_rt_dataset", "label", ["true"]),
+            ("small_rt_dataset", "conjecture_text", ["The cat is big."]),
+        ],
+    )
+    def test_mistyped_field_is_a_field_issue(
+        self, request, tmp_path, capsys, dataset, key, value
+    ):
+        def change(rec):
+            if value is None:
+                return {**rec, key: split_sentences(rec[key])}
+            return {**rec, key: value}
+
+        bad = _with_second_record(request.getfixturevalue(dataset), tmp_path, change)
+        assert main(["verify", str(bad)]) == 1
+        err = capsys.readouterr().err
+        shown = json.loads(bad.read_text().splitlines()[2])[key]
+        assert f": field: bad {key} {shown!r}" in err
         assert "verification failed" in err
 
     def test_missing_dataset_is_a_usage_error(self, tmp_path, capsys):

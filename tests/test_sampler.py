@@ -5,9 +5,10 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
-from nlsatgen.cnf import alpha, evaluate
+from nlsatgen.cnf import CnfFormula, alpha, evaluate
 from nlsatgen.rng import derive_rng
 from nlsatgen.sampler import (
     BIASED,
@@ -18,20 +19,29 @@ from nlsatgen.sampler import (
     STRATEGIES,
     CalibrationError,
     CalibrationTable,
-    PsatEstimate,
     SampleSpec,
     admissible_m,
     calibrate_critical,
     calibration_cache_path,
     estimate_psat,
     _draw_clause,
+    _draw_clauses,
+    _unsat_threshold,
     sample_clause,
     sample_formula,
     sample_with_strategy,
     strategy_m_candidates,
     wilson_halfwidth,
 )
-from nlsatgen.solver import SAT, UNSAT, BudgetExhaustedError, SolveResult, solve
+from nlsatgen.solver import (
+    DEFAULT_MAX_DECISIONS,
+    SAT,
+    UNSAT,
+    BudgetExhaustedError,
+    SolveResult,
+    solve,
+    solve_bruteforce,
+)
 
 
 class ScriptedRng:
@@ -275,32 +285,55 @@ def test_calibrate_is_deterministic():
     assert a.alpha_c == b.alpha_c and a.band == b.band
 
 
-def test_calibrate_flags_non_monotone_estimates(monkeypatch):
-    import nlsatgen.sampler as sampler_module
-
-    def fake_estimate(n, p_int, p_neg, alpha_value, trials, seed=0, max_decisions=0):
-        m = round(Fraction(alpha_value) * n)
-        if m <= 1:
-            p_hat = 1.0
-        elif m <= 60:
-            p_hat = 0.6
-        elif m < 100:
-            p_hat = 0.9  # a rise no honest estimator would produce
-        else:
-            p_hat = 0.0
-        return PsatEstimate(Fraction(m, n), m, p_hat, 0.01, trials)
-
-    monkeypatch.setattr(sampler_module, "estimate_psat", fake_estimate)
-    with pytest.raises(CalibrationError) as exc:
-        calibrate_critical(10, 1.0, 0.5, trials_per_point=100)
-    assert "trials_per_point" in str(exc.value)
-
-
 def test_calibrate_guards_degenerate_families():
     # a band with too few clauses to ever cross 0.5 from above
     with pytest.raises(CalibrationError) as exc:
         calibrate_critical(10, 1.0, 0.5, trials_per_point=50, alpha_max=Fraction(1))
     assert "raise alpha_max" in str(exc.value)
+
+
+def test_calibrate_gives_up_after_repeated_budget_exhaustion():
+    with pytest.raises(BudgetExhaustedError):
+        calibrate_critical(8, 1.0, 0.5, trials_per_point=3, max_decisions=0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=st.integers(3, 10),
+    p_int=st.sampled_from((0.0, 0.5, 1.0)),
+    alpha_max=st.integers(0, 8),
+    rnd=st.randoms(use_true_random=True),
+)
+def test_unsat_threshold_matches_a_bruteforce_scan(n, p_int, alpha_max, rnd):
+    # the bisection must find the first prefix length that brute force,
+    # which shares no code with the DPLL, calls unsat
+    m_max = alpha_max * n
+    clauses = _draw_clauses(SampleSpec(n=n, p_int=p_int, p_neg=0.5), m_max, rnd)
+    scan = next(
+        (
+            m
+            for m in range(1, m_max + 1)
+            if solve_bruteforce(CnfFormula.from_ints(n, clauses[:m])).label == UNSAT
+        ),
+        m_max + 1,
+    )
+    assert _unsat_threshold(n, clauses, DEFAULT_MAX_DECISIONS) == scan
+
+
+@pytest.mark.parametrize(
+    "n, p_int, trials", [(5, 1.0, 60), (6, 1.0, 80), (8, 1.0, 200), (10, 0.0, 200)]
+)
+def test_calibration_curve_is_monotone_around_the_band(n, p_int, trials):
+    result = calibrate_critical(n, p_int, 0.5, trials_per_point=trials, seed=0)
+    alphas = [a for a, _, _ in result.points]
+    p_hats = [p for _, p, _ in result.points]
+    assert alphas == [alphas[0] + Fraction(i, n) for i in range(len(alphas))]
+    assert p_hats == sorted(p_hats, reverse=True)
+    assert p_hats[0] == 1.0 and p_hats[1] < 1.0
+    # it ends at the first P_sat of 0, or at the default alpha_max of 12
+    assert p_hats[-2] > 0.0 and (p_hats[-1] == 0.0 or alphas[-1] == 12)
+    assert all(t == trials for _, _, t in result.points)
+    assert result.band[0] <= result.alpha_c <= result.band[1]
 
 
 def test_calibration_table_round_trip(tmp_path):
@@ -457,4 +490,4 @@ def test_calibration_transcript_is_pinned():
     result = calibrate_critical(6, 1.0, 0.5, trials_per_point=100, seed=0)
     transcript = repr((result.alpha_c, result.band, result.points))
     digest = hashlib.sha256(transcript.encode()).hexdigest()
-    assert digest == "0cbc1e9a533d66c128acc4407e793fe60c4372b551089d39892b4d6bc7c707eb"
+    assert digest == "a33257ff9eb109bfe0fc8125eba2ad71f35252f1d89c6d0f8392d7aa70767d4e"
