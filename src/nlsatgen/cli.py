@@ -85,8 +85,8 @@ def cmd_calibrate(args) -> int:
             trials_per_point=args.trials,
             seed=args.seed,
         )
-        for a, p_hat, trials in result.points:
-            table.add_point(n, args.p_int, args.p_neg, a, p_hat, trials)
+        # a new calibration replaces the key's curve instead of merging into it
+        table.replace_points(n, args.p_int, args.p_neg, result.points)
         table.set_band(n, args.p_int, args.p_neg, *result.band)
         lo, hi = result.band
         print(

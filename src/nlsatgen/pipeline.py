@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import grl, lexicon as lexicon_mod, rcl, ruletaker
-from .cnf import CnfFormula, _dimacs, _IntCnf, alpha as formula_alpha, from_dimacs, to_dimacs
+from .cnf import _dimacs, _IntCnf, alpha as formula_alpha, from_dimacs, to_dimacs
 from .fileio import atomic_writer
 from .fragments import (
     FRAGMENTS,
@@ -46,7 +46,6 @@ from .sampler import (
     SampleSpec,
     _draw_clauses,
     draw_m,
-    sample_clauses,
 )
 from .solver import (
     CONTRADICTED,
@@ -250,10 +249,11 @@ def _is_diverse(config, band, ratio: Fraction) -> bool:
     return not Fraction(band[0]) <= ratio <= Fraction(band[1])
 
 
-# The grl and rcl candidates chain the private int cores of each layer
-# (draw, reindex, ground, solve, render, DIMACS) and build no clause
-# objects; the DIMACS core checks every clause it writes.  Verification
-# reaches the same cores through the public, validating names.
+# The candidates chain the private int cores of each layer (draw,
+# retrofit, reindex, ground, solve, conjecture pools, render, DIMACS)
+# and build no clause objects; the DIMACS core checks every clause it
+# writes.  Verification reaches the same cores through the public,
+# validating names.
 
 
 def _grl_candidate(config, band, vocab, size, index, rng):
@@ -320,15 +320,18 @@ def _rt_candidate(config, band, vocab, size, index, rng):
         strategy=config.strategy,
     )
     m = draw_m(spec, band, rng, config.diversity_fraction)
-    raw = CnfFormula(size, sample_clauses(spec, m, rng))
-    theory = ruletaker.retrofit(raw, rng, spec, config.max_decisions)
-    if theory is None:
+    drawn = ruletaker._retrofit(
+        size, _draw_clauses(spec, m, rng), rng, spec, config.max_decisions
+    )
+    if drawn is None:
         return None  # contradictory facts or unsatisfiable rules
+    theory, model = drawn
     try:
-        theory, _ = ruletaker.reindex_theory(theory)
+        theory, mapping = ruletaker._reindex(theory)
     except FragmentError:
         return None  # some attribute never occurs; the text could not mention it
-    pools = ruletaker.conjecture_pools(theory, config.max_decisions)
+    model = {mapping[v]: value for v, value in model.items()}
+    pools, refutations = ruletaker._conjecture_pools(theory, model, config.max_decisions)
     # Draw both label options in a fixed order so the byte stream does
     # not depend on which one the collector ends up needing.
     picks = {}
@@ -348,19 +351,20 @@ def _rt_candidate(config, band, vocab, size, index, rng):
     binding = ruletaker.bind_attributes(theory, vocab, rng)
     ratio = Fraction(m, size)
     diversity = _is_diverse(config, band, ratio)
+    text = " ".join(ruletaker._render(theory, binding, config.token_budget))
+    clauses = ruletaker._clauses(theory)
+    dimacs = _dimacs(_IntCnf(size, clauses))
     options = {}
     for label, conjecture in picks.items():
-        stats = ruletaker.refutation_stats(theory, conjecture, label, config.max_decisions)
-        rendered, conjecture_text = ruletaker.render_ruletaker(
-            theory, binding, conjecture, config.token_budget
-        )
-        formula = theory.formula()
+        # the backbone test that decided the conjecture was its refutation
+        stats = refutations[conjecture if label == ruletaker.LABEL_TRUE else -conjecture]
         payload = _base_payload(
-            config, size, index, formula.n_vars, formula.m, ratio, stats,
-            rendered.text, to_dimacs(formula),
+            config, size, index, size, len(clauses), ratio, stats, text, dimacs
         )
         payload["label"] = label
-        payload["conjecture_text"] = conjecture_text
+        payload["conjecture_text"] = ruletaker._render_conjecture(
+            conjecture, binding, config.token_budget
+        )
         options[label] = payload
     return Candidate(size, index, options, diversity, natural)
 

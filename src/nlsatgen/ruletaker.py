@@ -18,33 +18,42 @@ Rules render as implications and facts as plain statements:
 A finished instance pairs the theory with a conjecture about the same
 entity, labeled "true" when the theory entails it and "false" when the
 theory refutes it; conjectures the theory leaves open are never asked.
+The decided literals are the theory's backbone, found from models: a
+variable is tested only while every model seen so far gives it the same
+value, and the test that entails a literal is also the refutation whose
+solver effort the instance records.
+
+Validation happens at the boundary: :func:`retrofit`,
+:func:`reindex_theory`, :func:`conjecture_pools`,
+:func:`refutation_stats` and :func:`render_ruletaker` take and return
+``RetrofitTheory`` and ``Literal`` objects, which check themselves when
+built.  Each wraps one private core (``_retrofit``, ``_reindex``,
+``_conjecture_pools``, ``_refutation_stats``, ``_render``) that works on
+``_IntTheory``, the same theory with rules as signed-int tuples and
+facts as signed ints, and solves with ``solver._dpll``.  The ruletaker
+generator chains those cores and builds no clause objects; the theory's
+clauses are checked when DIMACS writes them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence
 
-from .cnf import Clause, CnfFormula, Literal, normalize_clause
+from .cnf import Clause, CnfFormula, Literal, _as_clause
 from .fragments import (
     RULETAKER,
     FragmentError,
     NlTheory,
     ParseError,
     VarBinding,
+    _remap,
     appearance_map,
     check_all_mentioned,
     check_token_budget,
-    remap_clause,
 )
-from .sampler import SampleSpec, sample_clause
-from .solver import (
-    CONTRADICTED,
-    DEFAULT_MAX_DECISIONS,
-    ENTAILED,
-    SAT,
-    check_entailment,
-    solve,
-)
+from .sampler import SampleSpec, _draw_clause
+from .solver import DEFAULT_MAX_DECISIONS, SAT, DegenerateTheoryError, _dpll
 
 LABEL_TRUE = "true"
 LABEL_FALSE = "false"
@@ -108,6 +117,43 @@ class RetrofitTheory:
         return len(self.rules) + len(self.facts)
 
 
+class _IntTheory(NamedTuple):
+    """A ``RetrofitTheory`` as the int cores see it: rules as canonical
+    signed-int tuples, facts as signed ints."""
+
+    n_vars: int
+    rules: Sequence
+    facts: Sequence
+
+
+def _ints_of(t: RetrofitTheory) -> _IntTheory:
+    return _IntTheory(
+        t.n_vars, [cl.to_ints() for cl in t.rules], [lit.to_int() for lit in t.facts]
+    )
+
+
+def _as_theory(t: _IntTheory) -> RetrofitTheory:
+    """The validated ``RetrofitTheory`` of an int theory."""
+    return RetrofitTheory(
+        t.n_vars,
+        tuple([_as_clause(cl) for cl in t.rules]),
+        tuple([Literal.from_int(v) for v in t.facts]),
+    )
+
+
+def _clauses(t: _IntTheory) -> list:
+    """Rules in order, then one unit clause per fact, as ``formula`` orders them."""
+    return list(t.rules) + [(v,) for v in t.facts]
+
+
+def _normalize(cl) -> Optional[tuple]:
+    """``normalize_clause`` on a signed-int clause; None for a tautology."""
+    unique = sorted(set(cl), key=abs)
+    if len({abs(v) for v in unique}) != len(unique):
+        return None  # v and -v both present
+    return tuple(unique)
+
+
 def retrofit(
     f: CnfFormula,
     rng=None,
@@ -123,54 +169,94 @@ def retrofit(
     together.  Since the facts never contradict each other, one solve
     of the whole theory also covers the rules alone.
     """
+    if spec is not None and spec.n > f.n_vars:
+        raise ValueError(f"redraws over {spec.n} variables exceed n={f.n_vars}")
+    drawn = _retrofit(f.n_vars, [cl.to_ints() for cl in f.clauses], rng, spec, max_decisions)
+    return None if drawn is None else _as_theory(drawn[0])
+
+
+def _retrofit(n_vars: int, clauses, rng, spec, max_decisions: int):
+    """The retrofit core, on signed-int clauses: (theory, model) or None.
+
+    ``model`` is the model that the satisfiability check found.
+    Tautologies are redrawn through ``sampler._draw_clause`` in clause
+    order, each as soon as it is met.
+    """
     rules = []
     facts = []
-    fact_vars = {}
-    for cl in f.clauses:
-        norm = normalize_clause(cl)
+    stated = set()
+    for cl in clauses:
+        norm = _normalize(cl)
         while norm is None:
             if spec is None or rng is None:
                 raise ValueError("tautological clause: pass spec and rng to redraw")
-            norm = normalize_clause(sample_clause(spec, rng))
-        if norm.width == 1:
-            lit = norm.literals[0]
-            if lit.var in fact_vars:
-                if fact_vars[lit.var] != lit.negated:
-                    return None  # contradictory facts
-                continue
-            fact_vars[lit.var] = lit.negated
-            facts.append(lit)
-        else:
+            norm = _normalize(_draw_clause(spec, rng))
+        if len(norm) > 1:
             rules.append(norm)
-    theory = RetrofitTheory(f.n_vars, tuple(rules), tuple(facts))
-    if solve(theory.formula(), max_decisions).label != SAT:
+            continue
+        (lit,) = norm
+        if -lit in stated:
+            return None  # contradictory facts
+        if lit not in stated:
+            stated.add(lit)
+            facts.append(lit)
+    theory = _IntTheory(n_vars, rules, facts)
+    result = _dpll(n_vars, _clauses(theory), max_decisions)
+    if result.label != SAT:
         return None
-    return theory
+    return theory, result.model
 
 
 def conjecture_pools(theory: RetrofitTheory, max_decisions: int = DEFAULT_MAX_DECISIONS) -> dict:
     """Classify every literal over the theory's variables.
 
     Returns {"true": [...], "false": [...]} with literals in variable
-    order, positive polarity first.  Literals stated verbatim as facts
-    are dropped from the "true" pool when anything else is available,
-    so entailed conjectures usually take at least one inference step.
+    order.  Literals stated verbatim as facts are dropped from the
+    "true" pool when anything else is available, so entailed
+    conjectures usually take at least one inference step.  Raises
+    DegenerateTheoryError when the theory itself is unsatisfiable.
     """
-    formula = theory.formula()
-    pools = {LABEL_TRUE: [], LABEL_FALSE: []}
-    for v in range(1, theory.n_vars + 1):
-        status = check_entailment(formula, Literal(v), max_decisions)
-        if status == ENTAILED:
-            pools[LABEL_TRUE].append(Literal(v))
-            pools[LABEL_FALSE].append(Literal(v, True))
-        elif status == CONTRADICTED:
-            pools[LABEL_FALSE].append(Literal(v))
-            pools[LABEL_TRUE].append(Literal(v, True))
-    stated = set(theory.facts)
+    t = _ints_of(theory)
+    result = _dpll(t.n_vars, _clauses(t), max_decisions)
+    if result.label != SAT:
+        raise DegenerateTheoryError("degenerate theory: unsatisfiable on its own")
+    pools, _ = _conjecture_pools(t, result.model, max_decisions)
+    return {label: [Literal.from_int(v) for v in pool] for label, pool in pools.items()}
+
+
+def _conjecture_pools(t: _IntTheory, model: dict, max_decisions: int) -> tuple:
+    """The pools core: the backbone of a satisfiable theory, from models.
+
+    ``model`` is any model of the theory.  Each variable on which every
+    model found so far agrees is tested once, by solving the theory plus
+    the negation of its literal: a model of that formula rules out every
+    candidate it flips, and unsatisfiability entails the literal.
+
+    Returns (pools, refutations).  ``pools`` is what
+    :func:`conjecture_pools` returns, with signed-int literals;
+    ``refutations`` maps each entailed literal l to the ``SolveStats``
+    of refuting theory + (-l), the formula :func:`refutation_stats`
+    solves both for a "true" l and for a "false" -l.
+    """
+    n = t.n_vars
+    clauses = _clauses(t)
+    candidates = {v: v if model[v] else -v for v in range(1, n + 1)}
+    refutations = {}
+    while candidates:
+        v, lit = next(iter(candidates.items()))
+        del candidates[v]
+        result = _dpll(n, clauses + [(-lit,)], max_decisions)
+        if result.label == SAT:
+            flipped = result.model
+            candidates = {u: l for u, l in candidates.items() if flipped[u] == (l > 0)}
+        else:
+            refutations[lit] = result.stats
+    pools = {LABEL_TRUE: list(refutations), LABEL_FALSE: [-lit for lit in refutations]}
+    stated = set(t.facts)
     inferred = [q for q in pools[LABEL_TRUE] if q not in stated]
     if inferred:
         pools[LABEL_TRUE] = inferred
-    return pools
+    return pools, refutations
 
 
 def refutation_stats(
@@ -185,9 +271,19 @@ def refutation_stats(
     one by refuting the conjecture itself; either way the run must come
     back unsatisfiable.
     """
-    q = conjecture.negate() if label == LABEL_TRUE else conjecture
-    base = theory.formula()
-    result = solve(CnfFormula(base.n_vars, base.clauses + (Clause((q,)),)), max_decisions)
+    if not isinstance(conjecture, Literal):
+        raise TypeError(f"conjecture must be a Literal, got {type(conjecture).__name__}")
+    if not 1 <= conjecture.var <= theory.n_vars:
+        raise ValueError(f"conjecture variable {conjecture.var} outside 1..{theory.n_vars}")
+    if label not in (LABEL_TRUE, LABEL_FALSE):
+        raise ValueError(f"unknown label {label!r}")
+    return _refutation_stats(_ints_of(theory), conjecture.to_int(), label, max_decisions)
+
+
+def _refutation_stats(t: _IntTheory, conjecture: int, label: str, max_decisions: int):
+    """The refutation core, on a signed-int conjecture."""
+    q = -conjecture if label == LABEL_TRUE else conjecture
+    result = _dpll(t.n_vars, _clauses(t) + [(q,)], max_decisions)
     if result.label == SAT:
         raise ValueError("conjecture label does not match the theory")
     return result.stats
@@ -199,13 +295,19 @@ def reindex_theory(theory: RetrofitTheory) -> tuple:
     Returns (theory, old-to-new map); apply the map to any conjecture
     drawn against the old numbering.
     """
-    walk = [lit.var for cl in theory.rules for lit in cl.literals]
-    walk.extend(lit.var for lit in theory.facts)
+    t, mapping = _reindex(_ints_of(theory))
+    return _as_theory(t), mapping
+
+
+def _reindex(t: _IntTheory) -> tuple:
+    """The renumbering core, on signed ints: (_IntTheory, map)."""
+    walk = [abs(v) for cl in t.rules for v in cl]
+    walk += [abs(v) for v in t.facts]
     mapping = appearance_map(walk)
-    check_all_mentioned(mapping, theory.n_vars)
-    rules = tuple(remap_clause(cl, mapping) for cl in theory.rules)
-    facts = tuple(Literal(mapping[l.var], l.negated) for l in theory.facts)
-    return RetrofitTheory(theory.n_vars, rules, facts), mapping
+    check_all_mentioned(mapping, t.n_vars)
+    rules = [_remap(cl, mapping) for cl in t.rules]
+    facts = [mapping[v] if v > 0 else -mapping[-v] for v in t.facts]
+    return _IntTheory(t.n_vars, rules, facts), mapping
 
 
 def bind_attributes(theory: RetrofitTheory, vocab: RetrofitVocab, rng) -> VarBinding:
@@ -219,20 +321,22 @@ def bind_attributes(theory: RetrofitTheory, vocab: RetrofitVocab, rng) -> VarBin
     return VarBinding(variables, {1: entity})
 
 
-def _atom(lit: Literal, entity: str, binding: VarBinding) -> str:
-    polarity = "is not" if lit.negated else "is"
-    return f"the {entity} {polarity} {binding.word(lit.var)}"
+def _atom(v: int, entity: str, words: dict) -> str:
+    """One signed-int literal about the entity: "the lion is (not) red"."""
+    if v < 0:
+        return f"the {entity} is not {words[-v]}"
+    return f"the {entity} is {words[v]}"
 
 
-def render_rule(cl: Clause, entity: str, binding: VarBinding) -> str:
-    *antecedents, consequent = cl.literals
-    ante = " and ".join(_atom(l.negate(), entity, binding) for l in antecedents)
-    return f"If {ante} then {_atom(consequent, entity, binding)}."
+def _fact_sentence(v: int, entity: str, words: dict) -> str:
+    return "The" + _atom(v, entity, words)[3:] + "."
 
 
-def render_fact(lit: Literal, entity: str, binding: VarBinding) -> str:
-    s = _atom(lit, entity, binding)
-    return s[0].upper() + s[1:] + "."
+def _rule_sentence(cl, entity: str, words: dict) -> str:
+    # the antecedent states each literal's negation
+    *antecedents, consequent = cl
+    ante = " and ".join([_atom(-v, entity, words) for v in antecedents])
+    return f"If {ante} then {_atom(consequent, entity, words)}."
 
 
 def render_ruletaker(
@@ -242,21 +346,30 @@ def render_ruletaker(
     token_budget: int = 30,
 ) -> tuple:
     """Render rules then facts; returns (NlTheory, conjecture sentence or None)."""
-    entity = binding.constant_word(1)
-    sentences = []
-    for cl in theory.rules:
-        s = render_rule(cl, entity, binding)
-        check_token_budget(s, token_budget)
-        sentences.append(s)
-    for lit in theory.facts:
-        s = render_fact(lit, entity, binding)
-        check_token_budget(s, token_budget)
-        sentences.append(s)
+    sentences = _render(_ints_of(theory), binding, token_budget)
     conjecture_text = None
     if conjecture is not None:
-        conjecture_text = render_fact(conjecture, entity, binding)
-        check_token_budget(conjecture_text, token_budget)
+        conjecture_text = _render_conjecture(conjecture.to_int(), binding, token_budget)
     return NlTheory(RULETAKER, tuple(sentences), binding), conjecture_text
+
+
+def _render(t: _IntTheory, binding: VarBinding, token_budget: int) -> list:
+    """The rendering core, on signed ints: one sentence per rule, then per fact."""
+    entity, words = binding.constant_word(1), binding.variables
+    sentences = []
+    for cl in t.rules:
+        sentences.append(_rule_sentence(cl, entity, words))
+        check_token_budget(sentences[-1], token_budget)
+    for v in t.facts:
+        sentences.append(_fact_sentence(v, entity, words))
+        check_token_budget(sentences[-1], token_budget)
+    return sentences
+
+
+def _render_conjecture(conjecture: int, binding: VarBinding, token_budget: int) -> str:
+    s = _fact_sentence(conjecture, binding.constant_word(1), binding.variables)
+    check_token_budget(s, token_budget)
+    return s
 
 
 class _RtParser:

@@ -19,10 +19,10 @@ estimates are floats.
 
 Clauses are drawn as signed-int tuples (+v / -v) by one private
 routine.  The public samplers wrap each draw in a validated ``Clause``
-and ``CnfFormula`` at the boundary, where the ruletaker generator and
-the CLI pick them up.  The Monte Carlo behind the phase curve and the
-grl and rcl generators never leave the ints: they take the drawn tuples
-through the int cores of reindexing, the solver and DIMACS.
+and ``CnfFormula`` at the boundary.  The Monte Carlo behind the phase
+curve and the three generators never leave the ints: they take the
+drawn tuples through the int cores of retrofitting (whose tautology
+redraws come from the same routine), reindexing, the solver and DIMACS.
 """
 
 from __future__ import annotations
@@ -226,6 +226,12 @@ class CalibrationTable:
             float(p_hat),
             int(trials),
         )
+
+    def replace_points(self, n, p_int, p_neg, points):
+        """Drop the key's points, then add ``points`` as (alpha, p_hat, trials)."""
+        self.points.pop(_key(n, p_int, p_neg), None)
+        for alpha, p_hat, trials in points:
+            self.add_point(n, p_int, p_neg, alpha, p_hat, trials)
 
     def set_band(self, n, p_int, p_neg, lo: Fraction, hi: Fraction):
         lo, hi = Fraction(lo), Fraction(hi)

@@ -21,23 +21,18 @@ Validation happens at the boundary: :func:`solve` takes a
 ``CnfFormula``, whose constructors have checked every ``Clause`` and
 ``Literal``, refuses raw clauses, and converts once to signed ints
 (+v / -v).  The search itself, ``_dpll``, works on those int tuples
-only and checks nothing, so the Monte Carlo in the sampler and the grl
-and rcl generators can feed it clauses that are canonical by
-construction without building objects.
+only and checks nothing, so the Monte Carlo in the sampler and the
+grl, rcl and ruletaker generators can feed it clauses that are
+canonical by construction without building objects.
 """
 
 from __future__ import annotations
 
-import re
-import shlex
-import subprocess
-import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import Optional
 
-from .cnf import Clause, CnfFormula, Literal, to_dimacs
+from .cnf import Clause, CnfFormula, Literal
 
 DEFAULT_MAX_DECISIONS = 10_000_000
 
@@ -299,38 +294,3 @@ def solve_bruteforce(f: CnfFormula, max_vars: int = BRUTEFORCE_MAX_VARS) -> Solv
     idx = (acc & -acc).bit_length() - 1
     model = {v: bool((idx >> (n - v)) & 1) for v in range(1, n + 1)}
     return SolveResult(SAT, model, SolveStats())
-
-
-class ExternalSolverError(RuntimeError):
-    """External solver did not produce a recognizable verdict."""
-
-
-def solve_external(f: CnfFormula, command) -> str:
-    """Run an external SAT solver on the DIMACS rendering of f.
-
-    ``command`` is a program plus arguments (list, or a string split
-    shell-style); the DIMACS file path is appended as the last
-    argument.  The verdict is read from stdout: the word UNSATISFIABLE
-    or SATISFIABLE.  Exit status is ignored because conventional
-    solvers signal the verdict through it.
-    """
-    argv = shlex.split(command) if isinstance(command, str) else list(command)
-    tmp = tempfile.NamedTemporaryFile(
-        mode="w", suffix=".cnf", prefix="nlsatgen_", delete=False
-    )
-    try:
-        tmp.write(to_dimacs(f))
-        tmp.close()
-        proc = subprocess.run(
-            argv + [tmp.name], capture_output=True, text=True, check=False
-        )
-        out = proc.stdout
-        if re.search(r"\bUNSATISFIABLE\b", out):
-            return UNSAT
-        if re.search(r"\bSATISFIABLE\b", out):
-            return SAT
-        raise ExternalSolverError(
-            f"no SATISFIABLE/UNSATISFIABLE verdict in output of {argv[0]!r}"
-        )
-    finally:
-        Path(tmp.name).unlink(missing_ok=True)

@@ -7,6 +7,7 @@ import pytest
 
 from nlsatgen.cli import _parse_sizes, _parse_splits, main
 from nlsatgen.fragments import split_sentences
+from nlsatgen.sampler import CalibrationTable
 
 
 @pytest.fixture(autouse=True)
@@ -106,6 +107,16 @@ class TestCalibrate:
         rc = main(["calibrate", "--n", "5", "--trials", "60", "--seed", "0"])
         assert rc == 0
         assert (isolated_cache / "calibration.txt").exists()
+
+    def test_recalibration_replaces_the_curve(self, tmp_path, capsys):
+        path = tmp_path / "calibration.txt"
+        for trials in ("100", "40"):
+            rc = main(["calibrate", "--n", "5", "--trials", trials, "--seed", "0",
+                       "--cache", str(path)])
+            assert rc == 0
+        points = CalibrationTable.load(path).points_for(5, 1.0, 0.5)
+        assert points
+        assert {trials for _, _, trials in points} == {40}
 
 
 # ---------------------------------------------------------------------------

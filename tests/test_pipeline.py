@@ -503,9 +503,11 @@ def test_golden_width2_grl_digest(tmp_path):
     assert digest == WIDTH2_GRL_DIGEST
 
 
-@pytest.mark.parametrize("fragment,sizes", [("grl", (8, 10)), ("rcl", (10, 12))])
+@pytest.mark.parametrize(
+    "fragment,sizes", [("grl", (8, 10)), ("rcl", (10, 12)), ("ruletaker", (6, 8))]
+)
 def test_sat_candidates_build_no_clause_objects(monkeypatch, fragment, sizes):
-    # grl and rcl candidates stay on signed-int clauses from draw to record
+    # every candidate stays on signed-int clauses from draw to record
     config = DatasetConfig(
         fragment=fragment, sizes=sizes, count_per_size=2, seed=108, strategy="naive"
     )
@@ -517,9 +519,11 @@ def test_sat_candidates_build_no_clause_objects(monkeypatch, fragment, sizes):
     monkeypatch.setattr(Clause, "__post_init__", built)
     monkeypatch.setattr(CnfFormula, "__post_init__", built)
     monkeypatch.setattr(Literal, "__new__", built)
+    # about a quarter of naive ruletaker draws survive retrofit and reindexing
+    draws = 80 if fragment == "ruletaker" else 20
     candidates = [
         generate_candidate(config, None, vocab, size, index)
         for size in sizes
-        for index in range(20)
+        for index in range(draws)
     ]
     assert sum(c is not None for c in candidates) > 20

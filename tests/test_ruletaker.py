@@ -1,11 +1,15 @@
 """Tests for single-entity attribute theories: retrofit, conjectures, surfaces."""
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from nlsatgen.cnf import Clause, CnfFormula, Literal, normalize_clause
-from nlsatgen.fragments import FragmentError, ParseError, VarBinding
+from nlsatgen import ruletaker
+from nlsatgen.cnf import Clause, CnfFormula, Literal, normalize_clause, to_dimacs
+from nlsatgen.fragments import RULETAKER, FragmentError, ParseError, VarBinding, parse_theory
+from nlsatgen.lexicon import default_attributes, default_entities
 from nlsatgen.ruletaker import (
     LABEL_FALSE,
     LABEL_TRUE,
@@ -20,16 +24,47 @@ from nlsatgen.ruletaker import (
     render_ruletaker,
     retrofit,
 )
-from nlsatgen.sampler import SampleSpec, sample_clause, sample_formula
-from nlsatgen.solver import SAT, BudgetExhaustedError, solve
+from nlsatgen.sampler import SampleSpec, sample_clause, sample_clauses, sample_formula
+from nlsatgen.solver import (
+    SAT,
+    UNSAT,
+    BudgetExhaustedError,
+    DegenerateTheoryError,
+    solve,
+    solve_bruteforce,
+)
 
 VOCAB = RetrofitVocab(("red", "round", "green", "big", "blue"), ("lion", "bear"))
+DEFAULT_VOCAB = RetrofitVocab(default_attributes(), default_entities())
 
 
 def draw_theory(spec, seed):
     """One with-replacement draw, retrofitted; None on rejection."""
     rng = random.Random(seed)
     return retrofit(sample_formula(spec, rng), rng, spec)
+
+
+def accepted_theory(n, p_int, rnd, all_mentioned=False):
+    """The first of a few draws from ``rnd`` that retrofit accepts (and
+    that mentions every variable, if asked); hypothesis discards the
+    example when there is none."""
+    spec = SampleSpec(n=n, p_int=p_int, with_replacement=True)
+    for _ in range(50):
+        f = CnfFormula(n, sample_clauses(spec, rnd.randint(n, 3 * n), rnd))
+        theory = retrofit(f, rnd, spec)
+        if theory is None:
+            continue
+        mentioned = {lit.var for cl in theory.rules for lit in cl.literals}
+        mentioned |= {lit.var for lit in theory.facts}
+        if not all_mentioned or len(mentioned) == n:
+            return theory
+    assume(False)
+
+
+def with_unit(theory, lit):
+    """The theory's formula plus one unit clause, the way refutations order it."""
+    f = theory.formula()
+    return CnfFormula(f.n_vars, f.clauses + (Clause((lit,)),))
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +168,12 @@ class TestRetrofit:
         assert theory is not None
         assert theory.m_sentences == 1
 
+    def test_redraws_must_fit_the_formula(self):
+        spec = SampleSpec(n=6, p_int=1.0, with_replacement=True)
+        f = CnfFormula(5, (Clause.raw_from_ints(1, -1, 3),))
+        with pytest.raises(ValueError, match="redraws over 6 variables exceed n=5"):
+            retrofit(f, random.Random(3), spec)
+
     def test_solve_respects_the_decision_budget(self):
         f = CnfFormula(3, (Clause.raw_from_ints(1, 2, 2), Clause.raw_from_ints(2, 3, 3)))
         with pytest.raises(BudgetExhaustedError):
@@ -230,6 +271,20 @@ class TestConjectures:
         assert stats.decisions == 0
         assert stats.conflicts == 1
 
+    def test_unsatisfiable_theory_is_degenerate(self):
+        theory = RetrofitTheory(2, (Clause.from_ints(-1, 2),), (Literal(1), Literal(2, True)))
+        with pytest.raises(DegenerateTheoryError, match="unsatisfiable on its own"):
+            conjecture_pools(theory)
+
+    def test_refutation_stats_checks_its_arguments(self):
+        theory = RetrofitTheory(2, (Clause.from_ints(-1, 2),), (Literal(1),))
+        with pytest.raises(ValueError, match="unknown label 'maybe'"):
+            refutation_stats(theory, Literal(2), "maybe")
+        with pytest.raises(ValueError, match="conjecture variable 3 outside 1..2"):
+            refutation_stats(theory, Literal(3), LABEL_TRUE)
+        with pytest.raises(TypeError, match="conjecture must be a Literal"):
+            refutation_stats(theory, 2, LABEL_TRUE)
+
     def test_every_pool_label_verifies(self):
         rng = random.Random(88)
         spec = SampleSpec(n=6, p_int=0.5, with_replacement=True)
@@ -244,6 +299,50 @@ class TestConjectures:
                     refutation_stats(theory, q, label)  # raises on mismatch
                     checked += 1
         assert checked > 50
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 10),
+    p_int=st.sampled_from((0.0, 0.5, 1.0)),
+    rnd=st.randoms(use_true_random=True),
+)
+def test_backbone_pools_match_bruteforce_property(n, p_int, rnd):
+    # the brute-force oracle shares no code with the DPLL or the backbone
+    theory = accepted_theory(n, p_int, rnd)
+    expected = {LABEL_TRUE: [], LABEL_FALSE: []}
+    for v in range(1, n + 1):
+        for lit in (Literal(v), Literal(v, True)):
+            if solve_bruteforce(with_unit(theory, lit.negate())).label == UNSAT:
+                expected[LABEL_TRUE].append(lit)
+                expected[LABEL_FALSE].append(lit.negate())
+    inferred = [q for q in expected[LABEL_TRUE] if q not in theory.facts]
+    if inferred:
+        expected[LABEL_TRUE] = inferred
+
+    real = ruletaker._dpll
+    with mock.patch.object(ruletaker, "_dpll", side_effect=real) as counted:
+        pools = conjecture_pools(theory)
+    assert pools == expected
+    # one first model, then at most one test per variable; two refutations
+    # per variable would take 2n
+    assert counted.call_count <= n + 1
+
+    # the core from a different first model: the same pools, and each
+    # entailed literal's stats are those of refuting its negation
+    model = solve_bruteforce(theory.formula()).model
+    int_pools, refutations = ruletaker._conjecture_pools(
+        ruletaker._ints_of(theory), model, 10_000
+    )
+    assert {label: [Literal.from_int(v) for v in pool] for label, pool in int_pools.items()} == expected
+    entailed = [Literal.from_int(v) for v in refutations]
+    assert set(entailed) >= set(expected[LABEL_TRUE])
+    assert {q.negate() for q in entailed} == set(expected[LABEL_FALSE])
+    for q in entailed:
+        stats = solve(with_unit(theory, q.negate())).stats
+        assert refutations[q.to_int()] == stats
+        assert refutation_stats(theory, q, LABEL_TRUE) == stats
+        assert refutation_stats(theory, q.negate(), LABEL_FALSE) == stats
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +460,33 @@ class TestParseRuletaker:
             assert parsed == expected
             done += 1
         assert done > 40
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, len(DEFAULT_VOCAB.attributes)),
+        p_int=st.sampled_from((0.0, 0.5, 1.0)),
+        rnd=st.randoms(use_true_random=True),
+    )
+    def test_parse_render_reindex_round_trip_property(self, n, p_int, rnd):
+        # the theory, the binding and the conjecture come from a
+        # hypothesis-seeded Random, through the public names and so
+        # through their int cores
+        theory = accepted_theory(n, p_int, rnd, all_mentioned=True)
+        fixed, mapping = reindex_theory(theory)
+        # the renumbering renames variables and keeps every polarity
+        def renamed(ints):
+            return [mapping[v] if v > 0 else -mapping[-v] for v in ints]
+        assert fixed.rules == tuple(Clause.from_ints(*renamed(cl.to_ints())) for cl in theory.rules)
+        assert [q.to_int() for q in fixed.facts] == renamed(q.to_int() for q in theory.facts)
+        binding = bind_attributes(fixed, DEFAULT_VOCAB, rnd)
+        conjecture = Literal(rnd.randint(1, n), rnd.random() < 0.5)
+        nl, conjecture_text = render_ruletaker(fixed, binding, conjecture)
+        parsed, parsed_binding, entity = parse_theory(nl.text, RULETAKER, DEFAULT_VOCAB)
+        assert parsed == fixed
+        assert parsed_binding == binding
+        assert entity == binding.constant_word(1)
+        assert to_dimacs(parsed.formula()) == to_dimacs(fixed.formula())
+        assert parse_conjecture(conjecture_text, DEFAULT_VOCAB, parsed_binding) == conjecture
 
     def test_strict_requires_rules_before_facts(self):
         sentences = (

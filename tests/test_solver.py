@@ -1,7 +1,6 @@
-"""Search engine: DPLL with propagation, brute force, entailment, external runner."""
+"""Search engine: DPLL with propagation, brute force, entailment."""
 
 import random
-import stat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,11 +17,9 @@ from nlsatgen.solver import (
     UNSAT,
     BudgetExhaustedError,
     DegenerateTheoryError,
-    ExternalSolverError,
     check_entailment,
     solve,
     solve_bruteforce,
-    solve_external,
 )
 from nlsatgen.solver import _dpll
 
@@ -334,40 +331,3 @@ def test_unsat_cores_with_deep_backtracking():
         f = CnfFormula.from_ints(n, sorted(clauses))
         assert solve(f).label == solve_bruteforce(f).label
 
-
-# ---------------------------------------------------------------- external solver
-
-
-def _script(tmp_path, name, body):
-    path = tmp_path / name
-    path.write_text("#!/bin/sh\n" + body + "\n")
-    path.chmod(path.stat().st_mode | stat.S_IXUSR)
-    return str(path)
-
-
-def test_external_solver_reads_status_lines(tmp_path):
-    f = CnfFormula.from_ints(2, [(1, -2)])
-    sat_cmd = _script(tmp_path, "sat.sh", 'test -f "$1" && echo "s SATISFIABLE"')
-    assert solve_external(f, [sat_cmd]) == SAT
-    unsat_cmd = _script(tmp_path, "unsat.sh", 'echo "s UNSATISFIABLE"')
-    assert solve_external(f, [unsat_cmd]) == UNSAT
-
-
-def test_external_solver_unsat_not_mistaken_for_sat(tmp_path):
-    # the unsat keyword contains the sat keyword as a substring
-    f = CnfFormula.from_ints(1, [(1,)])
-    cmd = _script(tmp_path, "u.sh", 'printf "c preamble\\ns UNSATISFIABLE\\n"')
-    assert solve_external(f, [cmd]) == UNSAT
-
-
-def test_external_solver_garbage_output_is_an_error(tmp_path):
-    f = CnfFormula.from_ints(1, [(1,)])
-    cmd = _script(tmp_path, "bad.sh", 'echo "hello world"')
-    with pytest.raises(ExternalSolverError):
-        solve_external(f, [cmd])
-
-
-def test_external_solver_accepts_command_strings(tmp_path):
-    f = CnfFormula.from_ints(1, [(1,)])
-    cmd = _script(tmp_path, "sat2.sh", 'echo "s SATISFIABLE"')
-    assert solve_external(f, cmd) == SAT
