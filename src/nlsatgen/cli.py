@@ -12,12 +12,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
 from .cnf import to_dimacs
 from .fileio import atomic_writer
-from .fragments import FRAGMENTS, GRL, RCL, RULETAKER, FragmentError, ParseError, parse_theory
+from .fragments import FRAGMENTS, RULETAKER, FragmentError, ParseError, _parse_formula
 from .pipeline import (
     DatasetConfig,
     DatasetError,
@@ -37,7 +38,6 @@ from .sampler import (
     calibration_cache_path,
 )
 from .solver import BudgetExhaustedError
-from . import rcl as rcl_mod
 
 
 def _parse_sizes(text) -> tuple:
@@ -110,26 +110,12 @@ def cmd_generate(args) -> int:
             raise DatasetError(f"config is not JSON: {exc}") from None
         if not isinstance(settings, dict):
             raise DatasetError("config must be a JSON object")
-    overrides = {
-        "fragment": args.fragment,
-        "sizes": args.sizes,
-        "count_per_size": args.count_per_size,
-        "seed": args.seed,
-        "strategy": args.strategy,
-        "p_int": args.p_int,
-        "p_neg": args.p_neg,
-        "splits": args.splits,
-        "diversity_fraction": args.diversity_fraction,
-        "balance_labels": args.balance_labels,
-        "token_budget": args.token_budget,
-        "max_decisions": args.max_decisions,
-        "no_rewrite_prob": args.no_rewrite_prob,
-        "nouns_path": args.nouns,
-        "names_path": args.names,
-        "attributes_path": args.attributes,
-        "entities_path": args.entities,
-    }
-    settings.update({k: v for k, v in overrides.items() if v is not None})
+    # every DatasetConfig field is a generate option of the same dest
+    names = [setting.name for setting in fields(DatasetConfig)]
+    unknown = sorted(set(settings) - set(names))
+    if unknown:
+        raise DatasetError(f"unknown settings in config: {', '.join(unknown)}")
+    settings.update({k: getattr(args, k) for k in names if getattr(args, k) is not None})
     missing = [k for k in ("fragment", "sizes", "count_per_size", "seed") if k not in settings]
     if missing:
         raise DatasetError(f"missing required settings: {', '.join(missing)}")
@@ -179,18 +165,10 @@ def cmd_parse(args) -> int:
     if not text:
         raise DatasetError("nothing to parse")
     try:
-        parsed = parse_theory(text, args.fragment, strict=not args.lenient)
+        formula, _ = _parse_formula(text, args.fragment, strict=not args.lenient)
     except (ParseError, FragmentError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    if args.fragment == GRL:
-        formula, _ = parsed
-    elif args.fragment == RCL:
-        problem, _ = parsed
-        formula = rcl_mod.ground_rcl(problem)
-    else:
-        theory, _, _ = parsed
-        formula = theory.formula()
     sys.stdout.write(to_dimacs(formula))
     return 0
 
@@ -273,10 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--token-budget", type=int, dest="token_budget")
     p.add_argument("--max-decisions", type=int, dest="max_decisions")
     p.add_argument("--no-rewrite-prob", type=float, dest="no_rewrite_prob")
-    p.add_argument("--nouns", help="count-noun lexicon file")
-    p.add_argument("--names", help="proper-noun lexicon file")
-    p.add_argument("--attributes", help="attribute word list")
-    p.add_argument("--entities", help="entity word list")
+    p.add_argument("--nouns", dest="nouns_path", help="count-noun lexicon file")
+    p.add_argument("--names", dest="names_path", help="proper-noun lexicon file")
+    p.add_argument("--attributes", dest="attributes_path", help="attribute word list")
+    p.add_argument("--entities", dest="entities_path", help="entity word list")
     p.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
     p.add_argument("--config", help="JSON file with generation settings")
     p.add_argument("--cache", help="calibration file (default: cache directory)")

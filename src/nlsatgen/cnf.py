@@ -149,13 +149,16 @@ def normalize_clause(clause: Clause) -> Optional[Clause]:
     clause can normalize to a unit or a two-literal clause.  Idempotent
     on canonical input.
     """
-    unique = sorted(set(clause.literals))
-    seen_vars = set()
-    for lit in unique:
-        if lit.var in seen_vars:
-            return None  # v and -v both present
-        seen_vars.add(lit.var)
-    return Clause(tuple(unique))
+    norm = _normalize_ints(clause.to_ints())
+    return None if norm is None else _as_clause(norm)
+
+
+def _normalize_ints(cl) -> Optional[tuple]:
+    """The normalizing core, on a signed-int clause; None for a tautology."""
+    unique = sorted(set(cl), key=abs)
+    if len({abs(v) for v in unique}) != len(unique):
+        return None  # v and -v both present
+    return tuple(unique)
 
 
 @dataclass(frozen=True)

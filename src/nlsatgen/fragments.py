@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .cnf import Clause, CnfFormula, _as_clause, _as_formula, _IntCnf
+from .cnf import Clause, CnfFormula, _as_formula, _IntCnf
 
 GRL = "grl"
 RCL = "rcl"
@@ -161,11 +161,6 @@ def _remap(cl, mapping: dict) -> tuple:
     return tuple(sorted([mapping[v] if v > 0 else -mapping[-v] for v in cl], key=abs))
 
 
-def remap_clause(cl: Clause, mapping: dict) -> Clause:
-    """Renumber a clause's variables, restoring canonical literal order."""
-    return _as_clause(_remap(cl.to_ints(), mapping))
-
-
 def reindex_formula(f: CnfFormula) -> tuple:
     """Renumber variables by first appearance in clause-literal order.
 
@@ -183,6 +178,33 @@ def _reindex(f: _IntCnf) -> tuple:
     return _IntCnf(f.n_vars, [_remap(cl, mapping) for cl in f.clauses]), mapping
 
 
+def _noun_of(word: str, idx: int, span, lexicon, strict: bool) -> str:
+    """The lexicon noun a parsed word names; lenient mode also takes plurals."""
+    noun = lexicon.singular_of(word)
+    if noun is None or strict and noun != word:
+        raise ParseError(idx, span, f"unknown noun {word!r}")
+    return noun
+
+
+def _clause_of(literals, idx: int, repeat: str = "a noun repeats within the sentence"):
+    """The canonical clause of one sentence's literals; a repeated variable raises ``repeat``."""
+    if len({lit.var for lit in literals}) != len(literals):
+        raise ParseError(idx, None, repeat)
+    return Clause(tuple(sorted(literals)))
+
+
+def _packaged_vocab(fragment: str):
+    """The packaged word lists a fragment renders with by default; an unknown
+    fragment gets the ruletaker lists, so verifying it reports parse issues."""
+    from . import lexicon as lex_mod, ruletaker
+
+    if fragment == GRL:
+        return lex_mod.default_food_lexicon()
+    if fragment == RCL:
+        return lex_mod.default_occupation_lexicon()
+    return ruletaker.RetrofitVocab(lex_mod.default_attributes(), lex_mod.default_entities())
+
+
 def parse_theory(text, fragment: str, lexicon=None, strict: bool = True):
     """Parse rendered sentences back into logical form.
 
@@ -193,21 +215,29 @@ def parse_theory(text, fragment: str, lexicon=None, strict: bool = True):
     When ``lexicon`` is omitted the packaged default for the fragment
     is used.
     """
-    from . import grl, lexicon as lex_mod, rcl, ruletaker
+    # The parsers are looked up on their modules at call time, so a
+    # wrapper installed on a module attribute sees every parse.
+    from . import grl, rcl, ruletaker
 
     sentences = split_sentences(text)
+    lex = lexicon if lexicon is not None else _packaged_vocab(fragment)
     if fragment == GRL:
-        lex = lexicon if lexicon is not None else lex_mod.default_food_lexicon()
         return grl.parse_grl(sentences, lex, strict)
     if fragment == RCL:
-        lex = lexicon if lexicon is not None else lex_mod.default_occupation_lexicon()
         return rcl.parse_rcl(sentences, lex, strict)
     if fragment == RULETAKER:
-        if lexicon is None:
-            vocab = ruletaker.RetrofitVocab(
-                lex_mod.default_attributes(), lex_mod.default_entities()
-            )
-        else:
-            vocab = lexicon
-        return ruletaker.parse_ruletaker(sentences, vocab, strict)
+        return ruletaker.parse_ruletaker(sentences, lex, strict)
     raise ValueError(f"unknown fragment {fragment!r}")
+
+
+def _parse_formula(text, fragment: str, lexicon=None, strict: bool = True) -> tuple:
+    """Parse like :func:`parse_theory`; returns (the ``CnfFormula`` the text
+    denotes, what :func:`parse_theory` returned)."""
+    from . import rcl
+
+    parsed = parse_theory(text, fragment, lexicon, strict)
+    if fragment == RCL:
+        return rcl.ground_rcl(parsed[0]), parsed
+    if fragment == RULETAKER:
+        return parsed[0].formula(), parsed
+    return parsed[0], parsed

@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import re
 
-from .cnf import Clause, CnfFormula, Literal
+from .cnf import CnfFormula, Literal
 from .fragments import (
     GRL,
     FragmentError,
     NlTheory,
     ParseError,
     VarBinding,
+    _clause_of,
+    _noun_of,
     check_token_budget,
 )
 
@@ -69,17 +71,6 @@ def _tokens_with_spans(sentence: str) -> list:
     return [(m.group(), m.start(), m.end()) for m in _TOKEN.finditer(sentence)]
 
 
-def _lookup_noun(word, idx, span, lexicon, strict):
-    if strict:
-        if word in lexicon.count_nouns:
-            return word
-        raise ParseError(idx, span, f"unknown noun {word!r}")
-    noun = lexicon.singular_of(word)
-    if noun is None:
-        raise ParseError(idx, span, f"unknown noun {word!r}")
-    return noun
-
-
 def parse_grl(sentences, lexicon, strict: bool = True):
     """Parse conditional sentences back into a formula and binding.
 
@@ -101,7 +92,7 @@ def parse_grl(sentences, lexicon, strict: bool = True):
             span = (tokens[0][1], tokens[-1][2]) if tokens else None
             raise ParseError(idx, span, "expected an optionally negated noun")
         word, start, end = tokens[0]
-        noun = _lookup_noun(word, idx, (start, end), lexicon, strict)
+        noun = _noun_of(word, idx, (start, end), lexicon, strict)
         var = noun_to_var.setdefault(noun, len(noun_to_var) + 1)
         if consequent:
             return Literal(var, negated_surface)
@@ -140,9 +131,7 @@ def parse_grl(sentences, lexicon, strict: bool = True):
             raise ParseError(idx, None, f"expected 1 or 2 antecedents, got {len(atoms)}")
         literals = [atom_literal(a, idx, consequent=False) for a in atoms]
         literals.append(atom_literal(cons_toks, idx, consequent=True))
-        if len({l.var for l in literals}) != len(literals):
-            raise ParseError(idx, None, "a noun repeats within the sentence")
-        clauses.append(Clause(tuple(sorted(literals))))
+        clauses.append(_clause_of(literals, idx))
 
     f = CnfFormula(len(noun_to_var), tuple(clauses))
     binding = VarBinding({v: noun for noun, v in noun_to_var.items()})

@@ -32,9 +32,10 @@ from .fragments import (
     RULETAKER,
     FragmentError,
     ParseError,
+    _packaged_vocab,
+    _parse_formula,
     _reindex,
     bind_vocabulary,
-    parse_theory,
 )
 from .rng import derive_rng
 from .sampler import (
@@ -136,32 +137,28 @@ class DatasetConfig:
 
     @property
     def labels(self) -> tuple:
-        return RT_LABELS if self.fragment == RULETAKER else SAT_LABELS
+        return _labels(self.fragment)
+
+
+def _labels(fragment) -> tuple:
+    """The labels a fragment's records carry, in quota order."""
+    return RT_LABELS if fragment == RULETAKER else SAT_LABELS
 
 
 def load_vocabulary(config: DatasetConfig):
     """The lexicon (or attribute vocabulary) the fragment renders with."""
-    if config.fragment == GRL:
-        if config.nouns_path:
-            return lexicon_mod.load_lexicon(config.nouns_path, config.names_path)
-        return lexicon_mod.default_food_lexicon()
-    if config.fragment == RCL:
-        if config.nouns_path:
-            if not config.names_path:
-                raise ValueError("the quantified fragment needs a names file")
-            return lexicon_mod.load_lexicon(config.nouns_path, config.names_path)
-        return lexicon_mod.default_occupation_lexicon()
-    attributes = (
-        lexicon_mod.load_wordlist(config.attributes_path)
-        if config.attributes_path
-        else lexicon_mod.default_attributes()
-    )
-    entities = (
-        lexicon_mod.load_wordlist(config.entities_path)
-        if config.entities_path
-        else lexicon_mod.default_entities()
-    )
-    return ruletaker.RetrofitVocab(attributes, entities)
+    if config.fragment == RULETAKER:
+        default = _packaged_vocab(RULETAKER)
+        attributes, entities = config.attributes_path, config.entities_path
+        return ruletaker.RetrofitVocab(
+            lexicon_mod.load_wordlist(attributes) if attributes else default.attributes,
+            lexicon_mod.load_wordlist(entities) if entities else default.entities,
+        )
+    if not config.nouns_path:
+        return _packaged_vocab(config.fragment)
+    if config.fragment == RCL and not config.names_path:
+        raise ValueError("the quantified fragment needs a names file")
+    return lexicon_mod.load_lexicon(config.nouns_path, config.names_path)
 
 
 def _check_vocabulary_capacity(config: DatasetConfig, vocab) -> None:
@@ -603,25 +600,18 @@ def _verify_record(rec: dict, vocab, max_decisions: int) -> list:
             bad("field", f"bad {key} {rec[key]!r}")
             return issues
     try:
-        parsed = parse_theory(rec["text"], fragment, vocab, strict=True)
+        formula, parsed = _parse_formula(rec["text"], fragment, vocab, strict=True)
     except (ParseError, FragmentError, ValueError) as exc:
         bad("parse", str(exc))
         return issues
-    if fragment == GRL:
-        formula, _ = parsed
-        expected_n_vars = formula.n_vars
-    elif fragment == RCL:
-        problem, _ = parsed
-        formula = rcl.ground_rcl(problem)
+    expected_n_vars = formula.n_vars
+    if fragment == RCL:
+        problem = parsed[0]
         expected_n_vars = problem.n_predicates
         if rec.get("n_ground_vars") != formula.n_vars:
             bad("field", f"n_ground_vars {rec.get('n_ground_vars')} != {formula.n_vars}")
         if rec.get("n_constants") != problem.n_constants:
             bad("field", f"n_constants {rec.get('n_constants')} != {problem.n_constants}")
-    else:
-        theory, binding, _ = parsed
-        formula = theory.formula()
-        expected_n_vars = formula.n_vars
     if to_dimacs(formula) != rec["dimacs"]:
         bad("dimacs", "stored formula differs from the parsed text")
     if expected_n_vars != rec["n_vars"]:
@@ -634,7 +624,7 @@ def _verify_record(rec: dict, vocab, max_decisions: int) -> list:
             return issues
         try:
             conjecture = ruletaker.parse_conjecture(
-                rec["conjecture_text"], vocab, binding
+                rec["conjecture_text"], vocab, parsed[1]
             )
         except (ParseError, ValueError) as exc:
             bad("parse", f"conjecture: {exc}")
@@ -671,7 +661,7 @@ def verify_dataset(path, config_lexicon=None, max_decisions: int = DEFAULT_MAX_D
     """
     header, records = read_dataset(path)
     fragment = header.get("fragment")
-    vocab = config_lexicon if config_lexicon is not None else _default_vocab(fragment)
+    vocab = config_lexicon if config_lexicon is not None else _packaged_vocab(fragment)
     issues = []
     seen_ids = set()
     by_size = {}
@@ -696,7 +686,7 @@ def verify_dataset(path, config_lexicon=None, max_decisions: int = DEFAULT_MAX_D
             issues.append(VerifyIssue(rid, "field", f"bad size {size!r}"))
     if header.get("balance_labels") is False:
         return issues
-    labels = RT_LABELS if fragment == RULETAKER else SAT_LABELS
+    labels = _labels(fragment)
     for size, got in sorted(by_size.items()):
         counts = {lab: got.count(lab) for lab in labels}
         if len(set(counts.values())) != 1:
@@ -707,16 +697,6 @@ def verify_dataset(path, config_lexicon=None, max_decisions: int = DEFAULT_MAX_D
                 )
             )
     return issues
-
-
-def _default_vocab(fragment: str):
-    if fragment == GRL:
-        return lexicon_mod.default_food_lexicon()
-    if fragment == RCL:
-        return lexicon_mod.default_occupation_lexicon()
-    return ruletaker.RetrofitVocab(
-        lexicon_mod.default_attributes(), lexicon_mod.default_entities()
-    )
 
 
 def _is_int(value) -> bool:
@@ -747,7 +727,7 @@ def stats_report(path) -> str:
             value = stats.get(key) if isinstance(stats, dict) else None
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise DatasetError(f"{path}: record {rid} has no numeric 'stats.{key}'")
-    labels = RT_LABELS if header.get("fragment") == RULETAKER else SAT_LABELS
+    labels = _labels(header.get("fragment"))
     lines = [
         f"fragment: {header.get('fragment')}",
         f"strategy: {header.get('strategy')}",

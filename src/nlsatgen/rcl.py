@@ -45,6 +45,8 @@ from .fragments import (
     NlTheory,
     ParseError,
     VarBinding,
+    _clause_of,
+    _noun_of,
     _remap,
     appearance_map,
     check_all_mentioned,
@@ -353,21 +355,12 @@ class _RclParser:
     def pred(self, noun: str) -> int:
         return self.pred_ids.setdefault(noun, len(self.pred_ids) + 1)
 
-    def noun_of(self, word: str, idx: int, span) -> str:
-        if self.strict:
-            if word in self.lexicon.count_nouns:
-                return word
-            raise ParseError(idx, span, f"unknown noun {word!r}")
-        noun = self.lexicon.singular_of(word)
-        if noun is None:
-            raise ParseError(idx, span, f"unknown noun {word!r}")
-        return noun
-
     def atom(self, text: str, idx: int, offset: int) -> Literal:
         negated = text.startswith("not ")
         body = text[4:] if negated else text
         art, _, word = body.partition(" ")
-        noun = self.noun_of(word, idx, (offset + len(text) - len(word), offset + len(text)))
+        span = (offset + len(text) - len(word), offset + len(text))
+        noun = _noun_of(word, idx, span, self.lexicon, self.strict)
         if self.strict and art != self.lexicon.article(noun):
             raise ParseError(
                 idx, (offset, offset + len(text)),
@@ -376,13 +369,8 @@ class _RclParser:
         return Literal(self.pred(noun), negated)
 
     def bare_noun(self, word: str, idx: int, offset: int) -> int:
-        noun = self.noun_of(word, idx, (offset, offset + len(word)))
+        noun = _noun_of(word, idx, (offset, offset + len(word)), self.lexicon, self.strict)
         return self.pred(noun)
-
-    def add_universal(self, literals, idx: int) -> None:
-        if len({l.var for l in literals}) != len(literals):
-            raise ParseError(idx, None, "a noun repeats within the sentence")
-        self.universals.append(Clause(tuple(sorted(literals))))
 
     def sentence(self, s: str, idx: int) -> None:
         if not s.endswith(".") or s.count(".") != 1:
@@ -393,21 +381,21 @@ class _RclParser:
             x = self.bare_noun(m.group(1), idx, m.start(1))
             who = self.atom(m.group(2), idx, m.start(2))
             cons = self.atom(m.group(3), idx, m.start(3))
-            self.add_universal([Literal(x, True), who.negate(), cons], idx)
+            self.universals.append(_clause_of([Literal(x, True), who.negate(), cons], idx))
             return
         m = _NO_RE.match(body)
         if m:
             x = self.bare_noun(m.group(1), idx, m.start(1))
             who = self.atom(m.group(2), idx, m.start(2))
             z = self.atom(m.group(3), idx, m.start(3))
-            self.add_universal([Literal(x, True), who.negate(), z.negate()], idx)
+            self.universals.append(_clause_of([Literal(x, True), who.negate(), z.negate()], idx))
             return
         m = (_EVERYONE_STRICT_RE if self.strict else _EVERYONE_LENIENT_RE).match(body)
         if m:
             a1 = self.atom(m.group(1), idx, m.start(1))
             a2 = self.atom(m.group(2), idx, m.start(2))
             cons = self.atom(m.group(3), idx, m.start(3))
-            self.add_universal([a1.negate(), a2.negate(), cons], idx)
+            self.universals.append(_clause_of([a1.negate(), a2.negate(), cons], idx))
             return
         m = _GROUND_RE.match(body)
         if m:
@@ -416,11 +404,7 @@ class _RclParser:
                 raise ParseError(idx, m.span(1), f"unknown name {name!r}")
             cid = self.const_ids.setdefault(name, len(self.const_ids) + 1)
             lits = [self.atom(m.group(i), idx, m.start(i)) for i in (2, 3, 4)]
-            if len({l.var for l in lits}) != len(lits):
-                raise ParseError(idx, None, "a noun repeats within the sentence")
-            self.grounds.append(
-                (cid, Clause(tuple(sorted(lits))))
-            )
+            self.grounds.append((cid, _clause_of(lits, idx)))
             return
         raise ParseError(idx, None, f"sentence does not match the fragment grammar: {s!r}")
 

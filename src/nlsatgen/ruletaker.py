@@ -38,15 +38,16 @@ clauses are checked when DIMACS writes them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
-from .cnf import Clause, CnfFormula, Literal, _as_clause
+from .cnf import Clause, CnfFormula, Literal, _as_clause, _normalize_ints
 from .fragments import (
     RULETAKER,
     FragmentError,
     NlTheory,
     ParseError,
     VarBinding,
+    _clause_of,
     _remap,
     appearance_map,
     check_all_mentioned,
@@ -146,14 +147,6 @@ def _clauses(t: _IntTheory) -> list:
     return list(t.rules) + [(v,) for v in t.facts]
 
 
-def _normalize(cl) -> Optional[tuple]:
-    """``normalize_clause`` on a signed-int clause; None for a tautology."""
-    unique = sorted(set(cl), key=abs)
-    if len({abs(v) for v in unique}) != len(unique):
-        return None  # v and -v both present
-    return tuple(unique)
-
-
 def retrofit(
     f: CnfFormula,
     rng=None,
@@ -186,11 +179,11 @@ def _retrofit(n_vars: int, clauses, rng, spec, max_decisions: int):
     facts = []
     stated = set()
     for cl in clauses:
-        norm = _normalize(cl)
+        norm = _normalize_ints(cl)
         while norm is None:
             if spec is None or rng is None:
                 raise ValueError("tautological clause: pass spec and rng to redraw")
-            norm = _normalize(_draw_clause(spec, rng))
+            norm = _normalize_ints(_draw_clause(spec, rng))
         if len(norm) > 1:
             rules.append(norm)
             continue
@@ -426,9 +419,7 @@ class _RtParser:
                 raise ParseError(idx, None, f"rules take 1 or 2 antecedents, got {len(ante_texts)}")
             literals = [self.atom(t, idx).negate() for t in ante_texts]
             literals.append(self.atom(cons_text, idx))
-            if len({l.var for l in literals}) != len(literals):
-                raise ParseError(idx, None, "an attribute repeats within the rule")
-            self.rules.append(Clause(tuple(sorted(literals))))
+            self.rules.append(_clause_of(literals, idx, "an attribute repeats within the rule"))
             return
         self.facts.append(self.fact_literal(body, idx))
 

@@ -168,6 +168,17 @@ class PsatEstimate:
     trials: int
 
 
+def _redraw_on_budget(trial):
+    """Call ``trial``, which draws and solves a fresh formula, until its
+    solve stays within budget, five times at most; the fifth error propagates."""
+    for attempt in range(5):
+        try:
+            return trial()
+        except BudgetExhaustedError:
+            if attempt == 4:
+                raise
+
+
 def estimate_psat(
     n: int,
     p_int: float,
@@ -195,15 +206,8 @@ def estimate_psat(
     rng = derive_rng("psat", seed, n, float(p_int), float(p_neg), m)
     sat_hits = 0
     for _ in range(trials):
-        for attempt in range(5):
-            try:
-                result = _dpll(n, _draw_clauses(spec, m, rng), max_decisions)
-            except BudgetExhaustedError:
-                if attempt == 4:
-                    raise
-                continue
-            sat_hits += result.label == "sat"
-            break
+        result = _redraw_on_budget(lambda: _dpll(n, _draw_clauses(spec, m, rng), max_decisions))
+        sat_hits += result.label == "sat"
     p_hat = sat_hits / trials
     return PsatEstimate(exact, m, p_hat, wilson_halfwidth(p_hat, trials), trials)
 
@@ -353,17 +357,11 @@ def calibrate_critical(
     m_max = math.floor(Fraction(alpha_max) * n)
     spec = SampleSpec(n=n, p_int=p_int, p_neg=p_neg)
     rng = derive_rng("threshold", seed, n, float(p_int), float(p_neg), m_max)
-    thresholds = []
-    for _ in range(trials_per_point):
-        for attempt in range(5):
-            try:
-                t = _unsat_threshold(n, _draw_clauses(spec, m_max, rng), max_decisions)
-            except BudgetExhaustedError:
-                if attempt == 4:
-                    raise
-                continue
-            thresholds.append(t)
-            break
+
+    def trial():
+        return _unsat_threshold(n, _draw_clauses(spec, m_max, rng), max_decisions)
+
+    thresholds = [_redraw_on_budget(trial) for _ in range(trials_per_point)]
     psat = [sum(t > m for t in thresholds) / trials_per_point for m in range(m_max + 1)]
     if psat[m_max] >= 0.5:
         raise CalibrationError(

@@ -197,13 +197,10 @@ def _dpll(n: int, clauses, max_decisions: int) -> SolveResult:
             undo_to(base)
             enqueue(var, 1)  # second branch: True
             continue
-        if satisfied == m:
-            model = {v: assign[v] > 0 for v in range(1, n + 1)}
-            if __debug__:
-                assert all(any(model[abs(l)] != (l < 0) for l in cl) for cl in clauses)
-            return SolveResult(SAT, model, stats)
-        var = next((v for v in range(1, n + 1) if assign[v] == 0), None)
-        if var is None:
+        var = 0  # stays 0 when every clause is satisfied or no variable is unset
+        if satisfied < m:
+            var = next((v for v in range(1, n + 1) if assign[v] == 0), 0)
+        if not var:
             model = {v: assign[v] > 0 for v in range(1, n + 1)}
             if __debug__:
                 assert all(any(model[abs(l)] != (l < 0) for l in cl) for cl in clauses)
