@@ -14,11 +14,13 @@ Validation happens at the boundary: ``Literal``, ``Clause`` and
 ``CnfFormula`` check themselves when built, and :func:`to_dimacs`
 refuses raw clauses.  The generators work below that boundary on
 ``_IntCnf``, a formula as a variable count and canonical signed-int
-clause tuples.  Its DIMACS writer ``_dimacs`` is the one serializer:
-:func:`to_dimacs` converts a formula once and calls it.  It checks every
-clause it writes with plain code (``_check_int_clause``), so a formula
-that skipped the object constructors still cannot emit a clause that is
-not canonical.
+clause tuples.  ``_normalize_ints`` is the one normalizing core:
+:func:`normalize_clause` is its validating boundary, and the ruletaker
+retrofit calls it on its draws directly.  The DIMACS writer ``_dimacs``
+is the one serializer: :func:`to_dimacs` converts a formula once and
+calls it.  It checks every clause it writes with plain code
+(``_check_int_clause``), so a formula that skipped the object
+constructors still cannot emit a clause that is not canonical.
 """
 
 from __future__ import annotations

@@ -8,6 +8,11 @@ appearance in the text.  Generators therefore reindex formulas into
 first-appearance order before rendering, which makes parse(render(x))
 reproduce x exactly; the reindexing is a fixpoint after one round.
 
+Decisions shared by the fragments live here once: the packaged default
+vocabulary per fragment (``_packaged_vocab``), the formula a parsed
+text denotes (``_parse_formula``), and the parsers' strict or lenient
+noun lookup (``_noun_of``) and clause building (``_clause_of``).
+
 Validation happens at the boundary: :func:`reindex_formula` takes a
 ``CnfFormula``, whose constructors have checked every clause, and
 returns one built (and so checked) again.  The renumbering itself,

@@ -18,7 +18,7 @@ import json
 import multiprocessing
 import statistics
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,6 +54,7 @@ from .solver import (
     ENTAILED,
     SAT,
     UNSAT,
+    DegenerateTheoryError,
     _dpll,
     check_entailment,
     solve,
@@ -104,6 +105,12 @@ class DatasetConfig:
         object.__setattr__(
             self, "splits", tuple(Fraction(str(s)) for s in self.splits)
         )
+        for setting in fields(self):
+            value = getattr(self, setting.name)
+            if setting.type == "int" and not _is_int(value):
+                raise ValueError(f"{setting.name} must be an integer, got {value!r}")
+            if setting.type == "float" and not (_is_int(value) or isinstance(value, float)):
+                raise ValueError(f"{setting.name} must be a number, got {value!r}")
         if self.fragment not in FRAGMENTS:
             raise ValueError(f"unknown fragment {self.fragment!r}")
         if self.strategy not in STRATEGIES:
@@ -629,7 +636,11 @@ def _verify_record(rec: dict, vocab, max_decisions: int) -> list:
         except (ParseError, ValueError) as exc:
             bad("parse", f"conjecture: {exc}")
             return issues
-        status = check_entailment(formula, conjecture, max_decisions)
+        try:
+            status = check_entailment(formula, conjecture, max_decisions)
+        except DegenerateTheoryError as exc:
+            bad("label", f"{exc}; record says {rec['label']!r}")
+            return issues
         expected = {
             ruletaker.LABEL_TRUE: ENTAILED,
             ruletaker.LABEL_FALSE: CONTRADICTED,
@@ -766,15 +777,23 @@ def stats_report(path) -> str:
 
 
 def export_dimacs_files(path, out_dir) -> int:
-    """Write each record's formula as <id>.cnf; returns the file count."""
+    """Write each record's formula as <id>.cnf; returns the file count.
+
+    Every record is checked before the first file is written, so a bad
+    record leaves no partial export behind.
+    """
     _, records = read_dataset(path)
     _require_keys(path, records, ("id", "dimacs"))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     for rec in records:
+        for key in ("id", "dimacs"):
+            if not isinstance(rec[key], str):
+                raise DatasetError(f"{path}: record {rec['id']} has a non-string {key!r}")
         from_dimacs(rec["dimacs"])  # refuse to export corrupt formulas
         name = rec["id"]
         if "/" in name or "\\" in name or name.startswith("."):
             raise DatasetError(f"unsafe record id {name!r}")
-        (out / f"{name}.cnf").write_text(rec["dimacs"], encoding="utf-8")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for rec in records:
+        (out / f"{rec['id']}.cnf").write_text(rec["dimacs"], encoding="utf-8")
     return len(records)

@@ -219,6 +219,25 @@ class TestGenerate:
         assert rc == 2
         assert "cannot read config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"count_per_size": "four"}, "count_per_size must be an integer, got 'four'"),
+            ({"p_neg": "half"}, "p_neg must be a number, got 'half'"),
+            ({"foo": 1}, "unknown settings in config: foo"),
+        ],
+    )
+    def test_bad_config_setting_is_a_usage_error(self, tmp_path, capsys, settings, message):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({
+            "fragment": "grl", "sizes": "5", "count_per_size": 4, "strategy": "naive",
+            **settings,
+        }))
+        rc = main(["generate", "--config", str(config_path), "--seed", "7",
+                   "--out", str(tmp_path / "ds.jsonl")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
     def test_no_balance_flag(self, tmp_path):
         out = tmp_path / "unbal.jsonl"
         rc = main([
@@ -300,6 +319,34 @@ class TestVerify:
         assert f": field: bad {key} {shown!r}" in err
         assert "verification failed" in err
 
+    def test_unsatisfiable_theory_is_a_label_issue(self, tmp_path, capsys):
+        path = tmp_path / "rt.jsonl"
+        assert main([
+            "generate", "--fragment", "ruletaker", "--sizes", "5", "--per-size", "8",
+            "--seed", "3", "--strategy", "naive", "--jobs", "1", "--out", str(path),
+        ]) == 0
+        lines = path.read_text().splitlines()
+        records = [json.loads(line) for line in lines[1:]]
+        tampered = []
+        for rec in records:
+            # a fact that the theory refutes: the conjecture's opposite for
+            # "true", the conjecture itself for "false"
+            conjecture = rec["conjecture_text"]
+            negated = (conjecture.replace(" is not ", " is ") if " is not " in conjecture
+                       else conjecture.replace(" is ", " is not "))
+            fact = negated if rec["label"] == "true" else conjecture
+            if conjecture in rec["text"] or negated in rec["text"]:
+                continue  # a stated fact: a second one on its attribute does not parse
+            rec["text"] += " " + fact
+            tampered.append(rec["id"])
+        assert len(tampered) >= 2
+        lines[1:] = [json.dumps(rec, sort_keys=True) for rec in records]
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["verify", str(path)]) == 1
+        err = capsys.readouterr().err
+        for rid in tampered:
+            assert f"{rid}: label: degenerate theory: unsatisfiable on its own" in err
+
     def test_missing_dataset_is_a_usage_error(self, tmp_path, capsys):
         assert main(["verify", str(tmp_path / "nope.jsonl")]) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -377,6 +424,15 @@ class TestExportDimacs:
         assert main(["export-dimacs", str(bad), str(tmp_path / "cnfs")]) == 2
         assert "has no 'dimacs'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["id", "dimacs"])
+    def test_record_with_mistyped_field_is_a_usage_error(
+        self, small_dataset, tmp_path, capsys, key
+    ):
+        bad = _with_second_record(small_dataset, tmp_path, lambda rec: {**rec, key: 5})
+        assert main(["export-dimacs", str(bad), str(tmp_path / "cnfs")]) == 2
+        assert f"has a non-string {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "cnfs").exists()  # no partial export
+
 
 # ---------------------------------------------------------------------------
 # Parse and retrofit subcommands
@@ -400,6 +456,19 @@ class TestParseCommand:
         text = "If the lion is not red then the lion is blue. The lion is red."
         assert main(["parse", "--fragment", "ruletaker", text]) == 0
         assert capsys.readouterr().out == "p cnf 2 2\n1 2 0\n1 0\n"
+
+    @pytest.mark.parametrize("fragment, size", [("grl", 5), ("rcl", 10), ("ruletaker", 5)])
+    def test_prints_the_stored_dimacs(self, tmp_path, capsys, fragment, size):
+        path = tmp_path / "ds.jsonl"
+        assert main([
+            "generate", "--fragment", fragment, "--sizes", str(size), "--per-size", "2",
+            "--seed", "5", "--strategy", "naive", "--jobs", "1", "--out", str(path),
+        ]) == 0
+        capsys.readouterr()
+        for line in path.read_text().splitlines()[1:]:
+            rec = json.loads(line)
+            assert main(["parse", "--fragment", fragment, rec["text"]]) == 0
+            assert capsys.readouterr().out == rec["dimacs"]
 
     def test_file_input(self, tmp_path, capsys):
         src = tmp_path / "theory.txt"
