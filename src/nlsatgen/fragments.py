@@ -192,7 +192,7 @@ def _noun_of(word: str, idx: int, span, lexicon, strict: bool) -> str:
 
 
 def _clause_of(literals, idx: int, repeat: str = "a noun repeats within the sentence"):
-    """The canonical clause of one sentence's literals; a repeated variable raises ``repeat``."""
+    """The canonical clause of one sentence's literals; ``repeat`` reports a repeated variable."""
     if len({lit.var for lit in literals}) != len(literals):
         raise ParseError(idx, None, repeat)
     return Clause(tuple(sorted(literals)))
