@@ -261,10 +261,8 @@ def _is_diverse(config, band, ratio: Fraction) -> bool:
 
 
 def _grl_candidate(config, band, vocab, size, index, rng):
-    spec = SampleSpec(
-        n=size, p_int=config.p_int, p_neg=config.p_neg, strategy=config.strategy
-    )
-    m = draw_m(spec, band, rng, config.diversity_fraction)
+    spec = SampleSpec(n=size, p_int=config.p_int, p_neg=config.p_neg)
+    m = draw_m(spec, config.strategy, band, rng, config.diversity_fraction)
     try:
         f, _ = _reindex(_IntCnf(size, _draw_clauses(spec, m, rng)))
     except FragmentError:
@@ -284,10 +282,8 @@ def _rcl_candidate(config, band, vocab, size, index, rng):
     feasible = rcl.feasible_predicate_counts(size)
     n_preds = feasible[rng.randrange(len(feasible))]
     n_consts = size // n_preds
-    spec = SampleSpec(
-        n=size, p_int=1.0, p_neg=config.p_neg, strategy=config.strategy
-    )
-    total_m = draw_m(spec, band, rng, config.diversity_fraction)
+    spec = SampleSpec(n=size, p_int=1.0, p_neg=config.p_neg)
+    total_m = draw_m(spec, config.strategy, band, rng, config.diversity_fraction)
     try:
         m_universal, m_ground = rcl.split_clause_budget(total_m, n_consts)
     except ValueError:
@@ -317,13 +313,9 @@ def _rcl_candidate(config, band, vocab, size, index, rng):
 
 def _rt_candidate(config, band, vocab, size, index, rng):
     spec = SampleSpec(
-        n=size,
-        p_int=config.p_int,
-        p_neg=config.p_neg,
-        with_replacement=True,
-        strategy=config.strategy,
+        n=size, p_int=config.p_int, p_neg=config.p_neg, with_replacement=True
     )
-    m = draw_m(spec, band, rng, config.diversity_fraction)
+    m = draw_m(spec, config.strategy, band, rng, config.diversity_fraction)
     drawn = ruletaker._retrofit(
         size, _draw_clauses(spec, m, rng), rng, spec, config.max_decisions
     )
@@ -662,7 +654,7 @@ def _verify_record(rec: dict, vocab, max_decisions: int) -> list:
     return issues
 
 
-def verify_dataset(path, config_lexicon=None, max_decisions: int = DEFAULT_MAX_DECISIONS) -> list:
+def verify_dataset(path, max_decisions: int = DEFAULT_MAX_DECISIONS) -> list:
     """Re-derive every record from its text; returns all mismatches found.
 
     Each record's sentences are re-parsed strictly, the parsed logical
@@ -672,7 +664,7 @@ def verify_dataset(path, config_lexicon=None, max_decisions: int = DEFAULT_MAX_D
     """
     header, records = read_dataset(path)
     fragment = header.get("fragment")
-    vocab = config_lexicon if config_lexicon is not None else _packaged_vocab(fragment)
+    vocab = _packaged_vocab(fragment)
     issues = []
     seen_ids = set()
     by_size = {}

@@ -25,9 +25,9 @@ variable ids are constant-major: predicate p of constant c maps to
 
 Validation happens at the boundary: the public functions take and
 return ``RclProblem`` and ``CnfFormula`` objects, which check their
-clauses when built.  Each wraps one private core (``_draw``,
-``_reindex``, ``_ground``, ``_render``) that works on ``_IntProblem``,
-the same problem with signed-int clause tuples; the rcl generator
+clauses when built.  Each wraps one private core (``_reindex``,
+``_ground``, ``_render``) on ``_IntProblem``, the same problem with
+signed-int clause tuples; the rcl generator draws with ``_draw``,
 chains those cores and builds no clause objects, and the grounded
 clauses are checked when DIMACS writes them.
 """
@@ -55,6 +55,7 @@ from .fragments import (
 from .sampler import SampleSpec, _draw_clauses
 
 DEFAULT_NO_REWRITE_PROB = 0.25
+PREDICATE_COUNTS = range(5, 9)  # the predicate counts a sampled problem may have
 
 
 @dataclass(frozen=True)
@@ -159,14 +160,12 @@ def _shift(cl, off: int) -> tuple:
     return tuple([v + off if v > 0 else v - off for v in cl])
 
 
-def feasible_predicate_counts(
-    n_ground: int, lo: int = 5, hi: int = 8
-) -> list:
-    """Predicate counts P in [lo, hi] with P * C = n_ground for some C >= 2."""
-    return [p for p in range(lo, hi + 1) if n_ground % p == 0 and n_ground // p >= 2]
+def feasible_predicate_counts(n_ground: int) -> list:
+    """Predicate counts P in 5..8 with P * C = n_ground for some C >= 2."""
+    return [p for p in PREDICATE_COUNTS if n_ground % p == 0 and n_ground // p >= 2]
 
 
-def split_clause_budget(total: int, n_constants: int, fact_fraction: float = 0.25) -> tuple:
+def split_clause_budget(total: int, n_constants: int) -> tuple:
     """Split a grounded clause budget into (universal, per-constant ground) counts.
 
     total = m_universal * n_constants + m_ground, with every constant
@@ -175,7 +174,7 @@ def split_clause_budget(total: int, n_constants: int, fact_fraction: float = 0.2
     c = n_constants
     if total < 2 * c:
         raise ValueError(f"budget {total} too small for {c} constants")
-    m_ground = max(c, round(fact_fraction * total))
+    m_ground = max(c, round(0.25 * total))  # about a quarter are ground clauses
     m_universal = max(1, round((total - m_ground) / c))
     m_ground = total - m_universal * c
     while m_ground < c:
@@ -186,26 +185,10 @@ def split_clause_budget(total: int, n_constants: int, fact_fraction: float = 0.2
     return m_universal, m_ground
 
 
-def sample_rcl_problem(
-    n_predicates: int,
-    n_constants: int,
-    m_universal: int,
-    m_ground: int,
-    p_neg: float,
-    rng,
-) -> RclProblem:
-    """Draw universal clauses, then ground clauses constant by constant.
-
-    Ground clauses are dealt one per constant first, the remainder to
-    random constants, so every constant is mentioned at least once.
-    """
-    if m_ground < n_constants:
-        raise ValueError("need at least one ground clause per constant")
-    return _as_problem(_draw(n_predicates, n_constants, m_universal, m_ground, p_neg, rng))
-
-
 def _draw(n_predicates, n_constants, m_universal, m_ground, p_neg, rng) -> _IntProblem:
-    """The sampling core, on signed-int clauses; m_ground >= n_constants."""
+    """Draw universal, then ground clauses, on signed ints.  Ground clauses
+    are dealt one per constant first (m_ground >= n_constants), the
+    remainder to random constants, so every constant is mentioned."""
     spec = SampleSpec(n=n_predicates, p_int=1.0, p_neg=p_neg)
     universals = _draw_clauses(spec, m_universal, rng)
     counts = [1] * n_constants

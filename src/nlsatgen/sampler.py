@@ -17,12 +17,12 @@ draws formulas with one of three band strategies:
 Ratios are kept as exact fractions end to end; only Monte Carlo
 estimates are floats.
 
-Clauses are drawn as signed-int tuples (+v / -v) by one private
-routine.  The public samplers wrap each draw in a validated ``Clause``
-and ``CnfFormula`` at the boundary.  The Monte Carlo behind the phase
-curve and the three generators never leave the ints: they take the
-drawn tuples through the int cores of retrofitting (whose tautology
-redraws come from the same routine), reindexing, the solver and DIMACS.
+There is one sampling path: ``draw_m`` picks m from a strategy and a
+band, then m clauses are drawn from the ``SampleSpec`` distribution as
+signed-int tuples (+v / -v) by one private routine, which
+``sample_clause`` wraps in a ``Clause`` and retrofitting's tautology
+redraws reuse.  The phase curve and the generators stay on the ints
+through retrofitting, reindexing, the solver and DIMACS.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .cnf import Clause, CnfFormula, _as_clause
+from .cnf import Clause, _as_clause
 from .fileio import atomic_writer
 from .rng import derive_rng
-from .solver import DEFAULT_MAX_DECISIONS, BudgetExhaustedError, _dpll, solve
+from .solver import DEFAULT_MAX_DECISIONS, BudgetExhaustedError, _dpll
 
 HARD = "hard"
 NAIVE = "naive"
@@ -57,7 +57,7 @@ class CalibrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SampleSpec:
-    """Parameters of the random clause distribution.
+    """The random clause distribution; ``draw_m`` picks how many to draw.
 
     p_int is the probability that a clause has three literals (else
     two); p_neg is the per-literal negation probability.  Variables are
@@ -68,15 +68,9 @@ class SampleSpec:
     n: int
     p_int: float = 1.0
     p_neg: float = 0.5
-    alpha_min: Fraction = Fraction(1)
-    alpha_max: Fraction = Fraction(6)
     with_replacement: bool = False
-    strategy: str = HARD
-    seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha_min", Fraction(self.alpha_min))
-        object.__setattr__(self, "alpha_max", Fraction(self.alpha_max))
         if self.n < 2:
             raise ValueError("need at least 2 variables")
         if self.p_int > 0 and self.n < 3 and not self.with_replacement:
@@ -85,10 +79,6 @@ class SampleSpec:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
-        if not 0 <= self.alpha_min <= self.alpha_max:
-            raise ValueError(f"bad alpha band [{self.alpha_min}, {self.alpha_max}]")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
 
 
 def _draw_clause(spec: SampleSpec, rng) -> tuple:
@@ -127,26 +117,6 @@ def admissible_m(n: int, alpha_min: Fraction, alpha_max: Fraction) -> range:
     lo = math.ceil(Fraction(alpha_min) * n)
     hi = math.floor(Fraction(alpha_max) * n)
     return range(max(lo, 0), hi + 1)
-
-
-def sample_clauses(spec: SampleSpec, m: int, rng) -> tuple:
-    """Draw m independent clauses, in order."""
-    return tuple([sample_clause(spec, rng) for _ in range(m)])
-
-
-def sample_formula(spec: SampleSpec, rng) -> CnfFormula:
-    """Draw m uniformly from the admissible band, then m clauses.
-
-    The formula is returned as sampled (clauses drawn with replacement
-    stay raw) so retrofitting can inspect repeated variables.
-    """
-    ms = admissible_m(spec.n, spec.alpha_min, spec.alpha_max)
-    if len(ms) == 0:
-        raise ValueError(
-            f"no integer m with {spec.alpha_min} <= m/{spec.n} <= {spec.alpha_max}"
-        )
-    m = ms[rng.randrange(len(ms))]
-    return CnfFormula(spec.n, sample_clauses(spec, m, rng))
 
 
 def wilson_halfwidth(p_hat: float, trials: int, z: float = _WILSON_Z) -> float:
@@ -200,9 +170,9 @@ def estimate_psat(
     alpha = Fraction(alpha)
     m = round(alpha * n)
     exact = Fraction(m, n)
-    spec = SampleSpec(
-        n=n, p_int=p_int, p_neg=p_neg, alpha_min=exact, alpha_max=exact
-    )
+    if m < 0:
+        raise ValueError(f"alpha {exact} is negative")
+    spec = SampleSpec(n=n, p_int=p_int, p_neg=p_neg)
     rng = derive_rng("psat", seed, n, float(p_int), float(p_neg), m)
     sat_hits = 0
     for _ in range(trials):
@@ -391,6 +361,7 @@ def calibrate_critical(
 
 def strategy_m_candidates(
     spec: SampleSpec,
+    strategy: str,
     band: Optional[tuple],
     rng,
     diversity_fraction: float = DIVERSITY_FRACTION,
@@ -400,7 +371,9 @@ def strategy_m_candidates(
     For the hard strategy this consumes one rng draw to decide whether
     the critical band or the widened diversity band applies.
     """
-    if spec.strategy == NAIVE:
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == NAIVE:
         ms = admissible_m(spec.n, *NAIVE_BAND)
         if len(ms) == 0:
             raise ValueError(f"empty naive band {NAIVE_BAND} at n={spec.n}")
@@ -411,7 +384,7 @@ def strategy_m_candidates(
             "run calibrate first"
         )
     lo, hi = Fraction(band[0]), Fraction(band[1])
-    if spec.strategy == HARD:
+    if strategy == HARD:
         if rng.random() < diversity_fraction:
             lo = max(lo - DIVERSITY_WIDEN, Fraction(1, spec.n))
             hi = hi + DIVERSITY_WIDEN
@@ -432,27 +405,12 @@ def strategy_m_candidates(
 
 def draw_m(
     spec: SampleSpec,
+    strategy: str,
     band: Optional[tuple],
     rng,
     diversity_fraction: float = DIVERSITY_FRACTION,
 ) -> int:
-    """One clause count under spec.strategy, uniform over its candidates."""
-    ms = strategy_m_candidates(spec, band, rng, diversity_fraction)
+    """One clause count under ``strategy``, uniform over its candidates;
+    ``band`` is the calibrated one for (n, p_int, p_neg), unused by naive."""
+    ms = strategy_m_candidates(spec, strategy, band, rng, diversity_fraction)
     return ms[rng.randrange(len(ms))]
-
-
-def sample_with_strategy(
-    spec: SampleSpec,
-    band: Optional[tuple],
-    rng,
-    diversity_fraction: float = DIVERSITY_FRACTION,
-    max_decisions: int = DEFAULT_MAX_DECISIONS,
-) -> tuple:
-    """Draw one formula under spec.strategy and solve it.
-
-    ``band`` is the calibrated critical band for (n, p_int, p_neg);
-    the naive strategy ignores it.  Returns (formula, SolveResult).
-    """
-    m = draw_m(spec, band, rng, diversity_fraction)
-    f = CnfFormula(spec.n, sample_clauses(spec, m, rng))
-    return f, solve(f, max_decisions)

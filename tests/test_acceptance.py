@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from nlsatgen import lexicon as lexicon_mod
-from nlsatgen import ruletaker
+from nlsatgen import rcl, ruletaker
 from nlsatgen.cli import main as cli_main
 from nlsatgen.cnf import CnfFormula
 from nlsatgen.fragments import parse_theory
@@ -23,14 +23,15 @@ from nlsatgen.pipeline import (
     verify_dataset,
     write_dataset,
 )
-from nlsatgen.rcl import ground_rcl, ground_var, sample_rcl_problem
+from nlsatgen.rcl import ground_rcl, ground_var
 from nlsatgen.sampler import (
     CalibrationTable,
     SampleSpec,
+    admissible_m,
     calibrate_critical,
+    draw_m,
     estimate_psat,
-    sample_formula,
-    sample_with_strategy,
+    sample_clause,
 )
 from nlsatgen.solver import (
     CONTRADICTED,
@@ -43,6 +44,11 @@ from nlsatgen.solver import (
 
 MASTER_SEED = 108
 GRL_SIZES = tuple(range(5, 13))
+
+
+def draw_formula(spec, m, rng) -> CnfFormula:
+    """m clauses drawn from ``spec``, in order."""
+    return CnfFormula(spec.n, tuple([sample_clause(spec, rng) for _ in range(m)]))
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -123,15 +129,10 @@ def test_criterion_1_oracle_equivalence():
     for n in range(3, 17):
         for i in range(360):
             lo = 1 + (i % 11) * Fraction(1, 2)
-            spec = SampleSpec(
-                n=n,
-                p_int=p_ints[i % 3],
-                p_neg=0.5,
-                alpha_min=lo,
-                alpha_max=min(lo + Fraction(1, 2), Fraction(6)),
-            )
+            spec = SampleSpec(n=n, p_int=p_ints[i % 3], p_neg=0.5)
+            ms = admissible_m(n, lo, min(lo + Fraction(1, 2), Fraction(6)))
             rng = random.Random(1_000_000 + n * 1000 + i)
-            formula = sample_formula(spec, rng)
+            formula = draw_formula(spec, ms[rng.randrange(len(ms))], rng)
             count += 1
             if solve(formula).label != solve_bruteforce(formula).label:
                 disagreements += 1
@@ -174,12 +175,12 @@ def test_criterion_2_phase_transition():
 
 def test_criterion_3_critical_band_balance(calibration):
     band = calibration["table"].band_for(10, 1.0, 0.5)
-    spec = SampleSpec(n=10, p_int=1.0, p_neg=0.5, strategy="hard")
+    spec = SampleSpec(n=10, p_int=1.0, p_neg=0.5)
     rng = random.Random(MASTER_SEED)
     satisfiable = 0
     trials = 2000
     for _ in range(trials):
-        _, result = sample_with_strategy(spec, band, rng)
+        result = solve(draw_formula(spec, draw_m(spec, "hard", band, rng), rng))
         satisfiable += result.label == SAT
     fraction = satisfiable / trials
     report(
@@ -193,11 +194,11 @@ def test_criterion_3_critical_band_balance(calibration):
 def test_criterion_4_hardness_ordering(calibration, rt_dataset):
     band = calibration["table"].band_for(10, 1.0, 0.5)
     def conflict_median(strategy, seed):
-        spec = SampleSpec(n=10, p_int=1.0, p_neg=0.5, strategy=strategy)
+        spec = SampleSpec(n=10, p_int=1.0, p_neg=0.5)
         rng = random.Random(seed)
         conflicts = []
         for _ in range(500):
-            _, result = sample_with_strategy(spec, band, rng)
+            result = solve(draw_formula(spec, draw_m(spec, strategy, band, rng), rng))
             conflicts.append(result.stats.conflicts)
         return statistics.median(conflicts)
 
@@ -260,14 +261,14 @@ def test_criterion_6_grounding_correctness():
     total = 1000
     agreements = 0
     for _ in range(total):
-        problem = sample_rcl_problem(
+        problem = rcl._as_problem(rcl._draw(
             rng.choice([3, 4]),
             rng.choice([1, 2, 3]),
             rng.randint(1, 6),
             rng.randint(1, 4) + 3,
             0.5,
             rng,
-        )
+        ))
         expected = SAT if finite_domain_satisfiable(problem) else "unsat"
         agreements += solve(ground_rcl(problem)).label == expected
     report(

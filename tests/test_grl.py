@@ -18,7 +18,7 @@ from nlsatgen.fragments import (
 )
 from nlsatgen.grl import parse_grl, render_grl
 from nlsatgen.lexicon import Lexicon
-from nlsatgen.sampler import SampleSpec, sample_clauses
+from nlsatgen.sampler import SampleSpec, sample_clause
 
 LEX = Lexicon(("carrot", "steak", "apples", "grapes", "banana", "olive", "fig", "pear"))
 
@@ -231,7 +231,9 @@ def test_round_trip_random_formulas_after_reindexing():
 def test_parse_render_reindex_round_trip_property(n, p_int, rnd):
     # the clauses, the binding and the text come from a hypothesis-seeded
     # Random, through the public names and so through their int cores
-    f = CnfFormula(n, sample_clauses(SampleSpec(n=n, p_int=p_int), rnd.randint(2 * n, 5 * n), rnd))
+    spec = SampleSpec(n=n, p_int=p_int)
+    m = rnd.randint(2 * n, 5 * n)
+    f = CnfFormula(n, tuple([sample_clause(spec, rnd) for _ in range(m)]))
     try:
         fixed, _ = reindex_formula(f)
     except FragmentError:

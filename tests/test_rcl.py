@@ -15,6 +15,7 @@ from nlsatgen.fragments import (
     parse_theory,
 )
 from nlsatgen.lexicon import default_occupation_lexicon
+from nlsatgen import rcl
 from nlsatgen.rcl import (
     RclProblem,
     feasible_predicate_counts,
@@ -23,12 +24,18 @@ from nlsatgen.rcl import (
     parse_rcl,
     reindex_problem,
     render_rcl,
-    sample_rcl_problem,
     split_clause_budget,
 )
 from nlsatgen.solver import solve
 
 LEX = default_occupation_lexicon()
+
+
+def draw_problem(n_predicates, n_constants, m_universal, m_ground, p_neg, rng) -> RclProblem:
+    """The generator's problem draw, validated; m_ground >= n_constants."""
+    return rcl._as_problem(
+        rcl._draw(n_predicates, n_constants, m_universal, m_ground, p_neg, rng)
+    )
 
 BINDING = VarBinding({1: "doctor", 2: "philosopher", 3: "baker"}, {1: "John"})
 
@@ -147,7 +154,7 @@ class TestGrounding:
             n_constants = rng.choice([1, 2, 3])
             m_universal = rng.randint(1, 6)
             m_ground = rng.randint(n_constants, n_constants + 3)
-            p = sample_rcl_problem(
+            p = draw_problem(
                 n_predicates, n_constants, m_universal, m_ground, 0.5, rng
             )
             expected = "sat" if _has_finite_model(p) else "unsat"
@@ -197,9 +204,6 @@ class TestSizingHelpers:
         assert feasible_predicate_counts(8) == []
         assert feasible_predicate_counts(5) == []
 
-    def test_feasible_predicate_counts_custom_range(self):
-        assert feasible_predicate_counts(10, lo=3, hi=5) == [5]
-
     def test_split_clause_budget_pins(self):
         assert split_clause_budget(76, 2) == (28, 20)
         assert split_clause_budget(20, 4) == (4, 4)
@@ -228,7 +232,7 @@ class TestSizingHelpers:
 class TestSampleRclProblem:
     def test_shapes_and_coverage(self):
         rng = random.Random(7)
-        p = sample_rcl_problem(3, 2, 4, 3, 0.5, rng)
+        p = draw_problem(3, 2, 4, 3, 0.5, rng)
         assert p.n_predicates == 3
         assert p.n_constants == 2
         assert len(p.universal_clauses) == 4
@@ -240,33 +244,24 @@ class TestSampleRclProblem:
     def test_every_constant_gets_a_ground_clause(self):
         rng = random.Random(99)
         for _ in range(30):
-            p = sample_rcl_problem(4, 3, 2, 3, 0.5, rng)
+            p = draw_problem(4, 3, 2, 3, 0.5, rng)
             assert {cid for cid, _ in p.ground_clauses} == {1, 2, 3}
 
     def test_deterministic(self):
-        a = sample_rcl_problem(3, 2, 4, 3, 0.5, random.Random(7))
-        b = sample_rcl_problem(3, 2, 4, 3, 0.5, random.Random(7))
+        a = draw_problem(3, 2, 4, 3, 0.5, random.Random(7))
+        b = draw_problem(3, 2, 4, 3, 0.5, random.Random(7))
         assert a == b
-
-    def test_validation(self):
-        rng = random.Random(0)
-        with pytest.raises(ValueError):
-            sample_rcl_problem(1, 1, 2, 1, 0.5, rng)
-        with pytest.raises(ValueError):
-            sample_rcl_problem(2, 0, 2, 1, 0.5, rng)
-        with pytest.raises(ValueError, match="at least one ground clause per constant"):
-            sample_rcl_problem(3, 2, 2, 1, 0.5, rng)
 
     def test_negation_extremes(self):
         rng = random.Random(5)
-        all_pos = sample_rcl_problem(4, 2, 5, 4, 0.0, rng)
+        all_pos = draw_problem(4, 2, 5, 4, 0.0, rng)
         assert all(
             not l.negated for c in all_pos.universal_clauses for l in c.literals
         )
         assert all(
             not l.negated for _, c in all_pos.ground_clauses for l in c.literals
         )
-        all_neg = sample_rcl_problem(4, 2, 5, 4, 1.0, rng)
+        all_neg = draw_problem(4, 2, 5, 4, 1.0, rng)
         assert all(l.negated for c in all_neg.universal_clauses for l in c.literals)
         assert all(l.negated for _, c in all_neg.ground_clauses for l in c.literals)
 
@@ -544,7 +539,7 @@ class TestReindexAndRoundTrip:
     def test_reindex_fixpoint(self):
         rng = random.Random(31)
         for _ in range(50):
-            p = sample_rcl_problem(4, 2, 3, 3, 0.5, rng)
+            p = draw_problem(4, 2, 3, 3, 0.5, rng)
             q, _, _ = reindex_problem(p)
             q2, pred_map, const_map = reindex_problem(q)
             assert q2 == q
@@ -561,7 +556,7 @@ class TestReindexAndRoundTrip:
         for _ in range(60):
             n_predicates = rng.choice([3, 4])
             n_constants = rng.choice([1, 2, 3])
-            p = sample_rcl_problem(n_predicates, n_constants, 3, n_constants + 1, 0.5, rng)
+            p = draw_problem(n_predicates, n_constants, 3, n_constants + 1, 0.5, rng)
             vocab = bind_vocabulary(p, LEX, rng)
             expected, pred_map, const_map = reindex_problem(p)
             for render_rng in (None, random.Random(rng.randrange(10**6))):
@@ -577,7 +572,7 @@ class TestReindexAndRoundTrip:
         rng = random.Random(515)
         hits = 0
         for _ in range(40):
-            p = sample_rcl_problem(4, 2, 4, 3, 0.8, rng)
+            p = draw_problem(4, 2, 4, 3, 0.8, rng)
             vocab = bind_vocabulary(p, LEX, rng)
             theory = render_rcl(p, vocab, LEX, rng=rng, no_rewrite_prob=1.0)
             hits += sum(s.startswith("No ") for s in theory.sentences)
@@ -598,7 +593,7 @@ def test_parse_render_reindex_round_trip_property(n_predicates, n_constants, rnd
     # through their int cores
     m_universal = rnd.randint(n_predicates, 3 * n_predicates)
     m_ground = rnd.randint(n_constants, 3 * n_constants)
-    p = sample_rcl_problem(n_predicates, n_constants, m_universal, m_ground, 0.5, rnd)
+    p = draw_problem(n_predicates, n_constants, m_universal, m_ground, 0.5, rnd)
     try:
         fixed, _, _ = reindex_problem(p)
     except FragmentError:

@@ -24,7 +24,7 @@ from nlsatgen.ruletaker import (
     render_ruletaker,
     retrofit,
 )
-from nlsatgen.sampler import SampleSpec, sample_clause, sample_clauses, sample_formula
+from nlsatgen.sampler import SampleSpec, admissible_m, sample_clause
 from nlsatgen.solver import (
     SAT,
     UNSAT,
@@ -38,10 +38,17 @@ VOCAB = RetrofitVocab(("red", "round", "green", "big", "blue"), ("lion", "bear")
 DEFAULT_VOCAB = RetrofitVocab(default_attributes(), default_entities())
 
 
+def draw_formula(spec, m, rng) -> CnfFormula:
+    """m clauses drawn from ``spec``, in order."""
+    return CnfFormula(spec.n, tuple([sample_clause(spec, rng) for _ in range(m)]))
+
+
 def draw_theory(spec, seed):
-    """One with-replacement draw, retrofitted; None on rejection."""
+    """One with-replacement draw, m uniform over alpha in [1, 6],
+    retrofitted; None on rejection."""
     rng = random.Random(seed)
-    return retrofit(sample_formula(spec, rng), rng, spec)
+    ms = admissible_m(spec.n, 1, 6)
+    return retrofit(draw_formula(spec, ms[rng.randrange(len(ms))], rng), rng, spec)
 
 
 def accepted_theory(n, p_int, rnd, all_mentioned=False):
@@ -50,7 +57,7 @@ def accepted_theory(n, p_int, rnd, all_mentioned=False):
     example when there is none."""
     spec = SampleSpec(n=n, p_int=p_int, with_replacement=True)
     for _ in range(50):
-        f = CnfFormula(n, sample_clauses(spec, rnd.randint(n, 3 * n), rnd))
+        f = draw_formula(spec, rnd.randint(n, 3 * n), rnd)
         theory = retrofit(f, rnd, spec)
         if theory is None:
             continue

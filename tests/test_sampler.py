@@ -27,9 +27,8 @@ from nlsatgen.sampler import (
     _draw_clause,
     _draw_clauses,
     _unsat_threshold,
+    draw_m,
     sample_clause,
-    sample_formula,
-    sample_with_strategy,
     strategy_m_candidates,
     wilson_halfwidth,
 )
@@ -68,10 +67,8 @@ def test_spec_validation():
         SampleSpec(n=3, p_int=-0.1)
     with pytest.raises(ValueError):
         SampleSpec(n=3, p_neg=1.5)
-    with pytest.raises(ValueError):
-        SampleSpec(n=3, alpha_min=Fraction(6), alpha_max=Fraction(1))
-    with pytest.raises(ValueError):
-        SampleSpec(n=3, strategy="weird")
+    with pytest.raises(ValueError, match="unknown strategy 'weird'"):
+        strategy_m_candidates(SampleSpec(n=3), "weird", (Fraction(1), Fraction(2)), ScriptedRng(0.5))
     assert SampleSpec(n=2, p_int=0.0).n == 2
     assert SampleSpec(n=2, p_int=1.0, with_replacement=True).with_replacement
     assert set(STRATEGIES) == {HARD, NAIVE, BIASED}
@@ -182,27 +179,6 @@ def test_admissible_m_pins():
     band = admissible_m(12, Fraction(7, 2), Fraction(11, 2))
     assert band == range(42, 67)
     assert list(admissible_m(10, Fraction(411, 100), Fraction(419, 100))) == []
-
-
-def test_sample_formula_counts_and_reproducibility():
-    spec = SampleSpec(n=12, p_int=1.0, p_neg=0.5, alpha_min=Fraction(7, 2), alpha_max=Fraction(11, 2))
-    seen_m = set()
-    for i in range(60):
-        f = sample_formula(spec, derive_rng("m", i))
-        assert 42 <= f.m <= 66
-        assert f.n_vars == 12
-        seen_m.add(f.m)
-    assert len(seen_m) > 5  # m really varies
-    a = sample_formula(spec, derive_rng("same", 0))
-    b = sample_formula(spec, derive_rng("same", 0))
-    assert a == b
-
-
-def test_sample_formula_rejects_empty_band():
-    spec = SampleSpec(n=10, alpha_min=Fraction(411, 100), alpha_max=Fraction(419, 100))
-    with pytest.raises(ValueError) as exc:
-        sample_formula(spec, derive_rng(1))
-    assert "411/100" in str(exc.value)
 
 
 # ---------------------------------------------------------------- wilson
@@ -378,10 +354,16 @@ def test_cache_path_env_override(monkeypatch, tmp_path):
 # ---------------------------------------------------------------- strategies
 
 
+def draw_formula(spec, strategy, band, rng) -> CnfFormula:
+    """One formula on the generator's path: ``draw_m``, then m clauses."""
+    m = draw_m(spec, strategy, band, rng)
+    return CnfFormula(spec.n, tuple([sample_clause(spec, rng) for _ in range(m)]))
+
+
 def test_hard_strategy_draws_from_band_and_consumes_one_coin():
     spec = SampleSpec(n=10, p_int=1.0, p_neg=0.5)
     rng = ScriptedRng(0.99)  # above the diversity fraction: stay in band
-    ms = strategy_m_candidates(spec, (Fraction(39, 8), Fraction(45, 8)), rng)
+    ms = strategy_m_candidates(spec, HARD, (Fraction(39, 8), Fraction(45, 8)), rng)
     assert rng.calls == 1
     assert (ms[0], ms[-1]) == (49, 56)
 
@@ -389,7 +371,7 @@ def test_hard_strategy_draws_from_band_and_consumes_one_coin():
 def test_hard_strategy_widens_band_for_diversity_draws():
     spec = SampleSpec(n=10, p_int=1.0, p_neg=0.5)
     rng = ScriptedRng(0.0)  # below the diversity fraction: widen by 1
-    ms = strategy_m_candidates(spec, (Fraction(39, 8), Fraction(45, 8)), rng)
+    ms = strategy_m_candidates(spec, HARD, (Fraction(39, 8), Fraction(45, 8)), rng)
     assert rng.calls == 1
     assert (ms[0], ms[-1]) == (39, 66)
     assert 0.0 < DIVERSITY_FRACTION < 1.0
@@ -397,21 +379,21 @@ def test_hard_strategy_widens_band_for_diversity_draws():
 
 def test_hard_widened_band_clamps_at_one_clause():
     spec = SampleSpec(n=4, p_int=1.0, p_neg=0.5)
-    ms = strategy_m_candidates(spec, (Fraction(1, 2), Fraction(1)), ScriptedRng(0.0))
+    ms = strategy_m_candidates(spec, HARD, (Fraction(1, 2), Fraction(1)), ScriptedRng(0.0))
     assert ms[0] >= 1
 
 
 def test_hard_strategy_requires_calibration():
     spec = SampleSpec(n=10, p_int=1.0, p_neg=0.5)
     with pytest.raises(CalibrationError) as exc:
-        strategy_m_candidates(spec, None, ScriptedRng(0.5))
+        strategy_m_candidates(spec, HARD, None, ScriptedRng(0.5))
     assert "run calibrate first" in str(exc.value)
 
 
 def test_naive_strategy_ignores_band_and_rng():
-    spec = SampleSpec(n=10, p_int=1.0, p_neg=0.5, strategy=NAIVE)
+    spec = SampleSpec(n=10, p_int=1.0, p_neg=0.5)
     rng = ScriptedRng(0.0)
-    ms = strategy_m_candidates(spec, None, rng)
+    ms = strategy_m_candidates(spec, NAIVE, None, rng)
     assert rng.calls == 0
     lo, hi = NAIVE_BAND
     assert ms[0] == max(1, -(-lo * 10 // 1)) == 5
@@ -419,30 +401,17 @@ def test_naive_strategy_ignores_band_and_rng():
 
 
 def test_biased_strategy_unions_the_easy_ends():
-    spec = SampleSpec(n=10, p_int=1.0, p_neg=0.5, strategy=BIASED)
-    ms = strategy_m_candidates(spec, (Fraction(2), Fraction(3)), ScriptedRng(0.5))
+    spec = SampleSpec(n=10, p_int=1.0, p_neg=0.5)
+    ms = strategy_m_candidates(spec, BIASED, (Fraction(2), Fraction(3)), ScriptedRng(0.5))
     values = [ms[i] for i in range(len(ms))]
     assert values == list(range(5, 11)) + list(range(60, 81))
     assert ms[-1] == 80
 
 
 def test_biased_strategy_requires_calibration():
-    spec = SampleSpec(n=10, p_int=1.0, p_neg=0.5, strategy=BIASED)
+    spec = SampleSpec(n=10, p_int=1.0, p_neg=0.5)
     with pytest.raises(CalibrationError):
-        strategy_m_candidates(spec, None, ScriptedRng(0.5))
-
-
-def test_sample_with_strategy_returns_solved_formula():
-    spec = SampleSpec(n=8, p_int=1.0, p_neg=0.5)
-    band = (Fraction(39, 8), Fraction(45, 8))
-    f, result = sample_with_strategy(spec, band, derive_rng("sws"))
-    assert isinstance(result, SolveResult)
-    assert result.label in (SAT, UNSAT)
-    assert f.n_vars == 8
-    if result.label == SAT:
-        assert evaluate(f, result.model)
-    again_f, again_r = sample_with_strategy(spec, band, derive_rng("sws"))
-    assert again_f == f and again_r.label == result.label
+        strategy_m_candidates(spec, BIASED, None, ScriptedRng(0.5))
 
 
 def test_hard_sampling_lands_near_even_odds():
@@ -453,7 +422,7 @@ def test_hard_sampling_lands_near_even_odds():
     sat_count = 0
     trials = 600
     for _ in range(trials):
-        _, result = sample_with_strategy(spec, band, rng)
+        result = solve(draw_formula(spec, HARD, band, rng))
         sat_count += result.label == SAT
     assert 0.40 < sat_count / trials < 0.60
 
@@ -464,18 +433,20 @@ def test_hard_sampling_lands_near_even_odds():
 def _sampler_transcript() -> str:
     """Every sampling entry point, run on fixed seeds, as one string."""
     out = []
+    ms = admissible_m(7, Fraction(2), Fraction(5))
     for with_replacement in (False, True):
-        spec = SampleSpec(n=7, p_int=0.7, p_neg=0.5, alpha_min=2, alpha_max=5,
-                          with_replacement=with_replacement)
+        spec = SampleSpec(n=7, p_int=0.7, p_neg=0.5, with_replacement=with_replacement)
         for i in range(20):
-            f = sample_formula(spec, derive_rng("golden-formula", with_replacement, i))
-            out.append(repr([cl.to_ints() for cl in f.clauses]))
+            rng = derive_rng("golden-formula", with_replacement, i)
+            m = ms[rng.randrange(len(ms))]
+            out.append(repr([sample_clause(spec, rng).to_ints() for _ in range(m)]))
     band = (Fraction(2), Fraction(3))
     for strategy in STRATEGIES:
-        spec = SampleSpec(n=9, p_int=1.0, p_neg=0.5, strategy=strategy)
+        spec = SampleSpec(n=9, p_int=1.0, p_neg=0.5)
         rng = derive_rng("golden-strategy", strategy)
         for _ in range(20):
-            f, result = sample_with_strategy(spec, band, rng)
+            f = draw_formula(spec, strategy, band, rng)
+            result = solve(f)
             out.append(f"{f.to_int_clauses()} {result.label} {result.stats.as_dict()}")
     out.append(repr(estimate_psat(8, 1.0, 0.5, Fraction(9, 2), trials=100, seed=1)))
     return "\n".join(out)

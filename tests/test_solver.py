@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from nlsatgen.cnf import Clause, CnfFormula, Literal, evaluate
 from nlsatgen.rng import derive_rng
-from nlsatgen.sampler import SampleSpec, admissible_m, sample_formula
+from nlsatgen.sampler import SampleSpec, admissible_m, sample_clause
 from nlsatgen.solver import (
     CONTRADICTED,
     DEFAULT_MAX_DECISIONS,
@@ -230,17 +230,22 @@ def _sweep_specs():
     for i in range(240):
         p_int = (0.0, 0.5, 1.0)[i % 3]
         n = 3 + (i % 13)  # 3..15
-        specs.append(
-            SampleSpec(n=n, p_int=p_int, p_neg=0.5, alpha_min=1, alpha_max=6, seed=i)
-        )
+        specs.append(SampleSpec(n=n, p_int=p_int, p_neg=0.5))
     return specs
 
 
+def _band_formula(spec, lo, hi, rng) -> CnfFormula:
+    """m uniform over the clause counts with lo <= m/n <= hi, then m clauses."""
+    ms = admissible_m(spec.n, lo, hi)
+    m = ms[rng.randrange(len(ms))]
+    return CnfFormula(spec.n, tuple([sample_clause(spec, rng) for _ in range(m)]))
+
+
 def test_solve_agrees_with_bruteforce_on_random_formulas():
-    for spec in _sweep_specs():
-        rng = derive_rng("solver-sweep", spec.seed)
+    for i, spec in enumerate(_sweep_specs()):
+        rng = derive_rng("solver-sweep", i)
         for k in range(3):
-            f = sample_formula(spec, rng)
+            f = _band_formula(spec, 1, 6, rng)
             fast, slow = solve(f), solve_bruteforce(f)
             assert fast.label == slow.label, f"disagree on {f.to_int_clauses()}"
             if fast.label == SAT:
@@ -255,17 +260,9 @@ def test_solve_agrees_with_bruteforce_on_retrofit_theories():
 
     checked = 0
     for seed in range(500):
-        spec = SampleSpec(
-            n=7 + seed % 4,
-            p_int=1.0,
-            p_neg=0.5,
-            alpha_min=3,
-            alpha_max=7,
-            with_replacement=True,
-            seed=seed,
-        )
+        spec = SampleSpec(n=7 + seed % 4, p_int=1.0, p_neg=0.5, with_replacement=True)
         rng = derive_rng("retrofit-sweep", seed)
-        theory = retrofit(sample_formula(spec, rng), rng, spec)
+        theory = retrofit(_band_formula(spec, 3, 7, rng), rng, spec)
         if theory is None:
             continue
         for candidate in (theory.formula(),):
