@@ -41,23 +41,34 @@ from .solver import BudgetExhaustedError
 
 
 def _parse_sizes(text) -> tuple:
-    """Accept "5-12", "5..12", "5,7,9", "6", or mixes like "5-8,10"."""
+    """Accept "5-12", "5..12", "5,7,9", "6", or mixes like "5-8,10".
+
+    A list (from a config file) is kept as it is, for ``DatasetConfig``
+    to check; nothing is truncated to an integer.
+    """
     if isinstance(text, (list, tuple)):
-        return tuple(int(s) for s in text)
+        return tuple(text)
     sizes = []
     for part in str(text).split(","):
         part = part.strip().replace("..", "-")
         if "-" in part.lstrip("-"):
             lo, _, hi = part.partition("-")
-            lo, hi = int(lo), int(hi)
+            lo, hi = _size(lo), _size(hi)
             if hi < lo:
                 raise ValueError(f"size range {part!r} is backwards")
             sizes.extend(range(lo, hi + 1))
         elif part:
-            sizes.append(int(part))
+            sizes.append(_size(part))
     if not sizes:
         raise ValueError(f"no sizes in {text!r}")
     return tuple(sizes)
+
+
+def _size(text) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"sizes: {text.strip()!r} is not an integer") from None
 
 
 def _parse_splits(text) -> tuple:

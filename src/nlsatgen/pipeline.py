@@ -69,6 +69,13 @@ _BATCH = 200
 SAT_LABELS = (SAT, UNSAT)
 RT_LABELS = (ruletaker.LABEL_TRUE, ruletaker.LABEL_FALSE)
 
+# The word-list settings each fragment takes; rcl needs both of its lists.
+_WORD_LISTS = {
+    GRL: ("nouns_path",),
+    RCL: ("nouns_path", "names_path"),
+    RULETAKER: ("attributes_path", "entities_path"),
+}
+
 
 class GenerationStallError(RuntimeError):
     """Candidate acceptance collapsed; the configuration is infeasible."""
@@ -101,7 +108,9 @@ class DatasetConfig:
     entities_path: str = None
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        object.__setattr__(self, "sizes", tuple(self.sizes))
+        if not all(_is_int(s) for s in self.sizes):
+            raise ValueError(f"sizes must be integers, got {list(self.sizes)!r}")
         object.__setattr__(
             self, "splits", tuple(Fraction(str(s)) for s in self.splits)
         )
@@ -141,10 +150,25 @@ class DatasetConfig:
                 )
         if self.fragment == RCL and self.p_int != 1.0:
             raise ValueError("the quantified fragment renders width-3 clauses only")
+        takes = _WORD_LISTS[self.fragment]
+        given = [
+            f.name for f in fields(self) if f.name.endswith("_path") and getattr(self, f.name)
+        ]
+        for name in given:
+            if name not in takes:
+                raise ValueError(f"{self.fragment} takes no {_flag(name)} word list")
+        if self.fragment == RCL and len(given) == 1:
+            (missing,) = set(takes) - set(given)
+            raise ValueError(f"rcl needs {_flag(missing)} with {_flag(given[0])}")
 
     @property
     def labels(self) -> tuple:
         return _labels(self.fragment)
+
+
+def _flag(name) -> str:
+    """The generate flag of a word-list setting: nouns_path is --nouns."""
+    return "--" + name.removesuffix("_path")
 
 
 def _labels(fragment) -> tuple:
@@ -163,8 +187,6 @@ def load_vocabulary(config: DatasetConfig):
         )
     if not config.nouns_path:
         return _packaged_vocab(config.fragment)
-    if config.fragment == RCL and not config.names_path:
-        raise ValueError("the quantified fragment needs a names file")
     return lexicon_mod.load_lexicon(config.nouns_path, config.names_path)
 
 

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from nlsatgen.cli import _parse_sizes, _parse_splits, main
-from nlsatgen.fragments import split_sentences
+from nlsatgen.fragments import parse_theory, split_sentences
+from nlsatgen.lexicon import default_occupation_lexicon, load_lexicon
 from nlsatgen.sampler import CalibrationTable
 
 
@@ -225,6 +226,9 @@ class TestGenerate:
             ({"count_per_size": "four"}, "count_per_size must be an integer, got 'four'"),
             ({"p_neg": "half"}, "p_neg must be a number, got 'half'"),
             ({"foo": 1}, "unknown settings in config: foo"),
+            ({"sizes": [5.7, 6]}, "sizes must be integers, got [5.7, 6]"),
+            ({"sizes": [True, 6]}, "sizes must be integers, got [True, 6]"),
+            ({"sizes": "5.7"}, "sizes: '5.7' is not an integer"),
         ],
     )
     def test_bad_config_setting_is_a_usage_error(self, tmp_path, capsys, settings, message):
@@ -237,6 +241,52 @@ class TestGenerate:
                    "--out", str(tmp_path / "ds.jsonl")])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fragment,sizes,flag,message",
+        [
+            ("rcl", "10", "--names", "rcl needs --nouns with --names"),
+            ("rcl", "10", "--nouns", "rcl needs --names with --nouns"),
+            ("grl", "6", "--names", "grl takes no --names word list"),
+            ("grl", "6", "--attributes", "grl takes no --attributes word list"),
+            ("grl", "6", "--entities", "grl takes no --entities word list"),
+            ("rcl", "10", "--attributes", "rcl takes no --attributes word list"),
+            ("ruletaker", "6", "--nouns", "ruletaker takes no --nouns word list"),
+            ("ruletaker", "6", "--names", "ruletaker takes no --names word list"),
+        ],
+    )
+    def test_word_list_the_fragment_does_not_take_is_a_usage_error(
+        self, tmp_path, capsys, fragment, sizes, flag, message
+    ):
+        words = tmp_path / "words.txt"
+        words.write_text("\n".join(default_occupation_lexicon().count_nouns) + "\n")
+        out = tmp_path / "ds.jsonl"
+        rc = main([
+            "generate", "--fragment", fragment, "--sizes", sizes, "--per-size", "2",
+            "--seed", "1", "--strategy", "naive", flag, str(words), "--out", str(out),
+        ])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rcl_records_name_only_the_custom_people(self, tmp_path):
+        nouns = tmp_path / "nouns.txt"
+        nouns.write_text("\n".join(default_occupation_lexicon().count_nouns) + "\n")
+        names = tmp_path / "names.txt"
+        names.write_text("Alma\nBertil\nCosima\nDorian\n")
+        out = tmp_path / "rcl.jsonl"
+        rc = main([
+            "generate", "--fragment", "rcl", "--sizes", "10", "--per-size", "4",
+            "--seed", "1", "--strategy", "naive", "--nouns", str(nouns),
+            "--names", str(names), "--jobs", "1", "--out", str(out),
+        ])
+        assert rc == 0
+        lexicon = load_lexicon(nouns, names)
+        people = set()
+        for line in out.read_text().splitlines()[1:]:
+            _, binding = parse_theory(json.loads(line)["text"], "rcl", lexicon)
+            people |= set(binding.constants.values())
+        assert people and people <= {"Alma", "Bertil", "Cosima", "Dorian"}
 
     def test_no_balance_flag(self, tmp_path):
         out = tmp_path / "unbal.jsonl"

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from nlsatgen.cnf import Clause, CnfFormula, Literal
+from nlsatgen.cnf import Clause, CnfFormula, Literal, to_dimacs
+from nlsatgen.fragments import reindex_formula
 from nlsatgen.pipeline import (
     DatasetConfig,
     DatasetError,
@@ -22,7 +23,15 @@ from nlsatgen.pipeline import (
     write_dataset,
 )
 from nlsatgen.pipeline import _largest_remainder, load_vocabulary
-from nlsatgen.sampler import CalibrationError, CalibrationTable
+from nlsatgen.rng import derive_rng
+from nlsatgen.ruletaker import reindex_theory, retrofit
+from nlsatgen.sampler import (
+    CalibrationError,
+    CalibrationTable,
+    SampleSpec,
+    draw_m,
+    sample_clause,
+)
 
 SPLITS = ("train", "dev", "test")
 
@@ -77,6 +86,8 @@ class TestDatasetConfig:
             naive_config(splits=(0.5, 0.1, 0.1))
         with pytest.raises(ValueError, match="too small"):
             naive_config(sizes=(2,))
+        with pytest.raises(ValueError, match="sizes must be integers"):
+            naive_config(sizes=(5.0, 6))
 
     def test_odd_count_allowed_when_unbalanced(self):
         config = naive_config(count_per_size=7, balance_labels=False)
@@ -501,6 +512,35 @@ def test_golden_dataset_digest(tmp_path, fragment, sizes, strategy):
 def test_golden_width2_grl_digest(tmp_path):
     digest = _golden_digest(tmp_path, "grl", (8, 10), "naive", p_int=0.5)
     assert digest == WIDTH2_GRL_DIGEST
+
+
+@pytest.mark.parametrize("fragment,sizes", [("grl", (8, 10)), ("ruletaker", (6, 8))])
+def test_public_sampling_names_reproduce_every_record(fragment, sizes):
+    # draw_m then sample_clause, on each record's own RNG, is the
+    # generator's sampling path: the public names rebuild every formula
+    table = CalibrationTable()
+    for n, band in GOLDEN_BANDS.items():
+        table.set_band(n, 1.0, 0.5, *band)
+    config = DatasetConfig(
+        fragment=fragment, sizes=sizes, count_per_size=10, seed=108, strategy="hard"
+    )
+    records = generate_records(config, table)
+    assert len(records) == 20
+    for rec in records:
+        size = rec["size"]
+        rng = derive_rng(config.seed, fragment, size, rec["seed_index"])
+        spec = SampleSpec(
+            n=size, p_int=config.p_int, p_neg=config.p_neg,
+            with_replacement=fragment == "ruletaker",
+        )
+        m = draw_m(spec, config.strategy, GOLDEN_BANDS[size], rng, config.diversity_fraction)
+        drawn = CnfFormula(size, tuple([sample_clause(spec, rng) for _ in range(m)]))
+        if fragment == "grl":
+            formula, _ = reindex_formula(drawn)
+        else:
+            theory = retrofit(drawn, rng, spec, config.max_decisions)
+            formula = reindex_theory(theory)[0].formula()
+        assert to_dimacs(formula) == rec["dimacs"]
 
 
 @pytest.mark.parametrize(
