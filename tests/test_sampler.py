@@ -354,7 +354,7 @@ def test_cache_path_env_override(monkeypatch, tmp_path):
 # ---------------------------------------------------------------- strategies
 
 
-def draw_formula(spec, strategy, band, rng) -> CnfFormula:
+def strategy_formula(spec, strategy, band, rng) -> CnfFormula:
     """One formula on the generator's path: ``draw_m``, then m clauses."""
     m = draw_m(spec, strategy, band, rng)
     return CnfFormula(spec.n, tuple([sample_clause(spec, rng) for _ in range(m)]))
@@ -422,7 +422,7 @@ def test_hard_sampling_lands_near_even_odds():
     sat_count = 0
     trials = 600
     for _ in range(trials):
-        result = solve(draw_formula(spec, HARD, band, rng))
+        result = solve(strategy_formula(spec, HARD, band, rng))
         sat_count += result.label == SAT
     assert 0.40 < sat_count / trials < 0.60
 
@@ -445,7 +445,7 @@ def _sampler_transcript() -> str:
         spec = SampleSpec(n=9, p_int=1.0, p_neg=0.5)
         rng = derive_rng("golden-strategy", strategy)
         for _ in range(20):
-            f = draw_formula(spec, strategy, band, rng)
+            f = strategy_formula(spec, strategy, band, rng)
             result = solve(f)
             out.append(f"{f.to_int_clauses()} {result.label} {result.stats.as_dict()}")
     out.append(repr(estimate_psat(8, 1.0, 0.5, Fraction(9, 2), trials=100, seed=1)))
