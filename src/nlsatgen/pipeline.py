@@ -152,7 +152,8 @@ class DatasetConfig:
             raise ValueError("the quantified fragment renders width-3 clauses only")
         takes = _WORD_LISTS[self.fragment]
         given = [
-            f.name for f in fields(self) if f.name.endswith("_path") and getattr(self, f.name)
+            f.name for f in fields(self)
+            if f.name.endswith("_path") and getattr(self, f.name) is not None
         ]
         for name in given:
             if name not in takes:
@@ -182,10 +183,10 @@ def load_vocabulary(config: DatasetConfig):
         default = _packaged_vocab(RULETAKER)
         attributes, entities = config.attributes_path, config.entities_path
         return ruletaker.RetrofitVocab(
-            lexicon_mod.load_wordlist(attributes) if attributes else default.attributes,
-            lexicon_mod.load_wordlist(entities) if entities else default.entities,
+            default.attributes if attributes is None else lexicon_mod.load_wordlist(attributes),
+            default.entities if entities is None else lexicon_mod.load_wordlist(entities),
         )
-    if not config.nouns_path:
+    if config.nouns_path is None:
         return _packaged_vocab(config.fragment)
     return lexicon_mod.load_lexicon(config.nouns_path, config.names_path)
 

@@ -269,6 +269,24 @@ class TestGenerate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "fragment,flag,message",
+        [
+            ("ruletaker", "--nouns", "ruletaker takes no --nouns word list"),
+            ("grl", "--nouns", "error: "),  # the path cannot be read
+        ],
+    )
+    def test_empty_word_list_path_is_a_usage_error(
+        self, tmp_path, capsys, fragment, flag, message
+    ):
+        # an empty path is a given list, not a silent fall back to the defaults
+        rc = main([
+            "generate", "--fragment", fragment, "--sizes", "6", "--per-size", "2",
+            "--seed", "1", "--strategy", "naive", flag, "", "--out", str(tmp_path / "ds.jsonl"),
+        ])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
     def test_rcl_records_name_only_the_custom_people(self, tmp_path):
         nouns = tmp_path / "nouns.txt"
         nouns.write_text("\n".join(default_occupation_lexicon().count_nouns) + "\n")
