@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
-from nlsatgen.cnf import CnfFormula, alpha, evaluate
+from nlsatgen.cnf import CnfFormula
 from nlsatgen.rng import derive_rng
 from nlsatgen.sampler import (
     BIASED,
@@ -37,7 +37,6 @@ from nlsatgen.solver import (
     SAT,
     UNSAT,
     BudgetExhaustedError,
-    SolveResult,
     solve,
     solve_bruteforce,
 )
@@ -68,7 +67,9 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SampleSpec(n=3, p_neg=1.5)
     with pytest.raises(ValueError, match="unknown strategy 'weird'"):
-        strategy_m_candidates(SampleSpec(n=3), "weird", (Fraction(1), Fraction(2)), ScriptedRng(0.5))
+        strategy_m_candidates(
+            SampleSpec(n=3), "weird", (Fraction(1), Fraction(2)), ScriptedRng(0.5)
+        )
     assert SampleSpec(n=2, p_int=0.0).n == 2
     assert SampleSpec(n=2, p_int=1.0, with_replacement=True).with_replacement
     assert set(STRATEGIES) == {HARD, NAIVE, BIASED}
