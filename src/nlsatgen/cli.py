@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--per-size", "--count-per-size", type=int, dest="count_per_size",
         help="instances per size (balanced, so must be even)",
     )
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, help="master seed (or give seed in --config)")
     p.add_argument("--strategy", choices=sorted(STRATEGIES))
     p.add_argument("--p-int", type=float, dest="p_int")
     p.add_argument("--p-neg", type=float, dest="p_neg")

@@ -7,17 +7,16 @@ three literals; wider clauses are out of scope for this package.
 
 A clause is *canonical* when its literals are sorted by (variable,
 polarity), no variable repeats, and no complementary pair appears.
-Clauses sampled with replacement may violate all of that; they carry
-``raw=True`` so downstream code can tell them apart.
+Every ``Clause`` is canonical: its constructor refuses anything else.
+Clauses sampled with replacement may violate all of that, so they stay
+signed-int tuples until the ruletaker retrofit collapses them with
+``_normalize_ints``, the one normalizing core.
 
 Validation happens at the boundary: ``Literal``, ``Clause`` and
-``CnfFormula`` check themselves when built, and :func:`to_dimacs`
-refuses raw clauses.  The generators work below that boundary on
-``_IntCnf``, a formula as a variable count and canonical signed-int
-clause tuples.  ``_normalize_ints`` is the one normalizing core:
-:func:`normalize_clause` is its validating boundary, and the ruletaker
-retrofit calls it on its draws directly.  The DIMACS writer ``_dimacs``
-is the one serializer: :func:`to_dimacs` converts a formula once and
+``CnfFormula`` check themselves when built.  The generators work below
+that boundary on ``_IntCnf``, a formula as a variable count and
+canonical signed-int clause tuples.  The DIMACS writer ``_dimacs`` is
+the one serializer: :func:`to_dimacs` converts a formula once and
 calls it.  It checks every clause it writes with plain code
 (``_check_int_clause``), so a formula that skipped the object
 constructors still cannot emit a clause that is not canonical.
@@ -77,9 +76,9 @@ def _check_int_clause(cl, n_vars: int) -> None:
         prev = var
 
 
-def _is_canonical(literals: Sequence[Literal]) -> bool:
+def _increasing_vars(literals: Sequence[Literal]) -> bool:
     # sorted, duplicate-free and tautology-free together mean strictly
-    # increasing variables.  A plain loop: every sampled clause passes
+    # increasing variables.  A plain loop: every Clause built passes
     # through here, and it costs a third of all() over zip().  Starting
     # at 0 is safe because variable ids are 1-based.
     prev = 0
@@ -92,15 +91,10 @@ def _is_canonical(literals: Sequence[Literal]) -> bool:
 
 @dataclass(frozen=True)
 class Clause:
-    """A disjunction of 1..3 literals.
-
-    ``raw`` marks clauses drawn with replacement that may repeat a
-    variable or contain a complementary pair; everything else must be
-    canonical (sorted, duplicate-free, tautology-free).
-    """
+    """A canonical disjunction of 1..3 literals: sorted, duplicate-free
+    and tautology-free."""
 
     literals: tuple
-    raw: bool = False
 
     def __post_init__(self):
         lits = tuple(self.literals)
@@ -112,19 +106,14 @@ class Clause:
                 raise TypeError(f"expected Literal, got {type(lit).__name__}")
             if lit.var < 1:
                 raise ValueError(f"variable ids are 1-based, got {lit.var}")
-        if not self.raw and not _is_canonical(lits):
-            raise ValueError(f"clause {self.to_ints()} is not canonical; pass raw=True or normalize")
+        if not _increasing_vars(lits):
+            raise ValueError(f"clause {self.to_ints()} is not canonical")
 
     @classmethod
     def from_ints(cls, *values: int) -> "Clause":
         """Build a canonical clause from signed ints, sorting as needed."""
         lits = sorted(Literal.from_int(v) for v in values)
         return cls(tuple(lits))
-
-    @classmethod
-    def raw_from_ints(cls, *values: int) -> "Clause":
-        lits = tuple(Literal.from_int(v) for v in values)
-        return cls(lits, raw=True)
 
     def to_ints(self) -> tuple:
         # Literal.to_int inlined: every boundary into the int cores converts here
@@ -138,25 +127,18 @@ class Clause:
         return max(lit.var for lit in self.literals)
 
 
-def _as_clause(ints, raw: bool = False) -> Clause:
+def _as_clause(ints) -> Clause:
     """The ``Clause`` of a signed-int clause, literal order kept (and checked)."""
-    return Clause(tuple([Literal(abs(v), v < 0) for v in ints]), raw)
-
-
-def normalize_clause(clause: Clause) -> Optional[Clause]:
-    """Deduplicate literals and sort into canonical order.
-
-    Returns None for tautologies (a variable appearing in both
-    polarities).  A repeated literal collapses, so a raw three-literal
-    clause can normalize to a unit or a two-literal clause.  Idempotent
-    on canonical input.
-    """
-    norm = _normalize_ints(clause.to_ints())
-    return None if norm is None else _as_clause(norm)
+    return Clause(tuple([Literal(abs(v), v < 0) for v in ints]))
 
 
 def _normalize_ints(cl) -> Optional[tuple]:
-    """The normalizing core, on a signed-int clause; None for a tautology."""
+    """Deduplicate a signed-int clause and sort it into canonical order.
+
+    Returns None for a tautology (a variable in both polarities).  A
+    repeated literal collapses, so a three-literal draw can normalize to
+    a unit or a two-literal clause.  Idempotent on canonical input.
+    """
     unique = sorted(set(cl), key=abs)
     if len({abs(v) for v in unique}) != len(unique):
         return None  # v and -v both present
@@ -191,9 +173,6 @@ class CnfFormula:
     def m(self) -> int:
         return len(self.clauses)
 
-    def is_canonical(self) -> bool:
-        return not any(cl.raw for cl in self.clauses)
-
 
 def _as_formula(f: _IntCnf) -> CnfFormula:
     """The validated ``CnfFormula`` of an int formula."""
@@ -225,8 +204,6 @@ def evaluate(f: CnfFormula, assignment: Assignment) -> bool:
 
 def to_dimacs(f: CnfFormula) -> str:
     """Serialize to DIMACS CNF: header line then one 0-terminated clause per line."""
-    if not f.is_canonical():
-        raise ValueError("refusing to export raw clauses; normalize first")
     return _dimacs(_IntCnf(f.n_vars, [cl.to_ints() for cl in f.clauses]))
 
 
@@ -293,15 +270,12 @@ def from_dimacs(text: str) -> CnfFormula:
         for v in values:
             if abs(v) > n_vars:
                 raise DimacsError(line_no, f"literal {v} exceeds n={n_vars}")
-        try:
-            cl = normalize_clause(Clause.raw_from_ints(*values))
-        except ValueError as exc:
-            raise DimacsError(line_no, str(exc)) from None
-        if cl is None:
+        norm = _normalize_ints(values)
+        if norm is None:
             raise DimacsError(line_no, f"tautological clause {values}")
-        if cl.width != len(values):
+        if len(norm) != len(values):
             raise DimacsError(line_no, f"duplicate literal in clause {values}")
-        clauses.append(cl)
+        clauses.append(_as_clause(norm))
     if n_vars is None:
         raise DimacsError(1, "missing 'p cnf' header")
     if declared_m != len(clauses):

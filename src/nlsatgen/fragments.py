@@ -17,8 +17,9 @@ Validation happens at the boundary: :func:`reindex_formula` takes a
 ``CnfFormula``, whose constructors have checked every clause, and
 returns one built (and so checked) again.  The renumbering itself,
 ``_reindex``, works on signed-int clauses (``cnf._IntCnf``) and builds
-no objects, so the grl generator runs it on its draws directly; the
-renumbered clauses are checked when DIMACS writes them.
+no objects, so the grl generator runs it on its draws and the ruletaker
+generator on its theory directly; the renumbered clauses are checked
+when DIMACS writes them.
 """
 
 from __future__ import annotations
@@ -69,9 +70,6 @@ class VarBinding:
             for key in mapping:
                 if not isinstance(key, int) or key < 1:
                     raise ValueError(f"{label} ids must be positive ints, got {key!r}")
-
-    def word(self, var: int) -> str:
-        return self.variables[var]
 
     def constant_word(self, cid: int) -> str:
         return self.constants[cid]

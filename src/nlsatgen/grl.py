@@ -13,7 +13,7 @@ the antecedent and "not" in the consequent:
 Unit clauses have no sentence form here and are rejected.
 
 Validation happens at the boundary: :func:`render_grl` takes a
-``CnfFormula`` and refuses raw clauses.  The sentences themselves come
+``CnfFormula``, whose clauses are canonical.  The sentences themselves come
 from ``_render``, which reads canonical signed-int clauses, so the grl
 generator renders its int clauses without building objects.
 """
@@ -61,8 +61,6 @@ def _render(clauses, binding: VarBinding, token_budget: int) -> list:
 
 def render_grl(f: CnfFormula, binding: VarBinding, token_budget: int = 30) -> NlTheory:
     """Render a canonical formula of 2- and 3-clauses, one sentence per clause."""
-    if not f.is_canonical():
-        raise FragmentError("cannot render a raw clause; normalize first")
     sentences = _render(f.to_int_clauses(), binding, token_budget)
     return NlTheory(GRL, tuple(sentences), binding)
 

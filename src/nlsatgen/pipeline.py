@@ -339,14 +339,12 @@ def _rt_candidate(config, band, vocab, size, index, rng):
         n=size, p_int=config.p_int, p_neg=config.p_neg, with_replacement=True
     )
     m = draw_m(spec, config.strategy, band, rng, config.diversity_fraction)
-    drawn = ruletaker._retrofit(
-        size, _draw_clauses(spec, m, rng), rng, spec, config.max_decisions
-    )
+    drawn = ruletaker._retrofit(spec, _draw_clauses(spec, m, rng), rng, config.max_decisions)
     if drawn is None:
         return None  # contradictory facts or unsatisfiable rules
     theory, model = drawn
     try:
-        theory, mapping = ruletaker._reindex(theory)
+        theory, mapping = _reindex(theory)
     except FragmentError:
         return None  # some attribute never occurs; the text could not mention it
     model = {mapping[v]: value for v, value in model.items()}
@@ -371,14 +369,13 @@ def _rt_candidate(config, band, vocab, size, index, rng):
     ratio = Fraction(m, size)
     diversity = _is_diverse(config, band, ratio)
     text = " ".join(ruletaker._render(theory, binding, config.token_budget))
-    clauses = ruletaker._clauses(theory)
-    dimacs = _dimacs(_IntCnf(size, clauses))
+    dimacs = _dimacs(theory)
     options = {}
     for label, conjecture in picks.items():
         # the backbone test that decided the conjecture was its refutation
         stats = refutations[conjecture if label == ruletaker.LABEL_TRUE else -conjecture]
         payload = _base_payload(
-            config, size, index, size, len(clauses), ratio, stats, text, dimacs
+            config, size, index, size, len(theory.clauses), ratio, stats, text, dimacs
         )
         payload["label"] = label
         payload["conjecture_text"] = ruletaker._render_conjecture(
@@ -795,10 +792,12 @@ def export_dimacs_files(path, out_dir) -> int:
     """Write each record's formula as <id>.cnf; returns the file count.
 
     Every record is checked before the first file is written, so a bad
-    record leaves no partial export behind.
+    record leaves no partial export behind.  A repeated id is refused:
+    its second file would replace the first.
     """
     _, records = read_dataset(path)
     _require_keys(path, records, ("id", "dimacs"))
+    names = set()
     for rec in records:
         for key in ("id", "dimacs"):
             if not isinstance(rec[key], str):
@@ -807,6 +806,9 @@ def export_dimacs_files(path, out_dir) -> int:
         name = rec["id"]
         if "/" in name or "\\" in name or name.startswith("."):
             raise DatasetError(f"unsafe record id {name!r}")
+        if name in names:
+            raise DatasetError(f"{path}: record id {name!r} repeats")
+        names.add(name)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for rec in records:

@@ -87,20 +87,10 @@ class RclProblem:
             self._check_clause(cl)
 
     def _check_clause(self, cl: Clause) -> None:
-        if cl.raw:
-            raise ValueError(f"clauses must be canonical, got raw {cl.to_ints()}")
         if cl.max_var() > self.n_predicates:
             raise ValueError(
                 f"predicate {cl.max_var()} exceeds {self.n_predicates} predicates"
             )
-
-    @property
-    def n_ground_vars(self) -> int:
-        return self.n_predicates * self.n_constants
-
-    @property
-    def m_sentences(self) -> int:
-        return len(self.universal_clauses) + len(self.ground_clauses)
 
 
 def ground_var(pred: int, const: int, n_predicates: int) -> int:

@@ -23,24 +23,24 @@ variable is tested only while every model seen so far gives it the same
 value, and the test that entails a literal is also the refutation whose
 solver effort the instance records.
 
-Validation happens at the boundary: :func:`retrofit`,
-:func:`reindex_theory`, :func:`conjecture_pools`,
-:func:`refutation_stats` and :func:`render_ruletaker` take and return
-``RetrofitTheory`` and ``Literal`` objects, which check themselves when
-built.  Each wraps one private core (``_retrofit``, ``_reindex``,
-``_conjecture_pools``, ``_refutation_stats``, ``_render``) that works on
-``_IntTheory``, the same theory with rules as signed-int tuples and
-facts as signed ints, and solves with ``solver._dpll``.  The ruletaker
-generator chains those cores and builds no clause objects; the theory's
-clauses are checked when DIMACS writes them.
+Validation happens at the boundary: :func:`reindex_theory`,
+:func:`conjecture_pools`, :func:`refutation_stats` and
+:func:`render_ruletaker` take and return ``RetrofitTheory`` and
+``Literal`` objects, which check themselves when built, and
+:func:`retrofit` returns one.  Below that boundary a theory is a
+``cnf._IntCnf``: the rules in order, then one unit clause per fact, the
+clause order of ``RetrofitTheory.formula``.  The cores (``_retrofit``,
+``_conjecture_pools``, ``_render``) and ``fragments._reindex`` work on
+it and solve with ``solver._dpll``; the ruletaker generator chains
+them and builds no clause objects, and the theory's clauses are
+checked when DIMACS writes them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
-from .cnf import Clause, CnfFormula, Literal, _as_clause, _normalize_ints
+from .cnf import Clause, CnfFormula, Literal, _as_clause, _IntCnf, _normalize_ints
 from .fragments import (
     RULETAKER,
     FragmentError,
@@ -48,12 +48,10 @@ from .fragments import (
     ParseError,
     VarBinding,
     _clause_of,
-    _remap,
-    appearance_map,
-    check_all_mentioned,
+    _reindex,
     check_token_budget,
 )
-from .sampler import SampleSpec, _draw_clause
+from .sampler import SampleSpec, _draw_clause, _draw_clauses
 from .solver import DEFAULT_MAX_DECISIONS, SAT, DegenerateTheoryError, _dpll
 
 LABEL_TRUE = "true"
@@ -94,7 +92,7 @@ class RetrofitTheory:
         if self.n_vars < 1:
             raise ValueError("need at least one attribute variable")
         for cl in self.rules:
-            if cl.raw or cl.width < 2:
+            if cl.width < 2:
                 raise ValueError(f"rules must be canonical width 2..3, got {cl.to_ints()}")
             if cl.max_var() > self.n_vars:
                 raise ValueError(f"variable {cl.max_var()} exceeds n={self.n_vars}")
@@ -113,67 +111,44 @@ class RetrofitTheory:
         units = tuple(Clause((lit,)) for lit in self.facts)
         return CnfFormula(self.n_vars, self.rules + units)
 
-    @property
-    def m_sentences(self) -> int:
-        return len(self.rules) + len(self.facts)
 
-
-class _IntTheory(NamedTuple):
-    """A ``RetrofitTheory`` as the int cores see it: rules as canonical
-    signed-int tuples, facts as signed ints."""
-
-    n_vars: int
-    rules: Sequence
-    facts: Sequence
-
-
-def _ints_of(t: RetrofitTheory) -> _IntTheory:
-    return _IntTheory(
-        t.n_vars, [cl.to_ints() for cl in t.rules], [lit.to_int() for lit in t.facts]
+def _ints_of(t: RetrofitTheory) -> _IntCnf:
+    """The theory as the int cores see it: rules, then one unit clause per fact."""
+    return _IntCnf(
+        t.n_vars, [cl.to_ints() for cl in t.rules] + [(lit.to_int(),) for lit in t.facts]
     )
 
 
-def _as_theory(t: _IntTheory) -> RetrofitTheory:
-    """The validated ``RetrofitTheory`` of an int theory."""
+def _as_theory(t: _IntCnf) -> RetrofitTheory:
+    """The validated ``RetrofitTheory`` of an int theory; its unit clauses are the facts."""
     return RetrofitTheory(
         t.n_vars,
-        tuple([_as_clause(cl) for cl in t.rules]),
-        tuple([Literal.from_int(v) for v in t.facts]),
+        tuple([_as_clause(cl) for cl in t.clauses if len(cl) > 1]),
+        tuple([Literal.from_int(cl[0]) for cl in t.clauses if len(cl) == 1]),
     )
 
 
-def _clauses(t: _IntTheory) -> list:
-    """Rules in order, then one unit clause per fact, as ``formula`` orders them."""
-    return list(t.rules) + [(v,) for v in t.facts]
+def retrofit(spec: SampleSpec, m: int, rng, max_decisions: int = DEFAULT_MAX_DECISIONS):
+    """Draw m clauses from ``spec`` and collapse them into rules and facts.
 
-
-def retrofit(
-    f: CnfFormula,
-    rng=None,
-    spec: SampleSpec = None,
-    max_decisions: int = DEFAULT_MAX_DECISIONS,
-):
-    """Normalize a with-replacement formula into rules and facts.
-
-    Tautological clauses are redrawn (``spec`` and ``rng`` required for
-    that); collapsed units become facts, deduplicated in first-seen
-    order.  Returns None when the result is unusable as a theory:
-    contradictory facts, or rules and facts that are unsatisfiable
-    together.  Since the facts never contradict each other, one solve
-    of the whole theory also covers the rules alone.
+    The RNG calls are the ruletaker generator's, in the same order.
+    Tautological clauses are redrawn; collapsed units become facts,
+    deduplicated in first-seen order.  Returns None when the result is
+    unusable as a theory: contradictory facts, or rules and facts that
+    are unsatisfiable together.  Since the facts never contradict each
+    other, one solve of the whole theory also covers the rules alone.
     """
-    if spec is not None and spec.n > f.n_vars:
-        raise ValueError(f"redraws over {spec.n} variables exceed n={f.n_vars}")
-    drawn = _retrofit(f.n_vars, [cl.to_ints() for cl in f.clauses], rng, spec, max_decisions)
+    drawn = _retrofit(spec, _draw_clauses(spec, m, rng), rng, max_decisions)
     return None if drawn is None else _as_theory(drawn[0])
 
 
-def _retrofit(n_vars: int, clauses, rng, spec, max_decisions: int):
-    """The retrofit core, on signed-int clauses: (theory, model) or None.
+def _retrofit(spec: SampleSpec, clauses, rng, max_decisions: int):
+    """The retrofit core, on signed-int clauses over 1..spec.n:
+    (theory, model) or None.
 
     ``model`` is the model that the satisfiability check found.
-    Tautologies are redrawn through ``sampler._draw_clause`` in clause
-    order, each as soon as it is met.
+    Tautologies are redrawn from ``spec`` through ``sampler._draw_clause``
+    in clause order, each as soon as it is met.
     """
     rules = []
     facts = []
@@ -181,8 +156,6 @@ def _retrofit(n_vars: int, clauses, rng, spec, max_decisions: int):
     for cl in clauses:
         norm = _normalize_ints(cl)
         while norm is None:
-            if spec is None or rng is None:
-                raise ValueError("tautological clause: pass spec and rng to redraw")
             norm = _normalize_ints(_draw_clause(spec, rng))
         if len(norm) > 1:
             rules.append(norm)
@@ -192,9 +165,9 @@ def _retrofit(n_vars: int, clauses, rng, spec, max_decisions: int):
             return None  # contradictory facts
         if lit not in stated:
             stated.add(lit)
-            facts.append(lit)
-    theory = _IntTheory(n_vars, rules, facts)
-    result = _dpll(n_vars, _clauses(theory), max_decisions)
+            facts.append(norm)
+    theory = _IntCnf(spec.n, rules + facts)
+    result = _dpll(spec.n, theory.clauses, max_decisions)
     if result.label != SAT:
         return None
     return theory, result.model
@@ -210,14 +183,14 @@ def conjecture_pools(theory: RetrofitTheory, max_decisions: int = DEFAULT_MAX_DE
     DegenerateTheoryError when the theory itself is unsatisfiable.
     """
     t = _ints_of(theory)
-    result = _dpll(t.n_vars, _clauses(t), max_decisions)
+    result = _dpll(t.n_vars, t.clauses, max_decisions)
     if result.label != SAT:
         raise DegenerateTheoryError("degenerate theory: unsatisfiable on its own")
     pools, _ = _conjecture_pools(t, result.model, max_decisions)
     return {label: [Literal.from_int(v) for v in pool] for label, pool in pools.items()}
 
 
-def _conjecture_pools(t: _IntTheory, model: dict, max_decisions: int) -> tuple:
+def _conjecture_pools(t: _IntCnf, model: dict, max_decisions: int) -> tuple:
     """The pools core: the backbone of a satisfiable theory, from models.
 
     ``model`` is any model of the theory.  Each variable on which every
@@ -232,7 +205,7 @@ def _conjecture_pools(t: _IntTheory, model: dict, max_decisions: int) -> tuple:
     solves both for a "true" l and for a "false" -l.
     """
     n = t.n_vars
-    clauses = _clauses(t)
+    clauses = list(t.clauses)
     candidates = {v: v if model[v] else -v for v in range(1, n + 1)}
     refutations = {}
     while candidates:
@@ -245,7 +218,7 @@ def _conjecture_pools(t: _IntTheory, model: dict, max_decisions: int) -> tuple:
         else:
             refutations[lit] = result.stats
     pools = {LABEL_TRUE: list(refutations), LABEL_FALSE: [-lit for lit in refutations]}
-    stated = set(t.facts)
+    stated = {cl[0] for cl in clauses if len(cl) == 1}
     inferred = [q for q in pools[LABEL_TRUE] if q not in stated]
     if inferred:
         pools[LABEL_TRUE] = inferred
@@ -270,13 +243,9 @@ def refutation_stats(
         raise ValueError(f"conjecture variable {conjecture.var} outside 1..{theory.n_vars}")
     if label not in (LABEL_TRUE, LABEL_FALSE):
         raise ValueError(f"unknown label {label!r}")
-    return _refutation_stats(_ints_of(theory), conjecture.to_int(), label, max_decisions)
-
-
-def _refutation_stats(t: _IntTheory, conjecture: int, label: str, max_decisions: int):
-    """The refutation core, on a signed-int conjecture."""
-    q = -conjecture if label == LABEL_TRUE else conjecture
-    result = _dpll(t.n_vars, _clauses(t) + [(q,)], max_decisions)
+    refuted = conjecture.negate() if label == LABEL_TRUE else conjecture
+    t = _ints_of(theory)
+    result = _dpll(t.n_vars, t.clauses + [(refuted.to_int(),)], max_decisions)
     if result.label == SAT:
         raise ValueError("conjecture label does not match the theory")
     return result.stats
@@ -290,17 +259,6 @@ def reindex_theory(theory: RetrofitTheory) -> tuple:
     """
     t, mapping = _reindex(_ints_of(theory))
     return _as_theory(t), mapping
-
-
-def _reindex(t: _IntTheory) -> tuple:
-    """The renumbering core, on signed ints: (_IntTheory, map)."""
-    walk = [abs(v) for cl in t.rules for v in cl]
-    walk += [abs(v) for v in t.facts]
-    mapping = appearance_map(walk)
-    check_all_mentioned(mapping, t.n_vars)
-    rules = [_remap(cl, mapping) for cl in t.rules]
-    facts = [mapping[v] if v > 0 else -mapping[-v] for v in t.facts]
-    return _IntTheory(t.n_vars, rules, facts), mapping
 
 
 def bind_attributes(theory: RetrofitTheory, vocab: RetrofitVocab, rng) -> VarBinding:
@@ -346,15 +304,16 @@ def render_ruletaker(
     return NlTheory(RULETAKER, tuple(sentences), binding), conjecture_text
 
 
-def _render(t: _IntTheory, binding: VarBinding, token_budget: int) -> list:
-    """The rendering core, on signed ints: one sentence per rule, then per fact."""
+def _render(t: _IntCnf, binding: VarBinding, token_budget: int) -> list:
+    """The rendering core, on signed ints: one sentence per clause, a rule
+    for a wider clause and a fact for a unit clause."""
     entity, words = binding.constant_word(1), binding.variables
     sentences = []
-    for cl in t.rules:
-        sentences.append(_rule_sentence(cl, entity, words))
-        check_token_budget(sentences[-1], token_budget)
-    for v in t.facts:
-        sentences.append(_fact_sentence(v, entity, words))
+    for cl in t.clauses:
+        if len(cl) > 1:
+            sentences.append(_rule_sentence(cl, entity, words))
+        else:
+            sentences.append(_fact_sentence(cl[0], entity, words))
         check_token_budget(sentences[-1], token_budget)
     return sentences
 

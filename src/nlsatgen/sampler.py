@@ -21,8 +21,10 @@ There is one sampling path: ``draw_m`` picks m from a strategy and a
 band, then m clauses are drawn from the ``SampleSpec`` distribution as
 signed-int tuples (+v / -v) by one private routine, which
 ``sample_clause`` wraps in a ``Clause`` and retrofitting's tautology
-redraws reuse.  The phase curve and the generators stay on the ints
-through retrofitting, reindexing, the solver and DIMACS.
+redraws reuse.  Draws with replacement are not canonical, so they stay
+ints until the ruletaker retrofit collapses them.  The phase curve and
+the generators stay on the ints through retrofitting, reindexing, the
+solver and DIMACS.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ class SampleSpec:
     p_int is the probability that a clause has three literals (else
     two); p_neg is the per-literal negation probability.  Variables are
     drawn without replacement unless with_replacement is set, in which
-    case clauses may repeat a variable and are flagged raw.
+    case clauses may repeat a variable and stay signed ints until
+    ``ruletaker.retrofit`` collapses them.
     """
 
     n: int
@@ -108,8 +111,10 @@ def _draw_clauses(spec: SampleSpec, m: int, rng) -> list:
 
 
 def sample_clause(spec: SampleSpec, rng) -> Clause:
-    """Draw one clause; raw when the spec samples with replacement."""
-    return _as_clause(_draw_clause(spec, rng), spec.with_replacement)
+    """Draw one canonical clause from a spec that samples without replacement."""
+    if spec.with_replacement:
+        raise ValueError("sample_clause draws without replacement; retrofit draws with it")
+    return _as_clause(_draw_clause(spec, rng))
 
 
 def admissible_m(n: int, alpha_min: Fraction, alpha_max: Fraction) -> range:

@@ -19,7 +19,7 @@ report ``decisions == 0``.
 
 Validation happens at the boundary: :func:`solve` takes a
 ``CnfFormula``, whose constructors have checked every ``Clause`` and
-``Literal``, refuses raw clauses, and converts once to signed ints
+``Literal``, and converts once to signed ints
 (+v / -v).  The search itself, ``_dpll``, works on those int tuples
 only and checks nothing, so the Monte Carlo in the sampler and the
 grl, rcl and ruletaker generators can feed it clauses that are
@@ -76,8 +76,6 @@ def solve(f: CnfFormula, max_decisions: int = DEFAULT_MAX_DECISIONS) -> SolveRes
     False).  Raises BudgetExhaustedError when more than ``max_decisions``
     branching steps would be needed; never returns a wrong answer.
     """
-    if not f.is_canonical():
-        raise ValueError("solve requires canonical clauses; normalize first")
     return _dpll(f.n_vars, f.to_int_clauses(), max_decisions)
 
 

@@ -81,11 +81,13 @@ class TestArgumentParsing:
             Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)
         )
 
-    def test_missing_seed_is_a_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as info:
-            main(["generate", "--fragment", "grl", "--sizes", "5",
-                  "--per-size", "4", "--out", str(tmp_path / "x.jsonl")])
-        assert info.value.code == 2
+    def test_missing_seed_is_a_usage_error(self, tmp_path, capsys):
+        # neither --seed nor a config gives one
+        rc = main(["generate", "--fragment", "grl", "--sizes", "5",
+                   "--per-size", "4", "--out", str(tmp_path / "x.jsonl")])
+        assert rc == 2
+        assert "missing required settings: seed" in capsys.readouterr().err
+        assert not (tmp_path / "x.jsonl").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +188,10 @@ class TestGenerate:
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps({
             "fragment": "grl", "sizes": "5", "count_per_size": 4,
-            "strategy": "naive",
+            "strategy": "naive", "seed": 7,
         }))
         out = tmp_path / "ds.jsonl"
-        rc = main(["generate", "--config", str(config_path), "--seed", "7",
-                   "--out", str(out)])
+        rc = main(["generate", "--config", str(config_path), "--out", str(out)])
         assert rc == 0
         header = json.loads(out.read_text().splitlines()[0])
         assert (header["fragment"], header["count_per_size"], header["seed"]) == (
@@ -500,6 +501,14 @@ class TestExportDimacs:
         assert main(["export-dimacs", str(bad), str(tmp_path / "cnfs")]) == 2
         assert f"has a non-string {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "cnfs").exists()  # no partial export
+
+    def test_repeated_id_is_a_usage_error(self, small_dataset, tmp_path, capsys):
+        # the second file would replace the first, losing a formula
+        first_id = json.loads(small_dataset.read_text().splitlines()[1])["id"]
+        bad = _with_second_record(small_dataset, tmp_path, lambda rec: {**rec, "id": first_id})
+        assert main(["export-dimacs", str(bad), str(tmp_path / "cnfs")]) == 2
+        assert f"record id {first_id!r} repeats" in capsys.readouterr().err
+        assert not (tmp_path / "cnfs").exists()
 
 
 # ---------------------------------------------------------------------------

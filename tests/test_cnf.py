@@ -15,7 +15,7 @@ from nlsatgen.cnf import (
     from_dimacs,
     _dimacs,
     _IntCnf,
-    normalize_clause,
+    _normalize_ints,
     to_dimacs,
 )
 
@@ -45,7 +45,7 @@ def test_literal_rejects_zero_and_bad_vars():
     with pytest.raises(ValueError):
         Clause((Literal(0),))
     with pytest.raises(ValueError):
-        Clause((Literal(-2),), raw=True)
+        Clause((Literal(-2),))
 
 
 # ---------------------------------------------------------------- clauses
@@ -70,43 +70,33 @@ def test_clause_width_limits():
         Clause.from_ints()
     with pytest.raises(ValueError):
         Clause.from_ints(1, 2, 3, 4)
-    with pytest.raises(ValueError):
-        Clause.raw_from_ints()
     assert Clause.from_ints(5).width == 1
     assert Clause.from_ints(1, 2, 3).width == 3
 
 
-def test_raw_clauses_keep_duplicates_and_order():
-    c = Clause.raw_from_ints(1, 1, -1)
-    assert c.raw
-    assert c.to_ints() == (1, 1, -1)
-    assert c.max_var() == 1
-
-
 def test_max_var():
     assert Clause.from_ints(-2, 9).max_var() == 9
-    assert Clause.raw_from_ints(3, 3, 3).max_var() == 3
+    assert Clause.from_ints(3).max_var() == 3
 
 
 # ---------------------------------------------------------------- normalize
+# with-replacement draws stay signed ints; _normalize_ints collapses them
 
 
 def test_normalize_collapses_triple_repeat_to_unit():
-    unit = normalize_clause(Clause.raw_from_ints(-5, -5, -5))
-    assert unit.to_ints() == (-5,)
-    assert not unit.raw
-    assert normalize_clause(Clause.raw_from_ints(1, 1, 1)).to_ints() == (1,)
+    assert _normalize_ints((-5, -5, -5)) == (-5,)
+    assert _normalize_ints((1, 1, 1)) == (1,)
 
 
 def test_normalize_collapses_double_repeat_to_two_clause():
-    two = normalize_clause(Clause.raw_from_ints(-1, -1, 3))
-    assert two.to_ints() == (-1, 3)
-    assert not two.raw
+    two = _normalize_ints((-1, -1, 3))
+    assert two == (-1, 3)
+    assert Clause.from_ints(*two).to_ints() == two
 
 
 def test_normalize_returns_none_for_tautology():
-    assert normalize_clause(Clause.raw_from_ints(1, -1, 2)) is None
-    assert normalize_clause(Clause.raw_from_ints(4, -4)) is None
+    assert _normalize_ints((1, -1, 2)) is None
+    assert _normalize_ints((4, -4)) is None
 
 
 def test_normalize_is_idempotent_on_random_raw_clauses():
@@ -114,20 +104,18 @@ def test_normalize_is_idempotent_on_random_raw_clauses():
     for _ in range(500):
         width = rng.choice([1, 2, 3])
         ints = [rng.choice([-1, 1]) * rng.randint(1, 4) for _ in range(width)]
-        once = normalize_clause(Clause.raw_from_ints(*ints))
+        once = _normalize_ints(ints)
         if once is None:
             continue
-        again = normalize_clause(once)
-        assert again == once
-        assert not once.raw
+        assert _normalize_ints(once) == once
         # canonical: strictly increasing variables, no complements
-        variables = [lit.var for lit in once.literals]
+        variables = [abs(v) for v in once]
         assert variables == sorted(set(variables))
+        assert Clause.from_ints(*once).to_ints() == once
 
 
 def test_normalize_passes_canonical_clauses_through():
-    c = Clause.from_ints(-1, 2, -3)
-    assert normalize_clause(c) == c
+    assert _normalize_ints((-1, 2, -3)) == (-1, 2, -3)
 
 
 # ---------------------------------------------------------------- formulas
@@ -138,7 +126,6 @@ def test_formula_construction_and_m():
     assert f.n_vars == 3
     assert f.m == 2
     assert f.to_int_clauses() == [[1, 2], [-3]]
-    assert f.is_canonical()
 
 
 def test_formula_rejects_variables_beyond_n():
@@ -150,11 +137,6 @@ def test_empty_formula_is_allowed():
     f = CnfFormula(0, ())
     assert f.m == 0
     assert f.n_vars == 0
-
-
-def test_is_canonical_flags_raw_clauses():
-    raw = CnfFormula(2, (Clause.raw_from_ints(1, 1),))
-    assert not raw.is_canonical()
 
 
 # ---------------------------------------------------------------- alpha
@@ -220,12 +202,6 @@ def test_evaluate_agrees_with_direct_semantics():
         assert evaluate(f, assignment) == expected
 
 
-def test_evaluate_handles_raw_clauses():
-    f = CnfFormula(2, (Clause.raw_from_ints(1, 1, -2),))
-    assert evaluate(f, {1: False, 2: False}) is True
-    assert evaluate(f, {1: False, 2: True}) is False
-
-
 # ---------------------------------------------------------------- DIMACS
 
 
@@ -236,12 +212,6 @@ def test_to_dimacs_exact_text():
 
 def test_to_dimacs_empty_formula():
     assert to_dimacs(CnfFormula(3, ())) == "p cnf 3 0\n"
-
-
-def test_to_dimacs_refuses_raw_clauses():
-    raw = CnfFormula(2, (Clause.raw_from_ints(1, 1),))
-    with pytest.raises(ValueError):
-        to_dimacs(raw)
 
 
 def test_dimacs_core_writes_canonical_int_clauses():

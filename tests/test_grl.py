@@ -56,12 +56,10 @@ def test_render_width_two():
     assert render_clause(Clause.from_ints(1, -2), binding) == "If no carrot then not steak."
 
 
-def test_render_rejects_units_and_raw():
+def test_render_rejects_unit_clauses():
     binding = VarBinding({1: "carrot", 2: "steak"})
     with pytest.raises(FragmentError):
         render_clause(Clause.from_ints(1), binding)
-    with pytest.raises(FragmentError):
-        render_clause(Clause.raw_from_ints(1, 1, 2), binding)
 
 
 def test_render_grl_joins_sentences_with_single_spaces():
@@ -312,7 +310,7 @@ def test_var_binding_validation():
     with pytest.raises(ValueError):
         VarBinding({0: "carrot"})
     binding = VarBinding({2: "steak"})
-    assert binding.word(2) == "steak"
+    assert binding.variables == {2: "steak"}
 
 
 def test_nl_theory_validates_sentences():

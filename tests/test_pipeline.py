@@ -516,8 +516,9 @@ def test_golden_width2_grl_digest(tmp_path):
 
 @pytest.mark.parametrize("fragment,sizes", [("grl", (8, 10)), ("ruletaker", (6, 8))])
 def test_public_sampling_names_reproduce_every_record(fragment, sizes):
-    # draw_m then sample_clause, on each record's own RNG, is the
-    # generator's sampling path: the public names rebuild every formula
+    # draw_m then sample_clause (grl) or retrofit (ruletaker), on each
+    # record's own RNG, is the generator's sampling path: the public
+    # names rebuild every formula
     table = CalibrationTable()
     for n, band in GOLDEN_BANDS.items():
         table.set_band(n, 1.0, 0.5, *band)
@@ -534,11 +535,11 @@ def test_public_sampling_names_reproduce_every_record(fragment, sizes):
             with_replacement=fragment == "ruletaker",
         )
         m = draw_m(spec, config.strategy, GOLDEN_BANDS[size], rng, config.diversity_fraction)
-        drawn = CnfFormula(size, tuple([sample_clause(spec, rng) for _ in range(m)]))
         if fragment == "grl":
+            drawn = CnfFormula(size, tuple([sample_clause(spec, rng) for _ in range(m)]))
             formula, _ = reindex_formula(drawn)
         else:
-            theory = retrofit(drawn, rng, spec, config.max_decisions)
+            theory = retrofit(spec, m, rng, config.max_decisions)
             formula = reindex_theory(theory)[0].formula()
         assert to_dimacs(formula) == rec["dimacs"]
 

@@ -68,8 +68,7 @@ class TestRclProblem:
         p = problem_with_universal(Clause.from_ints(-1, 2, 3))
         assert p.n_predicates == 3
         assert p.n_constants == 1
-        assert p.n_ground_vars == 3
-        assert p.m_sentences == 2
+        assert ground_rcl(p).n_vars == 3
 
     def test_ground_vars_is_product(self):
         p = RclProblem(
@@ -78,8 +77,7 @@ class TestRclProblem:
             (Clause.from_ints(-1, 2),),
             ((1, Clause.from_ints(1,)), (2, Clause.from_ints(2,)), (3, Clause.from_ints(-1,))),
         )
-        assert p.n_ground_vars == 6
-        assert p.m_sentences == 4
+        assert ground_rcl(p).n_vars == 6
 
     def test_too_few_predicates(self):
         with pytest.raises(ValueError):
@@ -100,11 +98,6 @@ class TestRclProblem:
             RclProblem(2, 1, (Clause.from_ints(1, 3),), ((1, Clause.from_ints(1, 2)),))
         with pytest.raises(ValueError):
             RclProblem(2, 1, (), ((1, Clause.from_ints(1, -3)),))
-
-    def test_raw_clause_rejected(self):
-        raw = Clause.raw_from_ints(2, 1)
-        with pytest.raises(ValueError):
-            RclProblem(2, 1, (raw,), ((1, Clause.from_ints(1, 2)),))
 
 
 # ---------------------------------------------------------------------------

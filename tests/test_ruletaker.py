@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nlsatgen import ruletaker
-from nlsatgen.cnf import Clause, CnfFormula, Literal, normalize_clause, to_dimacs
+from nlsatgen.cnf import Clause, CnfFormula, Literal, _normalize_ints, to_dimacs
 from nlsatgen.fragments import RULETAKER, FragmentError, ParseError, VarBinding, parse_theory
 from nlsatgen.lexicon import default_attributes, default_entities
 from nlsatgen.ruletaker import (
@@ -24,8 +24,9 @@ from nlsatgen.ruletaker import (
     render_ruletaker,
     retrofit,
 )
-from nlsatgen.sampler import SampleSpec, admissible_m, sample_clause
+from nlsatgen.sampler import SampleSpec, _draw_clause, admissible_m
 from nlsatgen.solver import (
+    DEFAULT_MAX_DECISIONS,
     SAT,
     UNSAT,
     BudgetExhaustedError,
@@ -38,17 +39,20 @@ VOCAB = RetrofitVocab(("red", "round", "green", "big", "blue"), ("lion", "bear")
 DEFAULT_VOCAB = RetrofitVocab(default_attributes(), default_entities())
 
 
-def draw_formula(spec, m, rng) -> CnfFormula:
-    """m clauses drawn from ``spec``, in order."""
-    return CnfFormula(spec.n, tuple([sample_clause(spec, rng) for _ in range(m)]))
-
-
 def draw_theory(spec, seed):
     """One with-replacement draw, m uniform over alpha in [1, 6],
     retrofitted; None on rejection."""
     rng = random.Random(seed)
     ms = admissible_m(spec.n, 1, 6)
-    return retrofit(draw_formula(spec, ms[rng.randrange(len(ms))], rng), rng, spec)
+    return retrofit(spec, ms[rng.randrange(len(ms))], rng)
+
+
+def collapse(n, clauses, rng=None, max_decisions=DEFAULT_MAX_DECISIONS):
+    """The retrofit core on given with-replacement int clauses over 1..n:
+    (theory clauses, rules then units) or None."""
+    spec = SampleSpec(n=n, p_int=1.0, with_replacement=True)
+    drawn = ruletaker._retrofit(spec, clauses, rng, max_decisions)
+    return None if drawn is None else drawn[0].clauses
 
 
 def accepted_theory(n, p_int, rnd, all_mentioned=False):
@@ -57,8 +61,7 @@ def accepted_theory(n, p_int, rnd, all_mentioned=False):
     example when there is none."""
     spec = SampleSpec(n=n, p_int=p_int, with_replacement=True)
     for _ in range(50):
-        f = draw_formula(spec, rnd.randint(n, 3 * n), rnd)
-        theory = retrofit(f, rnd, spec)
+        theory = retrofit(spec, rnd.randint(n, 3 * n), rnd)
         if theory is None:
             continue
         mentioned = {lit.var for cl in theory.rules for lit in cl.literals}
@@ -95,8 +98,6 @@ class TestContainers:
             RetrofitTheory(0, (), ())
         with pytest.raises(ValueError, match="canonical width 2..3"):
             RetrofitTheory(2, (Clause.from_ints(1),), ())
-        with pytest.raises(ValueError, match="canonical width 2..3"):
-            RetrofitTheory(2, (Clause.raw_from_ints(1, 2),), ())
         with pytest.raises(ValueError, match="exceeds n=1"):
             RetrofitTheory(1, (Clause.from_ints(1, 2),), ())
         with pytest.raises(ValueError, match="fact variable 3 exceeds"):
@@ -112,7 +113,6 @@ class TestContainers:
         )
         f = theory.formula()
         assert f.to_int_clauses() == [[-1, 2], [-3], [1]]
-        assert theory.m_sentences == 3
 
 
 # ---------------------------------------------------------------------------
@@ -122,72 +122,31 @@ class TestContainers:
 
 class TestRetrofit:
     def test_collapse_shapes(self):
-        f = CnfFormula(
-            5,
-            (
-                Clause.raw_from_ints(-5, -5, -5),
-                Clause.raw_from_ints(1, 1, 1),
-                Clause.raw_from_ints(-1, -1, 3),
-            ),
-        )
-        theory = retrofit(f)
-        assert [c.to_ints() for c in theory.rules] == [(-1, 3)]
-        assert theory.facts == (Literal(5, True), Literal(1))
+        assert collapse(5, [(-5, -5, -5), (1, 1, 1), (-1, -1, 3)]) == [(-1, 3), (-5,), (1,)]
 
     def test_duplicate_facts_deduplicated(self):
-        f = CnfFormula(5, (Clause.raw_from_ints(2, 2, 2), Clause.raw_from_ints(2, 2, 2)))
-        assert retrofit(f).facts == (Literal(2),)
+        assert collapse(5, [(2, 2, 2), (2, 2, 2)]) == [(2,)]
 
     def test_contradictory_facts_rejected(self):
-        f = CnfFormula(
-            5, (Clause.raw_from_ints(2, 2, 2), Clause.raw_from_ints(-2, -2, -2))
-        )
-        assert retrofit(f) is None
+        assert collapse(5, [(2, 2, 2), (-2, -2, -2)]) is None
 
     def test_unsatisfiable_rules_rejected(self):
-        raws = tuple(
-            Clause.raw_from_ints(s1, s1, s2)
-            for s1 in (1, -1)
-            for s2 in (2, -2)
-        )
-        assert retrofit(CnfFormula(2, raws)) is None
+        raws = [(s1, s1, s2) for s1 in (1, -1) for s2 in (2, -2)]
+        assert collapse(2, raws) is None
 
     def test_rules_conflicting_with_facts_rejected(self):
-        f = CnfFormula(
-            2,
-            (
-                Clause.raw_from_ints(1, 1, 1),
-                Clause.raw_from_ints(-2, -2, -2),
-                Clause.raw_from_ints(-1, -1, 2),
-            ),
-        )
-        assert retrofit(f) is None
-
-    def test_tautology_needs_spec_and_rng(self):
-        f = CnfFormula(5, (Clause.raw_from_ints(1, -1, 3),))
-        with pytest.raises(ValueError, match="tautological clause: pass spec and rng"):
-            retrofit(f)
+        assert collapse(2, [(1, 1, 1), (-2, -2, -2), (-1, -1, 2)]) is None
 
     def test_tautology_redrawn_with_spec(self):
-        spec = SampleSpec(n=5, p_int=1.0, with_replacement=True)
-        f = CnfFormula(5, (Clause.raw_from_ints(1, -1, 3),))
-        theory = retrofit(f, random.Random(3), spec)
-        assert theory is not None
-        assert theory.m_sentences == 1
-
-    def test_redraws_must_fit_the_formula(self):
-        spec = SampleSpec(n=6, p_int=1.0, with_replacement=True)
-        f = CnfFormula(5, (Clause.raw_from_ints(1, -1, 3),))
-        with pytest.raises(ValueError, match="redraws over 6 variables exceed n=5"):
-            retrofit(f, random.Random(3), spec)
+        clauses = collapse(5, [(1, -1, 3)], random.Random(3))
+        assert clauses is not None
+        assert len(clauses) == 1
 
     def test_solve_respects_the_decision_budget(self):
-        f = CnfFormula(3, (Clause.raw_from_ints(1, 2, 2), Clause.raw_from_ints(2, 3, 3)))
+        raws = [(1, 2, 2), (2, 3, 3)]
         with pytest.raises(BudgetExhaustedError):
-            retrofit(f, max_decisions=0)
-        assert retrofit(f, max_decisions=1).rules == (
-            Clause.from_ints(1, 2), Clause.from_ints(2, 3)
-        )
+            collapse(3, raws, max_decisions=0)
+        assert collapse(3, raws, max_decisions=1) == [(1, 2), (2, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +163,7 @@ class TestSampleRetrofitTheory:
             if theory is None:
                 continue
             accepted += 1
-            assert all(c.width >= 2 and not c.raw for c in theory.rules)
+            assert all(c.width >= 2 for c in theory.rules)
             assert len({l.var for l in theory.facts}) == len(theory.facts)
             if theory.rules:
                 assert solve(CnfFormula(theory.n_vars, theory.rules)).label == SAT
@@ -225,13 +184,13 @@ class TestSampleRetrofitTheory:
         n_draws = 8000
         triple = distinct = taut = 0
         for _ in range(n_draws):
-            clause = sample_clause(spec, rng)
-            variables = {l.var for l in clause.literals}
+            clause = _draw_clause(spec, rng)
+            variables = {abs(v) for v in clause}
             if len(variables) == 1:
                 triple += 1
             elif len(variables) == 3:
                 distinct += 1
-            if normalize_clause(clause) is None:
+            if _normalize_ints(clause) is None:
                 taut += 1
         assert abs(triple / n_draws - 0.04) < 0.015
         assert abs(distinct / n_draws - 0.48) < 0.03

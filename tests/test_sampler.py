@@ -110,29 +110,31 @@ def test_canonical_draws_are_sorted_and_distinct():
     spec = SampleSpec(n=8, p_int=1.0, p_neg=0.5)
     for _ in range(300):
         c = sample_clause(spec, rng)
-        assert not c.raw
         variables = [lit.var for lit in c.literals]
         assert variables == sorted(set(variables))
 
 
-def test_replacement_draws_are_marked_raw():
+def test_replacement_draws_repeat_variables():
     rng = derive_rng("raw")
     spec = SampleSpec(n=4, p_int=1.0, p_neg=0.5, with_replacement=True)
-    draws = [sample_clause(spec, rng) for _ in range(400)]
-    assert all(c.raw for c in draws)
+    draws = _draw_clauses(spec, 400, rng)
     # with replacement some draw repeats a variable eventually
-    assert any(len({l.var for l in c.literals}) < c.width for c in draws)
+    assert any(len({abs(v) for v in c}) < len(c) for c in draws)
 
 
 @pytest.mark.parametrize("with_replacement", [False, True])
 @pytest.mark.parametrize("p_int", [0.0, 0.7, 1.0])
 def test_sample_clause_wraps_the_shared_draw(with_replacement, p_int):
+    # a with-replacement draw is not a canonical clause: sample_clause
+    # refuses the spec before drawing, and the ints go to retrofit instead
     spec = SampleSpec(n=6, p_int=p_int, p_neg=0.5, with_replacement=with_replacement)
     a, b = derive_rng("draw", p_int, with_replacement), derive_rng("draw", p_int, with_replacement)
     for _ in range(5000):
-        clause = sample_clause(spec, a)
-        assert clause.raw == with_replacement
-        assert clause.to_ints() == _draw_clause(spec, b)
+        if with_replacement:
+            with pytest.raises(ValueError, match="without replacement"):
+                sample_clause(spec, a)
+        else:
+            assert sample_clause(spec, a).to_ints() == _draw_clause(spec, b)
     assert a.getstate() == b.getstate()
 
 
@@ -440,7 +442,11 @@ def _sampler_transcript() -> str:
         for i in range(20):
             rng = derive_rng("golden-formula", with_replacement, i)
             m = ms[rng.randrange(len(ms))]
-            out.append(repr([sample_clause(spec, rng).to_ints() for _ in range(m)]))
+            if with_replacement:
+                clauses = [_draw_clause(spec, rng) for _ in range(m)]
+            else:
+                clauses = [sample_clause(spec, rng).to_ints() for _ in range(m)]
+            out.append(repr(clauses))
     band = (Fraction(2), Fraction(3))
     for strategy in STRATEGIES:
         spec = SampleSpec(n=9, p_int=1.0, p_neg=0.5)

@@ -69,12 +69,6 @@ def test_unit_chain_needs_no_decisions():
     assert r.stats.propagations == 2
 
 
-def test_solve_requires_canonical_clauses():
-    raw = CnfFormula(2, (Clause.raw_from_ints(1, 1),))
-    with pytest.raises(ValueError):
-        solve(raw)
-
-
 def test_solve_is_deterministic():
     f = CnfFormula.from_ints(4, [(1, 2, 3), (-1, -2, 4), (2, -3, -4), (-1, 3)])
     a, b = solve(f), solve(f)
@@ -234,10 +228,15 @@ def _sweep_specs():
     return specs
 
 
-def _band_formula(spec, lo, hi, rng) -> CnfFormula:
-    """m uniform over the clause counts with lo <= m/n <= hi, then m clauses."""
+def _band_m(spec, lo, hi, rng) -> int:
+    """m uniform over the clause counts with lo <= m/n <= hi."""
     ms = admissible_m(spec.n, lo, hi)
-    m = ms[rng.randrange(len(ms))]
+    return ms[rng.randrange(len(ms))]
+
+
+def _band_formula(spec, lo, hi, rng) -> CnfFormula:
+    """A ``_band_m`` clause count, then that many clauses."""
+    m = _band_m(spec, lo, hi, rng)
     return CnfFormula(spec.n, tuple([sample_clause(spec, rng) for _ in range(m)]))
 
 
@@ -262,7 +261,7 @@ def test_solve_agrees_with_bruteforce_on_retrofit_theories():
     for seed in range(500):
         spec = SampleSpec(n=7 + seed % 4, p_int=1.0, p_neg=0.5, with_replacement=True)
         rng = derive_rng("retrofit-sweep", seed)
-        theory = retrofit(_band_formula(spec, 3, 7, rng), rng, spec)
+        theory = retrofit(spec, _band_m(spec, 3, 7, rng), rng)
         if theory is None:
             continue
         for candidate in (theory.formula(),):
