@@ -419,6 +419,130 @@ class TestVerifyDataset:
         assert any("n_ground_vars" in i.message for i in verify_dataset(path2))
 
 
+# One small naive dataset per fragment; each tamper edits its first record.
+VERIFY_CONFIGS = {
+    "grl": dict(fragment="grl", sizes=(5,), count_per_size=4, seed=42),
+    "rcl": dict(fragment="rcl", sizes=(10,), count_per_size=4, seed=3),
+    "ruletaker": dict(fragment="ruletaker", sizes=(5,), count_per_size=4, seed=3),
+}
+
+
+def _flip_label(rec):
+    rec["label"] = {"sat": "unsat", "unsat": "sat", "true": "false", "false": "true"}[
+        rec["label"]
+    ]
+
+
+def _swap_dimacs_clause(rec):
+    lines = rec["dimacs"].splitlines()
+    lines[1] = "1 2 3 0"
+    rec["dimacs"] = "\n".join(lines) + "\n"
+
+
+def _unknown_noun(rec):
+    noun = rec["text"].split()[1]
+    rec["text"] = rec["text"].replace(noun, "zzgrobble", 1)
+
+
+def _insert(after, words):
+    def tamper(rec):
+        rec["text"] = rec["text"].replace(f" {after} ", f" {after} {words} ", 1)
+
+    return tamper
+
+
+def _repeat_fact(rec):
+    # the conjecture is a fact sentence about the theory's entity
+    rec["text"] += f" {rec['conjecture_text']} {rec['conjecture_text']}"
+
+
+def _foreign_attribute(rec):
+    from nlsatgen.lexicon import default_attributes
+
+    words = set(rec["text"].split())
+    unused = next(w for w in default_attributes() if w not in words)
+    *head, _ = rec["conjecture_text"][:-1].split()
+    rec["conjecture_text"] = " ".join(head + [unused]) + "."
+
+
+VERIFY_ISSUE_TABLE = [
+    ("grl", "dimacs", _swap_dimacs_clause, [
+        "grl-n5-000000: dimacs: stored formula differs from the parsed text",
+    ]),
+    ("grl", "label", _flip_label, [
+        "grl-n5-000000: label: formula is sat, record says 'unsat'",
+        "grl-n5: balance: labels are not balanced: {'sat': 1, 'unsat': 3}",
+    ]),
+    ("grl", "n_vars", lambda rec: rec.update(n_vars=6), [
+        "grl-n5-000000: field: n_vars 6 != 5",
+    ]),
+    ("grl", "n_clauses", lambda rec: rec.update(n_clauses=99), [
+        "grl-n5-000000: field: n_clauses 99 != 23",
+    ]),
+    ("grl", "alpha", lambda rec: rec.update(alpha="1/2"), [
+        "grl-n5-000000: field: alpha '1/2' != '23/5'",
+    ]),
+    ("grl", "unknown noun", _unknown_noun, [
+        "grl-n5-000000: parse: sentence 1, chars 3-12: unknown noun 'zzgrobble'",
+    ]),
+    ("grl", "lowercase if", lambda rec: rec.update(text="if" + rec["text"][2:]), [
+        "grl-n5-000000: parse: sentence 1, chars 0-2: expected 'If', got 'if'",
+    ]),
+    ("grl", "two-word consequent", _insert("then", "tasty"), [
+        "grl-n5-000000: parse: sentence 1, chars 29-43: expected an optionally negated noun",
+    ]),
+    ("grl", "double negation", _insert("and", "no no"), [
+        "grl-n5-000000: parse: sentence 1, chars 20-29: expected an optionally negated noun",
+    ]),
+    ("rcl", "unknown noun", _unknown_noun, [
+        "rcl-n10-000000: parse: sentence 1, chars 6-15: unknown noun 'zzgrobble'",
+    ]),
+    ("rcl", "n_ground_vars", lambda rec: rec.update(n_ground_vars=99), [
+        "rcl-n10-000000: field: n_ground_vars 99 != 10",
+    ]),
+    ("rcl", "n_constants", lambda rec: rec.update(n_constants=99), [
+        "rcl-n10-000000: field: n_constants 99 != 2",
+    ]),
+    ("rcl", "label", _flip_label, [
+        "rcl-n10-000000: label: formula is sat, record says 'unsat'",
+        "rcl-n10: balance: labels are not balanced: {'sat': 1, 'unsat': 3}",
+    ]),
+    ("ruletaker", "label", _flip_label, [
+        "ruletaker-n5-000000: label: conjecture is entailed, record says 'false'",
+        "ruletaker-n5: balance: labels are not balanced: {'true': 1, 'false': 3}",
+    ]),
+    ("ruletaker", "repeated fact", _repeat_fact, [
+        "ruletaker-n5-000000: parse: facts repeat or contradict on variable 5",
+    ]),
+    ("ruletaker", "foreign attribute", _foreign_attribute, [
+        "ruletaker-n5-000000: parse: conjecture: sentence 1: "
+        "conjecture mentions an attribute the theory does not",
+    ]),
+]
+
+
+@pytest.fixture(scope="module")
+def verify_datasets():
+    made = {}
+    for fragment, fields in VERIFY_CONFIGS.items():
+        config = naive_config(**fields)
+        made[fragment] = (config, generate_records(config))
+    return made
+
+
+@pytest.mark.parametrize(
+    "fragment,tamper,expected",
+    [(frag, tamper, expected) for frag, _, tamper, expected in VERIFY_ISSUE_TABLE],
+    ids=[f"{frag}-{what}" for frag, what, _, _ in VERIFY_ISSUE_TABLE],
+)
+def test_verify_reports_each_tampering_exactly(tmp_path, verify_datasets, fragment, tamper, expected):
+    config, records = verify_datasets[fragment]
+    bad = [dict(r) for r in records]
+    tamper(bad[0])
+    path = rewrite(tmp_path / "tampered.jsonl", config, bad)
+    assert [str(issue) for issue in verify_dataset(path)] == expected
+
+
 # ---------------------------------------------------------------------------
 # Reporting and export
 # ---------------------------------------------------------------------------
