@@ -16,7 +16,7 @@ from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
-from .cnf import to_dimacs
+from .cnf import _dimacs
 from .fileio import atomic_writer
 from .fragments import FRAGMENTS, RULETAKER, FragmentError, ParseError, _parse_formula
 from .pipeline import (
@@ -180,7 +180,7 @@ def cmd_parse(args) -> int:
     except (ParseError, FragmentError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(to_dimacs(formula))
+    sys.stdout.write(_dimacs(formula))
     return 0
 
 

@@ -20,6 +20,13 @@ returns one built (and so checked) again.  The renumbering itself,
 no objects, so the grl generator runs it on its draws and the ruletaker
 generator on its theory directly; the renumbered clauses are checked
 when DIMACS writes them.
+
+Parsing has the same split.  Each parser is a private core
+(``grl._parse``, ``rcl._parse``, ``ruletaker._parse``) that builds
+canonical signed-int clauses with ``_clause_of``, under a public name
+that returns the validated objects; :func:`parse_theory` calls the
+public names and ``_parse_formula`` the cores, so ``verify`` and the
+``parse`` command build no clause objects.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .cnf import Clause, CnfFormula, _as_formula, _IntCnf
+from .cnf import CnfFormula, _as_formula, _IntCnf
 
 GRL = "grl"
 RCL = "rcl"
@@ -181,19 +188,24 @@ def _reindex(f: _IntCnf) -> tuple:
     return _IntCnf(f.n_vars, [_remap(cl, mapping) for cl in f.clauses]), mapping
 
 
-def _noun_of(word: str, idx: int, span, lexicon, strict: bool) -> str:
-    """The lexicon noun a parsed word names; lenient mode also takes plurals."""
+def _noun_of(word: str, idx: int, span_of, lexicon, strict: bool) -> str:
+    """The lexicon noun a parsed word names; lenient mode also takes plurals.
+
+    ``span_of()`` gives the word's character span; it is called only to
+    report an unknown noun.
+    """
     noun = lexicon.singular_of(word)
     if noun is None or strict and noun != word:
-        raise ParseError(idx, span, f"unknown noun {word!r}")
+        raise ParseError(idx, span_of(), f"unknown noun {word!r}")
     return noun
 
 
-def _clause_of(literals, idx: int, repeat: str = "a noun repeats within the sentence"):
-    """The canonical clause of one sentence's literals; ``repeat`` reports a repeated variable."""
-    if len({lit.var for lit in literals}) != len(literals):
+def _clause_of(literals, idx: int, repeat: str = "a noun repeats within the sentence") -> tuple:
+    """The canonical signed-int clause of one sentence's signed-int literals;
+    ``repeat`` reports a repeated variable."""
+    if len({abs(v) for v in literals}) != len(literals):
         raise ParseError(idx, None, repeat)
-    return Clause(tuple(sorted(literals)))
+    return tuple(sorted(literals, key=abs))
 
 
 def _packaged_vocab(fragment: str):
@@ -222,25 +234,30 @@ def parse_theory(text, fragment: str, lexicon=None, strict: bool = True):
     # wrapper installed on a module attribute sees every parse.
     from . import grl, rcl, ruletaker
 
+    parsers = {GRL: grl.parse_grl, RCL: rcl.parse_rcl, RULETAKER: ruletaker.parse_ruletaker}
+    return _parse_with(parsers, text, fragment, lexicon, strict)
+
+
+def _parse_with(parsers: dict, text, fragment: str, lexicon, strict: bool):
+    """Split the text and run the fragment's parser from ``parsers`` on it."""
     sentences = split_sentences(text)
     lex = lexicon if lexicon is not None else _packaged_vocab(fragment)
-    if fragment == GRL:
-        return grl.parse_grl(sentences, lex, strict)
-    if fragment == RCL:
-        return rcl.parse_rcl(sentences, lex, strict)
-    if fragment == RULETAKER:
-        return ruletaker.parse_ruletaker(sentences, lex, strict)
-    raise ValueError(f"unknown fragment {fragment!r}")
+    if fragment not in parsers:
+        raise ValueError(f"unknown fragment {fragment!r}")
+    return parsers[fragment](sentences, lex, strict)
 
 
 def _parse_formula(text, fragment: str, lexicon=None, strict: bool = True) -> tuple:
-    """Parse like :func:`parse_theory`; returns (the ``CnfFormula`` the text
-    denotes, what :func:`parse_theory` returned)."""
-    from . import rcl
+    """Parse like :func:`parse_theory`, with the fragment's signed-int core.
 
-    parsed = parse_theory(text, fragment, lexicon, strict)
+    Returns (the ``_IntCnf`` the text denotes, what the core returned):
+    a grl formula, a grounded rcl problem, or a ruletaker theory as rules
+    then one unit clause per fact.  No clause object is built.
+    """
+    from . import grl, rcl, ruletaker
+
+    parsers = {GRL: grl._parse, RCL: rcl._parse, RULETAKER: ruletaker._parse}
+    parsed = _parse_with(parsers, text, fragment, lexicon, strict)
     if fragment == RCL:
-        return rcl.ground_rcl(parsed[0]), parsed
-    if fragment == RULETAKER:
-        return parsed[0].formula(), parsed
+        return rcl._ground(parsed[0]), parsed
     return parsed[0], parsed

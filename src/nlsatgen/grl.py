@@ -15,14 +15,17 @@ Unit clauses have no sentence form here and are rejected.
 Validation happens at the boundary: :func:`render_grl` takes a
 ``CnfFormula``, whose clauses are canonical.  The sentences themselves come
 from ``_render``, which reads canonical signed-int clauses, so the grl
-generator renders its int clauses without building objects.
+generator renders its int clauses without building objects.  Parsing
+mirrors it: the core ``_parse`` returns a ``cnf._IntCnf``, which
+``verify`` compares and labels as it is, and :func:`parse_grl` builds
+the validated ``CnfFormula`` from it.
 """
 
 from __future__ import annotations
 
 import re
 
-from .cnf import CnfFormula, Literal
+from .cnf import CnfFormula, _as_formula, _IntCnf
 from .fragments import (
     GRL,
     FragmentError,
@@ -65,8 +68,10 @@ def render_grl(f: CnfFormula, binding: VarBinding, token_budget: int = 30) -> Nl
     return NlTheory(GRL, tuple(sentences), binding)
 
 
-def _tokens_with_spans(sentence: str) -> list:
-    return [(m.group(), m.start(), m.end()) for m in _TOKEN.finditer(sentence)]
+def _span(body: str, first: int, last: int) -> tuple:
+    """The character span of tokens first..last of ``body``, for an error message."""
+    spans = [m.span() for m in _TOKEN.finditer(body)]
+    return spans[first][0], spans[last][1]
 
 
 def parse_grl(sentences, lexicon, strict: bool = True):
@@ -76,61 +81,61 @@ def parse_grl(sentences, lexicon, strict: bool = True):
     exactly the renderer's surface; lenient mode also accepts "not" for
     "no" (and vice versa), lowercase "if", and plural nouns.
     """
+    f, binding = _parse(sentences, lexicon, strict)
+    return _as_formula(f), binding
+
+
+def _parse(sentences, lexicon, strict: bool) -> tuple:
+    """The parsing core: (``_IntCnf``, binding), one canonical signed-int
+    clause per sentence.  Tokens come from ``str.split``; their character
+    spans are worked out only when an error reports one."""
     noun_to_var: dict = {}
     clauses = []
+    ante_negations = ("no",) if strict else ("no", "not")
+    cons_negations = ("not",) if strict else ("no", "not")
 
-    def atom_literal(tokens, idx, consequent: bool) -> Literal:
-        negation_words = ("not",) if strict and consequent else \
-                         ("no",) if strict else ("no", "not")
-        negated_surface = False
-        if tokens and tokens[0][0] in negation_words:
-            negated_surface = True
-            tokens = tokens[1:]
-        if len(tokens) != 1:
-            span = (tokens[0][1], tokens[-1][2]) if tokens else None
+    def literal(words, lo: int, hi: int, negations, idx: int, body: str) -> int:
+        """The literal words[lo:hi] states, as written: an optionally negated noun."""
+        negated = lo < hi and words[lo] in negations
+        if negated:
+            lo += 1
+        if hi - lo != 1:
+            span = _span(body, lo, hi - 1) if lo < hi else None
             raise ParseError(idx, span, "expected an optionally negated noun")
-        word, start, end = tokens[0]
-        noun = _noun_of(word, idx, (start, end), lexicon, strict)
+        noun = _noun_of(words[lo], idx, lambda: _span(body, lo, lo), lexicon, strict)
         var = noun_to_var.setdefault(noun, len(noun_to_var) + 1)
-        if consequent:
-            return Literal(var, negated_surface)
-        # antecedent atoms negate the underlying literal
-        return Literal(var, not negated_surface)
+        return -var if negated else var
 
     for idx, sentence in enumerate(sentences, start=1):
         if not sentence.endswith(".") or sentence.count(".") != 1:
             raise ParseError(idx, None, "sentence must end with its only period")
-        toks = _tokens_with_spans(sentence[:-1])
-        if not toks:
+        body = sentence[:-1]
+        words = body.split()
+        if not words:
             raise ParseError(idx, None, "empty sentence")
-        head = toks[0][0]
+        head = words[0]
         if head != "If" and (strict or head.lower() != "if"):
-            raise ParseError(idx, (toks[0][1], toks[0][2]), f"expected 'If', got {head!r}")
-        words = [t[0] for t in toks]
+            raise ParseError(idx, _span(body, 0, 0), f"expected 'If', got {head!r}")
         if "then" not in words:
             raise ParseError(idx, None, "missing 'then'")
         then_at = words.index("then")
-        ante_toks = toks[1:then_at]
-        cons_toks = toks[then_at + 1:]
-        if not ante_toks:
+        if then_at == 1:
             raise ParseError(idx, None, "missing antecedent")
-        if not cons_toks:
+        if then_at == len(words) - 1:
             raise ParseError(idx, None, "missing consequent")
         atoms = []
-        current = []
-        for tok in ante_toks:
-            if tok[0] == "and":
-                atoms.append(current)
-                current = []
-            else:
-                current.append(tok)
-        atoms.append(current)
+        lo = 1
+        for k in range(1, then_at):
+            if words[k] == "and":
+                atoms.append((lo, k))
+                lo = k + 1
+        atoms.append((lo, then_at))
         if not 1 <= len(atoms) <= 2:
             raise ParseError(idx, None, f"expected 1 or 2 antecedents, got {len(atoms)}")
-        literals = [atom_literal(a, idx, consequent=False) for a in atoms]
-        literals.append(atom_literal(cons_toks, idx, consequent=True))
+        # an antecedent atom states the negation of its clause literal
+        literals = [-literal(words, a, b, ante_negations, idx, body) for a, b in atoms]
+        literals.append(literal(words, then_at + 1, len(words), cons_negations, idx, body))
         clauses.append(_clause_of(literals, idx))
 
-    f = CnfFormula(len(noun_to_var), tuple(clauses))
     binding = VarBinding({v: noun for noun, v in noun_to_var.items()})
-    return f, binding
+    return _IntCnf(len(noun_to_var), clauses), binding

@@ -7,7 +7,8 @@ Blank lines and ``#`` comments are ignored; files are UTF-8.
 The default article rule is purely orthographic (an before a vowel
 letter); overrides exist for words whose pronunciation disagrees, like
 "a unicyclist".  Plurals are never generated, but the parser accepts
-them, so each lexicon carries a derived plural-to-singular map.
+them, so each lexicon carries a derived map from every noun and
+plural to its noun, which resolves a parsed word in one lookup.
 """
 
 from __future__ import annotations
@@ -66,10 +67,10 @@ class Lexicon:
                 raise ValueError(f"article override must be 'a' or 'an', got {art!r}")
             if word not in self.count_nouns:
                 raise ValueError(f"override for unknown noun {word!r}")
-        plural_map = {}
-        for noun in self.count_nouns:
-            plural_map[pluralize(noun)] = noun
-        object.__setattr__(self, "_plural_to_singular", plural_map)
+        # a noun that is also another noun's plural stays itself
+        singular = {pluralize(noun): noun for noun in self.count_nouns}
+        singular.update((noun, noun) for noun in self.count_nouns)
+        object.__setattr__(self, "_singular", singular)
 
     def article(self, noun: str) -> str:
         got = self.article_overrides.get(noun)
@@ -79,9 +80,7 @@ class Lexicon:
 
     def singular_of(self, word: str) -> Optional[str]:
         """Resolve a possibly plural surface form to a lexicon noun."""
-        if word in self.count_nouns:
-            return word
-        return self._plural_to_singular.get(word)
+        return self._singular.get(word)
 
 
 def _read_entries(path) -> list:

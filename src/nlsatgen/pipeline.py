@@ -9,7 +9,10 @@ unusable retrofitted theory) and for label balance, which is kept at
 exactly half per size.
 
 Records are emitted as JSON Lines: a header object first, then one
-object per instance, keys sorted.
+object per instance, keys sorted.  :func:`verify_dataset` re-derives
+each record from its text on the same signed-int cores: the parsers'
+``_parse`` cores through ``fragments._parse_formula``, ``cnf._dimacs``,
+``solver._dpll`` and ``solver._entailment``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import grl, lexicon as lexicon_mod, rcl, ruletaker
-from .cnf import _dimacs, _IntCnf, alpha as formula_alpha, from_dimacs, to_dimacs
+from .cnf import _dimacs, _IntCnf, from_dimacs
 from .fileio import atomic_writer
 from .fragments import (
     FRAGMENTS,
@@ -56,8 +59,7 @@ from .solver import (
     UNSAT,
     DegenerateTheoryError,
     _dpll,
-    check_entailment,
-    solve,
+    _entailment,
 )
 
 SCHEMA_VERSION = 1
@@ -279,8 +281,8 @@ def _is_diverse(config, band, ratio: Fraction) -> bool:
 # The candidates chain the private int cores of each layer (draw,
 # retrofit, reindex, ground, solve, conjecture pools, render, DIMACS)
 # and build no clause objects; the DIMACS core checks every clause it
-# writes.  Verification reaches the same cores through the public,
-# validating names.
+# writes.  Verification parses with the parsers' int cores and reaches
+# the same DIMACS and DPLL cores, so it builds none either.
 
 
 def _grl_candidate(config, band, vocab, size, index, rng):
@@ -623,33 +625,32 @@ def _verify_record(rec: dict, vocab, max_decisions: int) -> list:
     except (ParseError, FragmentError, ValueError) as exc:
         bad("parse", str(exc))
         return issues
-    expected_n_vars = formula.n_vars
+    n_vars, clauses = formula
+    expected_n_vars = n_vars
     if fragment == RCL:
         problem = parsed[0]
         expected_n_vars = problem.n_predicates
-        if rec.get("n_ground_vars") != formula.n_vars:
-            bad("field", f"n_ground_vars {rec.get('n_ground_vars')} != {formula.n_vars}")
+        if rec.get("n_ground_vars") != n_vars:
+            bad("field", f"n_ground_vars {rec.get('n_ground_vars')} != {n_vars}")
         if rec.get("n_constants") != problem.n_constants:
             bad("field", f"n_constants {rec.get('n_constants')} != {problem.n_constants}")
-    if to_dimacs(formula) != rec["dimacs"]:
+    if _dimacs(formula) != rec["dimacs"]:
         bad("dimacs", "stored formula differs from the parsed text")
     if expected_n_vars != rec["n_vars"]:
         bad("field", f"n_vars {rec['n_vars']} != {expected_n_vars}")
-    if formula.m != rec["n_clauses"]:
-        bad("field", f"n_clauses {rec['n_clauses']} != {formula.m}")
+    if len(clauses) != rec["n_clauses"]:
+        bad("field", f"n_clauses {rec['n_clauses']} != {len(clauses)}")
     if fragment == RULETAKER:
         if "conjecture_text" not in rec:
             bad("field", "missing conjecture_text")
             return issues
         try:
-            conjecture = ruletaker.parse_conjecture(
-                rec["conjecture_text"], vocab, parsed[1]
-            )
+            conjecture = ruletaker._parse_conjecture(rec["conjecture_text"], vocab, parsed[1])
         except (ParseError, ValueError) as exc:
             bad("parse", f"conjecture: {exc}")
             return issues
         try:
-            status = check_entailment(formula, conjecture, max_decisions)
+            status, stats = _entailment(n_vars, clauses, conjecture, max_decisions)
         except DegenerateTheoryError as exc:
             bad("label", f"{exc}; record says {rec['label']!r}")
             return issues
@@ -662,15 +663,17 @@ def _verify_record(rec: dict, vocab, max_decisions: int) -> list:
         elif status != expected:
             bad("label", f"conjecture is {status}, record says {rec['label']!r}")
     else:
-        result = solve(formula, max_decisions)
+        result = _dpll(n_vars, clauses, max_decisions)
+        stats = result.stats
         if result.label != rec["label"]:
             bad("label", f"formula is {result.label}, record says {rec['label']!r}")
-        try:
-            expected_alpha = str(formula_alpha(formula))
-        except ValueError:
-            expected_alpha = None
+        expected_alpha = str(Fraction(len(clauses), n_vars)) if n_vars else None
         if expected_alpha is not None and rec.get("alpha") != expected_alpha:
             bad("field", f"alpha {rec.get('alpha')!r} != {expected_alpha!r}")
+    # the solve that decided the label (for ruletaker, the refuting one)
+    # is the solve whose effort the record states
+    if stats is not None and rec.get("stats") != stats.as_dict():
+        bad("field", f"stats {rec.get('stats')!r} != {stats.as_dict()!r}")
     return issues
 
 
@@ -679,8 +682,11 @@ def verify_dataset(path, max_decisions: int = DEFAULT_MAX_DECISIONS) -> list:
 
     Each record's sentences are re-parsed strictly, the parsed logical
     form must serialize to exactly the stored DIMACS, and re-solving
-    (or re-checking the conjecture) must reproduce the stored label.
-    Per-size label balance is checked dataset-wide.
+    (or re-checking the conjecture) must reproduce the stored label and,
+    from that same solve, the stored ``stats``: the label solve for grl
+    and rcl, the refuting solve for ruletaker.  Per-size label balance
+    is checked dataset-wide.  Parsing, solving and the DIMACS comparison
+    run on the signed-int cores and build no clause objects.
     """
     header, records = read_dataset(path)
     fragment = header.get("fragment")

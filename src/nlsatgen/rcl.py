@@ -26,10 +26,11 @@ variable ids are constant-major: predicate p of constant c maps to
 Validation happens at the boundary: the public functions take and
 return ``RclProblem`` and ``CnfFormula`` objects, which check their
 clauses when built.  Each wraps one private core (``_reindex``,
-``_ground``, ``_render``) on ``_IntProblem``, the same problem with
-signed-int clause tuples; the rcl generator draws with ``_draw``,
-chains those cores and builds no clause objects, and the grounded
-clauses are checked when DIMACS writes them.
+``_ground``, ``_render``, ``_parse``) on ``_IntProblem``, the same
+problem with signed-int clause tuples; the rcl generator draws with
+``_draw``, chains those cores and builds no clause objects, and the
+grounded clauses are checked when DIMACS writes them.  ``verify``
+grounds what ``_parse`` returns with ``_ground`` and builds none either.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .cnf import Clause, CnfFormula, Literal, _as_clause, _as_formula, _IntCnf
+from .cnf import Clause, CnfFormula, _as_clause, _as_formula, _IntCnf
 from .fragments import (
     RCL,
     FragmentError,
@@ -87,6 +88,8 @@ class RclProblem:
             self._check_clause(cl)
 
     def _check_clause(self, cl: Clause) -> None:
+        if not isinstance(cl, Clause):
+            raise TypeError(f"expected Clause, got {type(cl).__name__}")
         if cl.max_var() > self.n_predicates:
             raise ValueError(
                 f"predicate {cl.max_var()} exceeds {self.n_predicates} predicates"
@@ -317,6 +320,9 @@ _GROUND_RE = re.compile(rf"^([A-Z][a-zA-Z]*) is ({_ATOM}) or ({_ATOM}) or ({_ATO
 
 
 class _RclParser:
+    """The parsing core's state: ids by first appearance, and the
+    problem's clauses as canonical signed-int tuples."""
+
     def __init__(self, lexicon, strict: bool):
         self.lexicon = lexicon
         self.strict = strict
@@ -328,21 +334,24 @@ class _RclParser:
     def pred(self, noun: str) -> int:
         return self.pred_ids.setdefault(noun, len(self.pred_ids) + 1)
 
-    def atom(self, text: str, idx: int, offset: int) -> Literal:
+    def atom(self, text: str, idx: int, offset: int) -> int:
         negated = text.startswith("not ")
         body = text[4:] if negated else text
         art, _, word = body.partition(" ")
-        span = (offset + len(text) - len(word), offset + len(text))
-        noun = _noun_of(word, idx, span, self.lexicon, self.strict)
+        end = offset + len(text)
+        noun = _noun_of(word, idx, lambda: (end - len(word), end), self.lexicon, self.strict)
         if self.strict and art != self.lexicon.article(noun):
             raise ParseError(
-                idx, (offset, offset + len(text)),
+                idx, (offset, end),
                 f"article mismatch: expected {self.lexicon.article(noun)!r} before {noun!r}",
             )
-        return Literal(self.pred(noun), negated)
+        pred = self.pred(noun)
+        return -pred if negated else pred
 
     def bare_noun(self, word: str, idx: int, offset: int) -> int:
-        noun = _noun_of(word, idx, (offset, offset + len(word)), self.lexicon, self.strict)
+        noun = _noun_of(
+            word, idx, lambda: (offset, offset + len(word)), self.lexicon, self.strict
+        )
         return self.pred(noun)
 
     def sentence(self, s: str, idx: int) -> None:
@@ -354,21 +363,21 @@ class _RclParser:
             x = self.bare_noun(m.group(1), idx, m.start(1))
             who = self.atom(m.group(2), idx, m.start(2))
             cons = self.atom(m.group(3), idx, m.start(3))
-            self.universals.append(_clause_of([Literal(x, True), who.negate(), cons], idx))
+            self.universals.append(_clause_of([-x, -who, cons], idx))
             return
         m = _NO_RE.match(body)
         if m:
             x = self.bare_noun(m.group(1), idx, m.start(1))
             who = self.atom(m.group(2), idx, m.start(2))
             z = self.atom(m.group(3), idx, m.start(3))
-            self.universals.append(_clause_of([Literal(x, True), who.negate(), z.negate()], idx))
+            self.universals.append(_clause_of([-x, -who, -z], idx))
             return
         m = (_EVERYONE_STRICT_RE if self.strict else _EVERYONE_LENIENT_RE).match(body)
         if m:
             a1 = self.atom(m.group(1), idx, m.start(1))
             a2 = self.atom(m.group(2), idx, m.start(2))
             cons = self.atom(m.group(3), idx, m.start(3))
-            self.universals.append(_clause_of([a1.negate(), a2.negate(), cons], idx))
+            self.universals.append(_clause_of([-a1, -a2, cons], idx))
             return
         m = _GROUND_RE.match(body)
         if m:
@@ -391,16 +400,19 @@ def parse_rcl(sentences, lexicon, strict: bool = True):
     mode also accepts "Everything that is ..." phrasing, plural nouns,
     any atom polarities in Everyone sentences, and wrong articles.
     """
+    problem, binding = _parse(sentences, lexicon, strict)
+    return _as_problem(problem), binding
+
+
+def _parse(sentences, lexicon, strict: bool) -> tuple:
+    """The parsing core: (``_IntProblem``, binding)."""
     parser = _RclParser(lexicon, strict)
     for idx, s in enumerate(sentences, start=1):
         parser.sentence(s, idx)
     if not parser.grounds:
         raise ParseError(1, None, "no ground sentences; constants unrecoverable")
-    problem = RclProblem(
-        len(parser.pred_ids),
-        len(parser.const_ids),
-        tuple(parser.universals),
-        tuple(parser.grounds),
+    problem = _IntProblem(
+        len(parser.pred_ids), len(parser.const_ids), parser.universals, parser.grounds
     )
     binding = VarBinding(
         {v: noun for noun, v in parser.pred_ids.items()},

@@ -27,13 +27,16 @@ Validation happens at the boundary: :func:`reindex_theory`,
 :func:`conjecture_pools`, :func:`refutation_stats` and
 :func:`render_ruletaker` take and return ``RetrofitTheory`` and
 ``Literal`` objects, which check themselves when built, and
-:func:`retrofit` returns one.  Below that boundary a theory is a
-``cnf._IntCnf``: the rules in order, then one unit clause per fact, the
-clause order of ``RetrofitTheory.formula``.  The cores (``_retrofit``,
-``_conjecture_pools``, ``_render``) and ``fragments._reindex`` work on
-it and solve with ``solver._dpll``; the ruletaker generator chains
-them and builds no clause objects, and the theory's clauses are
-checked when DIMACS writes them.
+:func:`retrofit`, :func:`parse_ruletaker` and :func:`parse_conjecture`
+return them.  Below that boundary a theory is a ``cnf._IntCnf``: the
+rules in order, then one unit clause per fact, the clause order of
+``RetrofitTheory.formula``.  The cores (``_retrofit``,
+``_conjecture_pools``, ``_render``, ``_parse``, ``_parse_conjecture``)
+and ``fragments._reindex`` work on it and solve with ``solver._dpll``;
+the ruletaker generator chains them and builds no clause objects, and
+the theory's clauses are checked when DIMACS writes them.  ``verify``
+decides a parsed conjecture with ``solver._entailment`` and builds none
+either.
 """
 
 from __future__ import annotations
@@ -92,6 +95,8 @@ class RetrofitTheory:
         if self.n_vars < 1:
             raise ValueError("need at least one attribute variable")
         for cl in self.rules:
+            if not isinstance(cl, Clause):
+                raise TypeError(f"expected Clause, got {type(cl).__name__}")
             if cl.width < 2:
                 raise ValueError(f"rules must be canonical width 2..3, got {cl.to_ints()}")
             if cl.max_var() > self.n_vars:
@@ -325,6 +330,9 @@ def _render_conjecture(conjecture: int, binding: VarBinding, token_budget: int) 
 
 
 class _RtParser:
+    """The parsing core's state: attribute ids by first appearance, the
+    entity, and rules and facts as signed ints."""
+
     def __init__(self, vocab: RetrofitVocab, strict: bool):
         self.vocab = vocab
         self.strict = strict
@@ -338,7 +346,7 @@ class _RtParser:
             raise ParseError(idx, None, f"unknown attribute {word!r}")
         return self.var_ids.setdefault(word, len(self.var_ids) + 1)
 
-    def atom(self, text: str, idx: int) -> Literal:
+    def atom(self, text: str, idx: int) -> int:
         words = text.split(" ")
         if len(words) < 4 or words[0] != "the":
             raise ParseError(idx, None, f"expected 'the <entity> is ...', got {text!r}")
@@ -357,9 +365,10 @@ class _RtParser:
             rest = rest[1:]
         if len(rest) != 1:
             raise ParseError(idx, None, f"expected one attribute word in {text!r}")
-        return Literal(self.attr(rest[0], idx), negated)
+        var = self.attr(rest[0], idx)
+        return -var if negated else var
 
-    def fact_literal(self, body: str, idx: int) -> Literal:
+    def fact_literal(self, body: str, idx: int) -> int:
         # Facts capitalize the leading "The"; atoms inside rules do not.
         if not body.startswith("The "):
             raise ParseError(idx, None, "fact sentences start with 'The'")
@@ -376,7 +385,7 @@ class _RtParser:
             ante_texts = head.split(" and ")
             if not 1 <= len(ante_texts) <= 2:
                 raise ParseError(idx, None, f"rules take 1 or 2 antecedents, got {len(ante_texts)}")
-            literals = [self.atom(t, idx).negate() for t in ante_texts]
+            literals = [-self.atom(t, idx) for t in ante_texts]
             literals.append(self.atom(cons_text, idx))
             self.rules.append(_clause_of(literals, idx, "an attribute repeats within the rule"))
             return
@@ -390,6 +399,17 @@ def parse_ruletaker(sentences, vocab: RetrofitVocab, strict: bool = True):
     follow first appearance.  Lenient mode is identical except that it
     tolerates rules and facts interleaved in any order.
     """
+    theory, binding, entity = _parse(sentences, vocab, strict)
+    return _as_theory(theory), binding, entity
+
+
+def _parse(sentences, vocab: RetrofitVocab, strict: bool) -> tuple:
+    """The parsing core: (theory as a ``cnf._IntCnf``, binding, entity word).
+
+    The theory is the rules in text order, then one unit clause per
+    fact.  Facts that repeat or contradict raise ``ValueError`` with the
+    message ``RetrofitTheory`` gives them, after every sentence parsed.
+    """
     parser = _RtParser(vocab, strict)
     fact_seen = False
     for idx, s in enumerate(sentences, start=1):
@@ -400,15 +420,27 @@ def parse_ruletaker(sentences, vocab: RetrofitVocab, strict: bool = True):
         parser.sentence(s, idx)
     if parser.entity is None:
         raise ParseError(1, None, "no sentences mention an entity")
-    theory = RetrofitTheory(len(parser.var_ids), tuple(parser.rules), tuple(parser.facts))
+    stated = set()
+    for v in parser.facts:
+        if abs(v) in stated:
+            raise ValueError(f"facts repeat or contradict on variable {abs(v)}")
+        stated.add(abs(v))
+    theory = _IntCnf(len(parser.var_ids), parser.rules + [(v,) for v in parser.facts])
     binding = VarBinding(
         {v: w for w, v in parser.var_ids.items()}, {1: parser.entity}
     )
     return theory, binding, parser.entity
 
 
-def parse_conjecture(sentence: str, vocab: RetrofitVocab, binding: VarBinding, strict: bool = True) -> Literal:
+def parse_conjecture(
+    sentence: str, vocab: RetrofitVocab, binding: VarBinding, strict: bool = True
+) -> Literal:
     """Parse a conjecture sentence against an existing theory's binding."""
+    return Literal.from_int(_parse_conjecture(sentence, vocab, binding, strict))
+
+
+def _parse_conjecture(sentence: str, vocab, binding: VarBinding, strict: bool = True) -> int:
+    """The conjecture core: the signed-int literal the sentence states."""
     parser = _RtParser(vocab, strict)
     parser.entity = binding.constant_word(1)
     parser.var_ids = {w: v for v, w in binding.variables.items()}

@@ -23,7 +23,10 @@ Validation happens at the boundary: :func:`solve` takes a
 (+v / -v).  The search itself, ``_dpll``, works on those int tuples
 only and checks nothing, so the Monte Carlo in the sampler and the
 grl, rcl and ruletaker generators can feed it clauses that are
-canonical by construction without building objects.
+canonical by construction without building objects.  Entailment has
+the same split: :func:`check_entailment` checks the query and calls
+``_entailment``, which ``verify`` calls directly on parsed int clauses
+and which also returns the refuting solve's statistics.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .cnf import Clause, CnfFormula, Literal
+from .cnf import CnfFormula, Literal
 
 DEFAULT_MAX_DECISIONS = 10_000_000
 
@@ -228,17 +231,27 @@ def check_entailment(
     """
     if q.var < 1 or q.var > theory.n_vars:
         raise ValueError(f"query variable {q.var} outside 1..{theory.n_vars}")
-    with_not_q = CnfFormula(theory.n_vars, theory.clauses + (Clause((q.negate(),)),))
-    with_q = CnfFormula(theory.n_vars, theory.clauses + (Clause((q,)),))
-    not_q_unsat = solve(with_not_q, max_decisions).label == UNSAT
-    q_unsat = solve(with_q, max_decisions).label == UNSAT
-    if not_q_unsat and q_unsat:
+    status, _ = _entailment(theory.n_vars, theory.to_int_clauses(), q.to_int(), max_decisions)
+    return status
+
+
+def _entailment(n: int, clauses, q: int, max_decisions: int) -> tuple:
+    """The entailment core, on signed-int clauses over 1..n and a signed-int q.
+
+    Returns (status, stats): ``stats`` is the ``SolveStats`` of the
+    refuting solve, theory + (-q) for entailed and theory + (q) for
+    contradicted, and None for unknown.  Like ``_dpll``, it checks nothing.
+    """
+    clauses = list(clauses)
+    with_not_q = _dpll(n, clauses + [(-q,)], max_decisions)
+    with_q = _dpll(n, clauses + [(q,)], max_decisions)
+    if with_not_q.label == UNSAT and with_q.label == UNSAT:
         raise DegenerateTheoryError("degenerate theory: unsatisfiable on its own")
-    if not_q_unsat:
-        return ENTAILED
-    if q_unsat:
-        return CONTRADICTED
-    return UNKNOWN
+    if with_not_q.label == UNSAT:
+        return ENTAILED, with_not_q.stats
+    if with_q.label == UNSAT:
+        return CONTRADICTED, with_q.stats
+    return UNKNOWN, None
 
 
 BRUTEFORCE_MAX_VARS = 24

@@ -543,6 +543,45 @@ def test_verify_reports_each_tampering_exactly(tmp_path, verify_datasets, fragme
     assert [str(issue) for issue in verify_dataset(path)] == expected
 
 
+# The stored stats, as read back (keys sorted), and the re-derived ones.
+VERIFY_STATS = {
+    "grl": ("{'conflicts': 1, 'decisions': 3, 'propagations': 5}",
+            "{'decisions': 2, 'conflicts': 1, 'propagations': 5}"),
+    "rcl": ("{'conflicts': 1, 'decisions': 7, 'propagations': 5}",
+            "{'decisions': 6, 'conflicts': 1, 'propagations': 5}"),
+    "ruletaker": ("{'conflicts': 1, 'decisions': 1, 'propagations': 5}",
+                  "{'decisions': 0, 'conflicts': 1, 'propagations': 5}"),
+}
+
+
+@pytest.mark.parametrize("fragment", sorted(VERIFY_CONFIGS))
+def test_verify_checks_stats_against_its_own_solve(tmp_path, verify_datasets, fragment):
+    # the label solve for grl and rcl, the refuting solve for ruletaker
+    config, records = verify_datasets[fragment]
+    bad = [dict(r) for r in records]
+    bad[0]["stats"] = dict(bad[0]["stats"], decisions=bad[0]["stats"]["decisions"] + 1)
+    path = rewrite(tmp_path / "stats.jsonl", config, bad)
+    stored, solved = VERIFY_STATS[fragment]
+    assert [str(issue) for issue in verify_dataset(path)] == [
+        f"{bad[0]['id']}: field: stats {stored} != {solved}"
+    ]
+
+
+@pytest.mark.parametrize("fragment", sorted(VERIFY_CONFIGS))
+def test_verify_builds_no_clause_objects(tmp_path, monkeypatch, verify_datasets, fragment):
+    # parsing, DIMACS, labelling and entailment all stay on signed ints
+    config, records = verify_datasets[fragment]
+    path = rewrite(tmp_path / "clean.jsonl", config, records)
+
+    def built(*args, **kwargs):
+        raise AssertionError("a clause object was built")
+
+    monkeypatch.setattr(Clause, "__post_init__", built)
+    monkeypatch.setattr(CnfFormula, "__post_init__", built)
+    monkeypatch.setattr(Literal, "__new__", built)
+    assert verify_dataset(path) == []
+
+
 # ---------------------------------------------------------------------------
 # Reporting and export
 # ---------------------------------------------------------------------------

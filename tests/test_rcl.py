@@ -99,6 +99,12 @@ class TestRclProblem:
         with pytest.raises(ValueError):
             RclProblem(2, 1, (), ((1, Clause.from_ints(1, -3)),))
 
+    def test_clauses_must_be_clause_objects(self):
+        with pytest.raises(TypeError, match="expected Clause, got tuple"):
+            RclProblem(2, 1, ((1, 2),), ())
+        with pytest.raises(TypeError, match="expected Clause, got tuple"):
+            RclProblem(2, 1, (), ((1, (1, 2)),))
+
 
 # ---------------------------------------------------------------------------
 # Grounding

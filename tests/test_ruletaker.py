@@ -106,6 +106,8 @@ class TestContainers:
             RetrofitTheory(2, (), (Literal(1), Literal(1, True)))
         with pytest.raises(TypeError, match="facts must be Literals"):
             RetrofitTheory(2, (), (1,))
+        with pytest.raises(TypeError, match="expected Clause, got tuple"):
+            RetrofitTheory(2, ((1, 2),), ())
 
     def test_formula_orders_rules_then_facts(self):
         theory = RetrofitTheory(
@@ -465,6 +467,14 @@ class TestParseRuletaker:
         theory, _, _ = parse_ruletaker(sentences, VOCAB, strict=False)
         assert len(theory.rules) == 1
         assert theory.facts == (Literal(1),)
+
+    def test_repeated_or_contradicting_facts(self):
+        # the parse core raises what RetrofitTheory would, after every sentence parsed
+        for fact in ("The lion is red.", "The lion is not red."):
+            with pytest.raises(ValueError, match="^facts repeat or contradict on variable 1$"):
+                parse_ruletaker(("The lion is red.", "The lion is blue.", fact), VOCAB)
+        with pytest.raises(ParseError, match="unknown attribute 'fuzzy'"):
+            parse_ruletaker(("The lion is red.", "The lion is red.", "The lion is fuzzy."), VOCAB)
 
     def test_entity_must_not_change(self):
         sentences = ("The lion is red.", "The bear is round.")
