@@ -432,9 +432,7 @@ def _parse(sentences, vocab: RetrofitVocab, strict: bool) -> tuple:
     return theory, binding, parser.entity
 
 
-def parse_conjecture(
-    sentence: str, vocab: RetrofitVocab, binding: VarBinding, strict: bool = True
-) -> Literal:
+def parse_conjecture(sentence: str, vocab: RetrofitVocab, binding: VarBinding, strict: bool = True) -> Literal:
     """Parse a conjecture sentence against an existing theory's binding."""
     return Literal.from_int(_parse_conjecture(sentence, vocab, binding, strict))
 
