@@ -37,7 +37,7 @@ from .sampler import (
     calibrate_critical,
     calibration_cache_path,
 )
-from .solver import BudgetExhaustedError
+from .solver import DEFAULT_MAX_DECISIONS, BudgetExhaustedError
 
 
 def _parse_sizes(text) -> tuple:
@@ -266,7 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--names", dest="names_path", help="proper-noun lexicon file")
     p.add_argument("--attributes", dest="attributes_path", help="attribute word list")
     p.add_argument("--entities", dest="entities_path", help="entity word list")
-    p.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
+    p.add_argument(
+        "--jobs", type=int,
+        help="worker processes, at most one worker per size (default: all cores)",
+    )
     p.add_argument("--config", help="JSON file with generation settings")
     p.add_argument("--cache", help="calibration file (default: cache directory)")
     p.add_argument("--out", required=True, help="output JSONL path")
@@ -279,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-derive every record from its text")
     p.add_argument("dataset")
-    p.add_argument("--max-decisions", type=int, default=10_000_000, dest="max_decisions")
+    p.add_argument(
+        "--max-decisions", type=int, default=DEFAULT_MAX_DECISIONS, dest="max_decisions"
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("parse", help="parse fragment text and print its DIMACS form")

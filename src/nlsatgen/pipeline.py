@@ -1,12 +1,13 @@
 """Dataset generation: sample, label, verbalize, balance, split, verify.
 
 Every instance is a pure function of (master seed, fragment, size,
-candidate index), so generation is reproducible byte for byte at any
-worker count: workers evaluate candidates speculatively in index order
-and a sequential collector accepts or rejects them.  Rejection happens
-for structural reasons (a variable the text never mentions, an
-unusable retrofitted theory) and for label balance, which is kept at
-exactly half per size.
+candidate index), and each size's records depend only on that size's
+candidates and its own quota.  The unit of work is therefore one whole
+size: a collector evaluates the size's candidates in index order and
+accepts or rejects each, so generation is reproducible byte for byte at
+any worker count.  Rejection happens for structural reasons (a variable
+the text never mentions, an unusable retrofitted theory) and for label
+balance, which is kept at exactly half per size.
 
 Records are emitted as JSON Lines: a header object first, then one
 object per instance, keys sorted.  :func:`verify_dataset` re-derives
@@ -17,6 +18,7 @@ each record from its text on the same signed-int cores: the parsers'
 
 from __future__ import annotations
 
+import itertools
 import json
 import multiprocessing
 import statistics
@@ -66,7 +68,6 @@ SCHEMA_VERSION = 1
 SPLIT_NAMES = ("train", "dev", "test")
 STALL_WINDOW = 2000
 STALL_MIN_ACCEPTS = 20  # under 1% acceptance over the window
-_BATCH = 200
 
 SAT_LABELS = (SAT, UNSAT)
 RT_LABELS = (ruletaker.LABEL_TRUE, ruletaker.LABEL_FALSE)
@@ -239,7 +240,7 @@ def bands_for_config(config: DatasetConfig, table) -> dict:
 
 @dataclass
 class Candidate:
-    """One speculative draw: everything needed to emit a record."""
+    """One draw: everything needed to emit a record."""
 
     size: int
     index: int
@@ -396,34 +397,6 @@ def generate_candidate(config: DatasetConfig, band, vocab, size: int, index: int
     return _CANDIDATE_FNS[config.fragment](config, band, vocab, size, index, rng)
 
 
-_WORKER_STATE = None
-
-
-def _init_worker(config, bands):
-    global _WORKER_STATE
-    _WORKER_STATE = (config, bands, load_vocabulary(config))
-
-
-def _worker(task):
-    size, index = task
-    config, bands, vocab = _WORKER_STATE
-    return generate_candidate(config, bands[size], vocab, size, index)
-
-
-def _candidate_stream(config, bands, vocab, size, pool):
-    """Candidates for one size, lazily, in index order."""
-    start = 0
-    while True:
-        indices = range(start, start + _BATCH)
-        if pool is None:
-            yield from (
-                generate_candidate(config, bands[size], vocab, size, i) for i in indices
-            )
-        else:
-            yield from pool.map(_worker, [(size, i) for i in indices])
-        start += _BATCH
-
-
 def _collect_size(config, stream, size) -> list:
     """Accept candidates in index order until both labels hit their quota.
 
@@ -525,27 +498,31 @@ def dataset_header(config: DatasetConfig) -> dict:
     }
 
 
+def _size_records(task) -> list:
+    """The records of one size; ``task`` is (config, band, vocab, size)."""
+    config, band, vocab, size = task
+    stream = (generate_candidate(config, band, vocab, size, i) for i in itertools.count())
+    return _collect_size(config, stream, size)
+
+
 def generate_records(config: DatasetConfig, table=None, jobs: int = 1) -> list:
     """Generate the full dataset; returns records with splits assigned.
 
-    ``jobs`` only sets how many processes evaluate candidates; the
-    output is byte-identical at any value.
+    The work unit is one size.  ``jobs`` only sets how many processes
+    generate sizes, at most one per size; the output is byte-identical
+    at any value.
     """
     vocab = load_vocabulary(config)
     _check_vocabulary_capacity(config, vocab)
     bands = bands_for_config(config, table)
-    records = []
-    if jobs <= 1:
-        for size in config.sizes:
-            stream = _candidate_stream(config, bands, vocab, size, None)
-            records.extend(_collect_size(config, stream, size))
+    tasks = [(config, bands[size], vocab, size) for size in config.sizes]
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        per_size = map(_size_records, tasks)
     else:
-        with multiprocessing.Pool(
-            jobs, initializer=_init_worker, initargs=(config, bands)
-        ) as pool:
-            for size in config.sizes:
-                stream = _candidate_stream(config, bands, vocab, size, pool)
-                records.extend(_collect_size(config, stream, size))
+        with multiprocessing.Pool(workers) as pool:
+            per_size = pool.map(_size_records, tasks)
+    records = [rec for size_records in per_size for rec in size_records]
     assign_splits(config, records)
     return records
 
@@ -662,6 +639,15 @@ def _verify_record(rec: dict, vocab, max_decisions: int) -> list:
             bad("label", f"unknown label {rec['label']!r}")
         elif status != expected:
             bad("label", f"conjecture is {status}, record says {rec['label']!r}")
+        # retrofit keeps at most the m clauses it drew, and alpha is m / n_vars
+        alpha = rec.get("alpha")
+        try:
+            m = Fraction(alpha) * n_vars
+            fits = str(Fraction(alpha)) == alpha and m.denominator == 1 and m >= len(clauses)
+        except (TypeError, ValueError, ZeroDivisionError):
+            fits = False
+        if not fits:
+            bad("field", f"alpha {alpha!r} is not m/{n_vars} with m >= {len(clauses)}")
     else:
         result = _dpll(n_vars, clauses, max_decisions)
         stats = result.stats

@@ -3,9 +3,11 @@
 import hashlib
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from nlsatgen import pipeline
 from nlsatgen.cnf import Clause, CnfFormula, Literal, to_dimacs
 from nlsatgen.fragments import reindex_formula
 from nlsatgen.pipeline import (
@@ -239,12 +241,24 @@ class TestGenerateRecords:
         for record in records:
             assert record["conjecture_text"].endswith(".")
 
-    def test_stall_when_a_label_is_unreachable(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_stall_when_a_label_is_unreachable(self, jobs):
         # all-positive clauses are always satisfiable, so the unsat half
-        # of a balanced dataset can never fill
-        config = naive_config(count_per_size=4, p_neg=0.0)
+        # of a balanced dataset can never fill; at jobs=2 the error comes
+        # back from a worker process, for whichever size stalls first
+        config = naive_config(sizes=(5, 6), count_per_size=4, p_neg=0.0)
         with pytest.raises(GenerationStallError, match="looks infeasible"):
-            generate_records(config)
+            generate_records(config, jobs=jobs)
+
+    def test_one_size_starts_no_pool(self, monkeypatch):
+        config = naive_config(count_per_size=6)
+        serial = generate_records(config, jobs=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for one size")
+
+        monkeypatch.setattr(pipeline, "multiprocessing", SimpleNamespace(Pool=no_pool))
+        assert generate_records(config, jobs=4) == serial
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +555,31 @@ def test_verify_reports_each_tampering_exactly(tmp_path, verify_datasets, fragme
     tamper(bad[0])
     path = rewrite(tmp_path / "tampered.jsonl", config, bad)
     assert [str(issue) for issue in verify_dataset(path)] == expected
+
+
+# A ruletaker record's alpha is m/n_vars for the m >= n_clauses clauses
+# retrofit drew; the first record here has 22 clauses over 5 variables.
+# (The third, 11/5 over 10 clauses, shows m may exceed the clause count:
+# retrofit drops repeated facts.)
+RT_ALPHA_TABLE = [
+    ("1/2", "ruletaker-n5-000000: field: alpha '1/2' is not m/5 with m >= 22"),
+    ("21/5", "ruletaker-n5-000000: field: alpha '21/5' is not m/5 with m >= 22"),
+    ("44/10", "ruletaker-n5-000000: field: alpha '44/10' is not m/5 with m >= 22"),
+    (4.4, "ruletaker-n5-000000: field: alpha 4.4 is not m/5 with m >= 22"),
+    (None, "ruletaker-n5-000000: field: alpha None is not m/5 with m >= 22"),
+]
+
+
+@pytest.mark.parametrize(
+    "alpha,expected", RT_ALPHA_TABLE,
+    ids=["m not an integer", "m below the clauses", "not canonical", "float", "missing"],
+)
+def test_verify_checks_ruletaker_alpha(tmp_path, verify_datasets, alpha, expected):
+    config, records = verify_datasets["ruletaker"]
+    bad = [dict(r) for r in records]
+    bad[0]["alpha"] = alpha
+    path = rewrite(tmp_path / "alpha.jsonl", config, bad)
+    assert [str(issue) for issue in verify_dataset(path)] == [expected]
 
 
 # The stored stats, as read back (keys sorted), and the re-derived ones.
