@@ -692,13 +692,19 @@ GOLDEN_DIGESTS = {
 WIDTH2_GRL_DIGEST = "25d4646d807e2cb210fe78abc86bd21fbc55054cc41cb6d241acf423a55e19e2"
 
 
-def _golden_digest(tmp_path, fragment, sizes, strategy, p_int=1.0) -> str:
+# Unbalanced, each viable draw is taken under its natural label; for
+# ruletaker that is the one path where a draw offers both labels and its
+# own decides.  The odd count means no pairing of labels is assumed.
+UNBALANCED_RT_DIGEST = "7bb38ef32ec1389e61b56714908142b14a757cd6bcceb1cd68425e7d8bf2d50c"
+
+
+def _golden_digest(tmp_path, fragment, sizes, strategy, **settings) -> str:
     table = CalibrationTable()
     for n, band in GOLDEN_BANDS.items():
         table.set_band(n, 1.0, 0.5, *(BIASED_BAND if strategy == "biased" else band))
     config = DatasetConfig(
-        fragment=fragment, sizes=sizes, count_per_size=40, seed=108, strategy=strategy,
-        p_int=p_int,
+        fragment=fragment, sizes=sizes, seed=108, strategy=strategy,
+        **{"count_per_size": 40, **settings},
     )
     path = tmp_path / "golden.jsonl"
     write_dataset(path, config, generate_records(config, table))
@@ -714,6 +720,13 @@ def test_golden_dataset_digest(tmp_path, fragment, sizes, strategy):
 def test_golden_width2_grl_digest(tmp_path):
     digest = _golden_digest(tmp_path, "grl", (8, 10), "naive", p_int=0.5)
     assert digest == WIDTH2_GRL_DIGEST
+
+
+def test_golden_unbalanced_ruletaker_digest(tmp_path):
+    digest = _golden_digest(
+        tmp_path, "ruletaker", (6, 8), "hard", count_per_size=41, balance_labels=False
+    )
+    assert digest == UNBALANCED_RT_DIGEST
 
 
 @pytest.mark.parametrize("fragment,sizes", [("grl", (8, 10)), ("ruletaker", (6, 8))])
