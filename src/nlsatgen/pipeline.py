@@ -1,13 +1,12 @@
 """Dataset generation: sample, label, verbalize, balance, split, verify.
 
-Every instance is a pure function of (master seed, fragment, size,
-candidate index), and each size's records depend only on that size's
-candidates and its own quota.  The unit of work is therefore one whole
-size: a collector evaluates the size's candidates in index order and
-accepts or rejects each, so generation is reproducible byte for byte at
-any worker count.  Rejection happens for structural reasons (a variable
-the text never mentions, an unusable retrofitted theory) and for label
-balance, which is kept at exactly half per size.
+Every candidate is a pure function of (master seed, fragment, size,
+index): one draw, rejected or turned into ``{label: record}``, one
+record per label it can carry, each built by ``_record``.  A size's
+records depend only on its own candidates and quota, so the unit of
+work is one size: a collector takes its candidates in index order until
+each label's quota (exactly half per size) or, unbalanced, the one
+shared quota is met.  Output is thus byte-identical at any worker count.
 
 Records are emitted as JSON Lines: a header object first, then one
 object per instance, keys sorted.  :func:`verify_dataset` re-derives
@@ -238,28 +237,16 @@ def bands_for_config(config: DatasetConfig, table) -> dict:
     return bands
 
 
-@dataclass
-class Candidate:
-    """One draw: everything needed to emit a record."""
+def _record(config, band, size, index, m, n_vars, n_clauses, text, dimacs, stats, label) -> dict:
+    """The fields every record carries; a candidate adds its fragment's extras.
 
-    size: int
-    index: int
-    options: dict  # label -> record payload
-    diversity: bool
-    natural: str = None  # the label this draw would carry unbalanced
-
-    def __post_init__(self):
-        if self.natural is None:
-            (self.natural,) = self.options
-
-
-def _record_id(fragment: str, size: int, index: int) -> str:
-    return f"{fragment}-n{size}-{index:06d}"
-
-
-def _base_payload(config, size, index, n_vars, n_clauses, ratio, stats, text, dimacs):
+    The draw asked for ``m`` clauses over ``size`` variables, so alpha is
+    m/size, and a hard draw whose alpha lies outside the calibrated band
+    is flagged as a diversity draw.
+    """
+    alpha = Fraction(m, size)
     return {
-        "id": _record_id(config.fragment, size, index),
+        "id": f"{config.fragment}-n{size}-{index:06d}",
         "fragment": config.fragment,
         "size": size,
         "seed_index": index,
@@ -267,16 +254,12 @@ def _base_payload(config, size, index, n_vars, n_clauses, ratio, stats, text, di
         "text": text,
         "n_vars": n_vars,
         "n_clauses": n_clauses,
-        "alpha": str(ratio),
+        "alpha": str(alpha),
         "stats": stats.as_dict(),
         "dimacs": dimacs,
+        "diversity": config.strategy == HARD and not band[0] <= alpha <= band[1],
+        "label": label,
     }
-
-
-def _is_diverse(config, band, ratio: Fraction) -> bool:
-    if config.strategy != HARD or band is None:
-        return False
-    return not Fraction(band[0]) <= ratio <= Fraction(band[1])
 
 
 # The candidates chain the private int cores of each layer (draw,
@@ -296,12 +279,9 @@ def _grl_candidate(config, band, vocab, size, index, rng):
     result = _dpll(size, f.clauses, config.max_decisions)
     binding = bind_vocabulary(f, vocab, rng)
     text = " ".join(grl._render(f.clauses, binding, config.token_budget))
-    ratio = Fraction(m, size)
-    payload = _base_payload(
-        config, size, index, size, m, ratio, result.stats, text, _dimacs(f)
-    )
-    payload["label"] = result.label
-    return Candidate(size, index, {result.label: payload}, _is_diverse(config, band, ratio))
+    return {result.label: _record(
+        config, band, size, index, m, size, m, text, _dimacs(f), result.stats, result.label
+    )}
 
 
 def _rcl_candidate(config, band, vocab, size, index, rng):
@@ -309,9 +289,9 @@ def _rcl_candidate(config, band, vocab, size, index, rng):
     n_preds = feasible[rng.randrange(len(feasible))]
     n_consts = size // n_preds
     spec = SampleSpec(n=size, p_int=1.0, p_neg=config.p_neg)
-    total_m = draw_m(spec, config.strategy, band, rng, config.diversity_fraction)
+    m = draw_m(spec, config.strategy, band, rng, config.diversity_fraction)
     try:
-        m_universal, m_ground = rcl.split_clause_budget(total_m, n_consts)
+        m_universal, m_ground = rcl.split_clause_budget(m, n_consts)
     except ValueError:
         return None  # clause budget cannot cover every constant
     problem = rcl._draw(n_preds, n_consts, m_universal, m_ground, config.p_neg, rng)
@@ -319,22 +299,18 @@ def _rcl_candidate(config, band, vocab, size, index, rng):
         problem, _, _ = rcl._reindex(problem)
     except FragmentError:
         return None  # some predicate never occurs; the text could not mention it
+    # m clauses over n_preds * n_consts = size ground variables
     grounded = rcl._ground(problem)
     result = _dpll(grounded.n_vars, grounded.clauses, config.max_decisions)
     binding = bind_vocabulary(problem, vocab, rng)
     sentences = rcl._render(
         problem, binding, vocab, rng, config.no_rewrite_prob, config.token_budget
     )
-    n_clauses = len(grounded.clauses)
-    ratio = Fraction(n_clauses, grounded.n_vars)
-    payload = _base_payload(
-        config, size, index, n_preds, n_clauses, ratio, result.stats,
-        " ".join(sentences), _dimacs(grounded),
+    record = _record(
+        config, band, size, index, m, n_preds, m, " ".join(sentences),
+        _dimacs(grounded), result.stats, result.label,
     )
-    payload["label"] = result.label
-    payload["n_ground_vars"] = grounded.n_vars
-    payload["n_constants"] = n_consts
-    return Candidate(size, index, {result.label: payload}, _is_diverse(config, band, ratio))
+    return {result.label: record | {"n_ground_vars": grounded.n_vars, "n_constants": n_consts}}
 
 
 def _rt_candidate(config, band, vocab, size, index, rng):
@@ -361,76 +337,68 @@ def _rt_candidate(config, band, vocab, size, index, rng):
             picks[label] = pool[rng.randrange(len(pool))]
     if not picks:
         return None  # theory neither entails nor refutes any literal
-    if len(picks) == 2:
-        # Unbalanced natural label: uniform over all decidable conjectures.
-        total = sum(len(pools[label]) for label in RT_LABELS)
-        first = RT_LABELS[0]
-        natural = first if rng.randrange(total) < len(pools[first]) else RT_LABELS[1]
-    else:
-        (natural,) = picks
+    true, false = RT_LABELS
+    # The natural label goes first: uniform over all decidable conjectures.
+    if len(picks) == 2 and rng.randrange(len(pools[true]) + len(pools[false])) >= len(pools[true]):
+        picks = dict(reversed(picks.items()))
     binding = ruletaker.bind_attributes(theory, vocab, rng)
-    ratio = Fraction(m, size)
-    diversity = _is_diverse(config, band, ratio)
     text = " ".join(ruletaker._render(theory, binding, config.token_budget))
     dimacs = _dimacs(theory)
     options = {}
     for label, conjecture in picks.items():
         # the backbone test that decided the conjecture was its refutation
-        stats = refutations[conjecture if label == ruletaker.LABEL_TRUE else -conjecture]
-        payload = _base_payload(
-            config, size, index, size, len(theory.clauses), ratio, stats, text, dimacs
+        stats = refutations[conjecture if label == true else -conjecture]
+        record = _record(
+            config, band, size, index, m, size, len(theory.clauses), text, dimacs, stats, label
         )
-        payload["label"] = label
-        payload["conjecture_text"] = ruletaker._render_conjecture(
-            conjecture, binding, config.token_budget
-        )
-        options[label] = payload
-    return Candidate(size, index, options, diversity, natural)
+        conjecture_text = ruletaker._render_conjecture(conjecture, binding, config.token_budget)
+        options[label] = record | {"conjecture_text": conjecture_text}
+    return options
 
 
 _CANDIDATE_FNS = {GRL: _grl_candidate, RCL: _rcl_candidate, RULETAKER: _rt_candidate}
 
 
 def generate_candidate(config: DatasetConfig, band, vocab, size: int, index: int):
-    """Evaluate candidate (size, index); None when it is rejected."""
+    """Candidate (size, index) as ``{label: record}``, or None when rejected.
+
+    A draw offers one record per label it can carry, natural label first:
+    the label it gets when labels are not balanced.  Only a ruletaker
+    draw can offer both.
+    """
     rng = derive_rng(config.seed, config.fragment, size, index)
     return _CANDIDATE_FNS[config.fragment](config, band, vocab, size, index, rng)
 
 
 def _collect_size(config, stream, size) -> list:
-    """Accept candidates in index order until both labels hit their quota.
+    """Accept candidates in index order until every label meets its quota.
 
     With label balancing off, every viable candidate counts toward one
     shared quota under its natural label instead.
     """
     if config.balance_labels:
-        half = config.count_per_size // 2
-        need = {label: half for label in config.labels}
+        need = dict.fromkeys(config.labels, config.count_per_size // 2)
     else:
         need = {None: config.count_per_size}
     window = deque()
     window_accepts = 0
     accepted = []
-    for candidate in stream:
+    for options in stream:
         take = None
-        if candidate is not None:
-            if not config.balance_labels:
-                take = candidate.natural if need[None] > 0 else None
-            else:
-                open_labels = [
-                    lab for lab in config.labels
-                    if need[lab] > 0 and lab in candidate.options
-                ]
-                if open_labels:
-                    # Largest remaining need wins; ties go to the first label.
-                    take = max(open_labels, key=lambda lab: need[lab])
+        if options is not None and not config.balance_labels:
+            take = next(iter(options))
+        elif options is not None:
+            open_labels = [lab for lab in config.labels if need[lab] and lab in options]
+            if open_labels:
+                # Largest remaining need wins; ties go to the first label.
+                take = max(open_labels, key=need.get)
         window.append(take is not None)
         window_accepts += take is not None
         if len(window) > STALL_WINDOW:
             window_accepts -= window.popleft()
         if take is not None:
             need[take if config.balance_labels else None] -= 1
-            accepted.append(candidate.options[take] | {"diversity": candidate.diversity})
+            accepted.append(options[take])
             if not any(need.values()):
                 return accepted
         elif len(window) == STALL_WINDOW and window_accepts < STALL_MIN_ACCEPTS:
@@ -589,6 +557,10 @@ def _verify_record(rec: dict, vocab, max_decisions: int) -> list:
     def bad(kind, message):
         issues.append(VerifyIssue(rid, kind, message))
 
+    def count(key, expected):  # 6.0 == 6, so the type is checked too
+        if not _is_int(rec.get(key)) or rec[key] != expected:
+            bad("field", f"{key} {rec.get(key)} != {expected}")
+
     for key in ("text", "label", "dimacs", "n_vars", "n_clauses"):
         if key not in rec:
             bad("field", f"missing {key}")
@@ -607,16 +579,12 @@ def _verify_record(rec: dict, vocab, max_decisions: int) -> list:
     if fragment == RCL:
         problem = parsed[0]
         expected_n_vars = problem.n_predicates
-        if rec.get("n_ground_vars") != n_vars:
-            bad("field", f"n_ground_vars {rec.get('n_ground_vars')} != {n_vars}")
-        if rec.get("n_constants") != problem.n_constants:
-            bad("field", f"n_constants {rec.get('n_constants')} != {problem.n_constants}")
+        count("n_ground_vars", n_vars)
+        count("n_constants", problem.n_constants)
     if _dimacs(formula) != rec["dimacs"]:
         bad("dimacs", "stored formula differs from the parsed text")
-    if expected_n_vars != rec["n_vars"]:
-        bad("field", f"n_vars {rec['n_vars']} != {expected_n_vars}")
-    if len(clauses) != rec["n_clauses"]:
-        bad("field", f"n_clauses {rec['n_clauses']} != {len(clauses)}")
+    count("n_vars", expected_n_vars)
+    count("n_clauses", len(clauses))
     if fragment == RULETAKER:
         if "conjecture_text" not in rec:
             bad("field", "missing conjecture_text")
@@ -658,7 +626,9 @@ def _verify_record(rec: dict, vocab, max_decisions: int) -> list:
             bad("field", f"alpha {rec.get('alpha')!r} != {expected_alpha!r}")
     # the solve that decided the label (for ruletaker, the refuting one)
     # is the solve whose effort the record states
-    if stats is not None and rec.get("stats") != stats.as_dict():
+    if stats is not None and (
+        rec.get("stats") != stats.as_dict() or not all(map(_is_int, rec["stats"].values()))
+    ):
         bad("field", f"stats {rec.get('stats')!r} != {stats.as_dict()!r}")
     return issues
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cnf import Clause, CnfFormula, Literal, _as_clause, _IntCnf, _normalize_ints
+from .cnf import Clause, CnfFormula, Literal, _as_clause, _as_formula, _IntCnf, _normalize_ints
 from .fragments import (
     RULETAKER,
     FragmentError,
@@ -113,8 +113,7 @@ class RetrofitTheory:
 
     def formula(self) -> CnfFormula:
         """Rules in order, then one unit clause per fact."""
-        units = tuple(Clause((lit,)) for lit in self.facts)
-        return CnfFormula(self.n_vars, self.rules + units)
+        return _as_formula(_ints_of(self))
 
 
 def _ints_of(t: RetrofitTheory) -> _IntCnf:

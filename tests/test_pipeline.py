@@ -241,6 +241,34 @@ class TestGenerateRecords:
         for record in records:
             assert record["conjecture_text"].endswith(".")
 
+    NOUNS = ("doctor", "baker", "gardener", "chemist", "sculptor")
+
+    @pytest.mark.parametrize("fragment,sizes,lists,message", [
+        ("grl", (5, 6), {"nouns": NOUNS}, "lexicon has 5 count nouns, need 6"),
+        ("rcl", (10,), {"nouns": NOUNS[:4], "names": ("Alma", "Bertil")},
+         "lexicon has 4 count nouns, need 5"),
+        ("rcl", (10,), {"nouns": NOUNS, "names": ("Alma",)}, "lexicon has 1 proper nouns, need 2"),
+        ("ruletaker", (5, 6), {"attributes": ("red", "blue", "green", "big", "round")},
+         "vocabulary has 5 attributes, need 6"),
+    ])
+    def test_small_word_list_is_refused_before_any_candidate(
+        self, tmp_path, monkeypatch, fragment, sizes, lists, message
+    ):
+        # checked when generation starts, so no candidate may run
+        paths = {}
+        for name, words in lists.items():
+            path = tmp_path / f"{name}.txt"
+            path.write_text("\n".join(words) + "\n")
+            paths[f"{name}_path"] = str(path)
+
+        def ran(*args, **kwargs):
+            raise AssertionError("a candidate ran")
+
+        monkeypatch.setattr(pipeline, "generate_candidate", ran)
+        config = naive_config(fragment=fragment, sizes=sizes, count_per_size=2, **paths)
+        with pytest.raises(DatasetError, match=f"^{message}$"):
+            generate_records(config)
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_stall_when_a_label_is_unreachable(self, jobs):
         # all-positive clauses are always satisfiable, so the unsat half
@@ -580,6 +608,61 @@ def test_verify_checks_ruletaker_alpha(tmp_path, verify_datasets, alpha, expecte
     bad[0]["alpha"] = alpha
     path = rewrite(tmp_path / "alpha.jsonl", config, bad)
     assert [str(issue) for issue in verify_dataset(path)] == [expected]
+
+
+# Counts must be ints: JSON keeps 5.0 apart from 5, and 5.0 == 5 in Python.
+def _float_stat(key):
+    def tamper(rec):
+        rec["stats"] = dict(rec["stats"], **{key: float(rec["stats"][key])})
+
+    return tamper
+
+
+VERIFY_INT_TABLE = [
+    ("grl", "n_vars", lambda rec: rec.update(n_vars=5.0), [
+        "grl-n5-000000: field: n_vars 5.0 != 5",
+    ]),
+    ("grl", "n_clauses", lambda rec: rec.update(n_clauses=23.0), [
+        "grl-n5-000000: field: n_clauses 23.0 != 23",
+    ]),
+    ("grl", "stats", _float_stat("decisions"), [
+        "grl-n5-000000: field: stats {'conflicts': 1, 'decisions': 2.0, 'propagations': 5}"
+        " != {'decisions': 2, 'conflicts': 1, 'propagations': 5}",
+    ]),
+    ("rcl", "n_vars", lambda rec: rec.update(n_vars=5.0), [
+        "rcl-n10-000000: field: n_vars 5.0 != 5",
+    ]),
+    ("rcl", "n_ground_vars", lambda rec: rec.update(n_ground_vars=10.0), [
+        "rcl-n10-000000: field: n_ground_vars 10.0 != 10",
+    ]),
+    ("rcl", "n_constants", lambda rec: rec.update(n_constants=2.0), [
+        "rcl-n10-000000: field: n_constants 2.0 != 2",
+    ]),
+    ("rcl", "stats", _float_stat("conflicts"), [
+        "rcl-n10-000000: field: stats {'conflicts': 1.0, 'decisions': 6, 'propagations': 5}"
+        " != {'decisions': 6, 'conflicts': 1, 'propagations': 5}",
+    ]),
+    ("ruletaker", "n_clauses", lambda rec: rec.update(n_clauses=22.0), [
+        "ruletaker-n5-000000: field: n_clauses 22.0 != 22",
+    ]),
+    ("ruletaker", "stats", _float_stat("propagations"), [
+        "ruletaker-n5-000000: field: stats {'conflicts': 1, 'decisions': 0, 'propagations': 5.0}"
+        " != {'decisions': 0, 'conflicts': 1, 'propagations': 5}",
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "fragment,tamper,expected",
+    [(frag, tamper, expected) for frag, _, tamper, expected in VERIFY_INT_TABLE],
+    ids=[f"{frag}-{what}" for frag, what, _, _ in VERIFY_INT_TABLE],
+)
+def test_verify_requires_int_counts(tmp_path, verify_datasets, fragment, tamper, expected):
+    config, records = verify_datasets[fragment]
+    bad = [dict(r) for r in records]
+    tamper(bad[0])
+    path = rewrite(tmp_path / "floats.jsonl", config, bad)
+    assert [str(issue) for issue in verify_dataset(path)] == expected
 
 
 # The stored stats, as read back (keys sorted), and the re-derived ones.
