@@ -640,9 +640,12 @@ def verify_dataset(path, max_decisions: int = DEFAULT_MAX_DECISIONS) -> list:
     form must serialize to exactly the stored DIMACS, and re-solving
     (or re-checking the conjecture) must reproduce the stored label and,
     from that same solve, the stored ``stats``: the label solve for grl
-    and rcl, the refuting solve for ruletaker.  Per-size label balance
-    is checked dataset-wide.  Parsing, solving and the DIMACS comparison
-    run on the signed-int cores and build no clause objects.
+    and rcl, the refuting solve for ruletaker.  A record's id must be
+    built from its fragment, size and seed_index, its strategy must be
+    the header's, and only a hard record may be a diversity draw.
+    Per-size label balance is checked dataset-wide.  Parsing, solving
+    and the DIMACS comparison run on the signed-int cores and build no
+    clause objects.
     """
     header, records = read_dataset(path)
     fragment = header.get("fragment")
@@ -669,6 +672,7 @@ def verify_dataset(path, max_decisions: int = DEFAULT_MAX_DECISIONS) -> list:
             by_size.setdefault(size, []).append(rec.get("label"))
         else:
             issues.append(VerifyIssue(rid, "field", f"bad size {size!r}"))
+        issues.extend(_origin_issues(rec, rid, size, header))
     if header.get("balance_labels") is False:
         return issues
     labels = _labels(fragment)
@@ -681,6 +685,33 @@ def verify_dataset(path, max_decisions: int = DEFAULT_MAX_DECISIONS) -> list:
                     f"labels are not balanced: {counts}",
                 )
             )
+    return issues
+
+
+def _origin_issues(rec: dict, rid, size, header: dict) -> list:
+    """Check the fields that say where a record came from against the header.
+
+    The text cannot show them, but the id is built from the others, the
+    strategy is the dataset's, and only hard draws can be diversity draws.
+    """
+    issues = []
+    strategy = header.get("strategy")
+    index = rec.get("seed_index")
+    if not _is_int(index) or index < 0:
+        issues.append(VerifyIssue(rid, "field", f"bad seed_index {index!r}"))
+    elif _is_int(size) and isinstance(rid, str):
+        expected = f"{header.get('fragment')}-n{size}-{index:06d}"
+        if rec.get("id") != expected:
+            issues.append(VerifyIssue(rid, "field", f"id {rec.get('id')!r} != {expected!r}"))
+    if rec.get("strategy") != strategy:
+        issues.append(
+            VerifyIssue(rid, "field", f"strategy {rec.get('strategy')!r} != header's {strategy!r}")
+        )
+    diversity = rec.get("diversity")
+    if not isinstance(diversity, bool) or (diversity and strategy != HARD):
+        issues.append(
+            VerifyIssue(rid, "field", f"bad diversity {diversity!r} for strategy {strategy!r}")
+        )
     return issues
 
 

@@ -5,7 +5,8 @@ unsatisfiable as alpha = m/n crosses a critical value; problems drawn
 near the crossing are empirically the hardest.  This module samples
 clauses and formulas, estimates the satisfiable fraction by Monte
 Carlo, locates the crossing from the unsat thresholds of random clause
-streams (the shortest unsat prefix of each, found by bisection), and
+streams (the shortest unsat prefix of each: one truth-table mask scan
+for n up to ``_MASK_SCAN_MAX_VARS``, DPLL bisection above it), and
 draws formulas with one of three band strategies:
 
 * hard    alpha inside the calibrated critical band (where the
@@ -39,7 +40,7 @@ from typing import Optional, Sequence
 from .cnf import Clause, _as_clause
 from .fileio import atomic_writer
 from .rng import derive_rng
-from .solver import DEFAULT_MAX_DECISIONS, BudgetExhaustedError, _dpll
+from .solver import DEFAULT_MAX_DECISIONS, BudgetExhaustedError, _dpll, _unsat_prefix
 
 HARD = "hard"
 NAIVE = "naive"
@@ -51,6 +52,12 @@ DIVERSITY_FRACTION = 0.1
 DIVERSITY_WIDEN = Fraction(1)
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
+
+# Largest n whose calibration thresholds come from the truth-table scan.
+# Its 2^n-bit masks outgrow DPLL bisection past here: per trial at n=17
+# the scan took 0.12-0.26x bisection's time for every width mix tried,
+# at 18 0.32-0.87x, and at 19 1.74x for p_int 0.5 (20: 2.5-5.6x).
+_MASK_SCAN_MAX_VARS = 17
 
 
 class CalibrationError(RuntimeError):
@@ -293,8 +300,13 @@ class CalibrationResult:
 def _unsat_threshold(n: int, clauses: list, max_decisions: int) -> int:
     """Length of the shortest unsat prefix of clauses, or len + 1 if none.
 
-    Adding clauses never makes an unsat formula sat, so bisection finds it.
+    Up to ``_MASK_SCAN_MAX_VARS`` variables it is one truth-table scan,
+    which does no search and ignores ``max_decisions``.  Above it,
+    adding clauses never makes an unsat formula sat, so bisection with
+    ``_dpll`` finds it, and a solve may exhaust the budget.
     """
+    if n <= _MASK_SCAN_MAX_VARS:
+        return _unsat_prefix(n, clauses)
     sat, unsat = 0, len(clauses) + 1  # known-sat and known-unsat lengths
     probe = len(clauses)              # solve the whole stream first
     while unsat - sat > 1:
@@ -323,9 +335,11 @@ def calibrate_critical(
     The share of thresholds above m is P_sat(m) for every m at once, and
     it cannot rise with m.  alpha_c is the m/n whose P_sat is nearest 0.5;
     it must come within tolerance + its Wilson half-width of 0.5.  The
-    critical band spans the ratios whose P_sat lies in [0.4, 0.6].  A
-    trial whose solve exhausts the decision budget redraws its stream,
-    a few times, before giving up.
+    critical band spans the ratios whose P_sat lies in [0.4, 0.6].  Up
+    to ``_MASK_SCAN_MAX_VARS`` variables a threshold is one truth-table
+    scan and ``max_decisions`` is unused; above it the threshold is
+    bisected with DPLL, and a trial whose solve exhausts the decision
+    budget redraws its stream, a few times, before giving up.
     """
     if trials_per_point <= 0:
         raise ValueError("trials must be positive")

@@ -27,6 +27,13 @@ canonical by construction without building objects.  Entailment has
 the same split: :func:`check_entailment` checks the query and calls
 ``_entailment``, which ``verify`` calls directly on parsed int clauses
 and which also returns the refuting solve's statistics.
+
+Beside the search sit two truth-table routines over big-integer masks
+of the 2^n assignments: :func:`solve_bruteforce`, the oracle, and
+``_unsat_prefix``, which gives the shortest unsat prefix of a clause
+stream in one pass.  Calibration uses the latter up to
+``sampler._MASK_SCAN_MAX_VARS`` variables and bisects with ``_dpll``
+above it, so the decision budget applies to calibration only there.
 """
 
 from __future__ import annotations
@@ -302,3 +309,24 @@ def solve_bruteforce(f: CnfFormula, max_vars: int = BRUTEFORCE_MAX_VARS) -> Solv
     idx = (acc & -acc).bit_length() - 1
     model = {v: bool((idx >> (n - v)) & 1) for v in range(1, n + 1)}
     return SolveResult(SAT, model, SolveStats())
+
+
+def _unsat_prefix(n: int, clauses) -> int:
+    """Length of the shortest unsat prefix of signed-int clauses, or len + 1.
+
+    One pass over the truth table of 1..n: each clause's assignment mask
+    is ANDed into a running mask, and the first prefix that leaves no
+    assignment standing is the answer.  No search, so no budget; the
+    cost is a few 2^n-bit operations per clause.
+    """
+    masks, full = _var_masks(n)
+    negated = [full ^ mask for mask in masks]
+    acc = full
+    for length, cl in enumerate(clauses, 1):
+        cm = 0
+        for lit in cl:
+            cm |= masks[lit] if lit > 0 else negated[-lit]
+        acc &= cm
+        if not acc:
+            return length
+    return len(clauses) + 1

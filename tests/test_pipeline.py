@@ -585,6 +585,77 @@ def test_verify_reports_each_tampering_exactly(tmp_path, verify_datasets, fragme
     assert [str(issue) for issue in verify_dataset(path)] == expected
 
 
+# The fields the text cannot show: the id is built from fragment, size
+# and seed_index, the strategy is the header's, and only a hard record
+# may be a diversity draw.
+VERIFY_ORIGIN_TABLE = [
+    ("grl", "seed_index elsewhere", lambda rec: rec.update(seed_index=999), [
+        "grl-n5-000000: field: id 'grl-n5-000000' != 'grl-n5-000999'",
+    ]),
+    ("grl", "negative seed_index", lambda rec: rec.update(seed_index=-1), [
+        "grl-n5-000000: field: bad seed_index -1",
+    ]),
+    ("grl", "string seed_index", lambda rec: rec.update(seed_index="0"), [
+        "grl-n5-000000: field: bad seed_index '0'",
+    ]),
+    ("grl", "bool seed_index", lambda rec: rec.update(seed_index=False), [
+        "grl-n5-000000: field: bad seed_index False",
+    ]),
+    ("grl", "missing seed_index", lambda rec: rec.pop("seed_index"), [
+        "grl-n5-000000: field: bad seed_index None",
+    ]),
+    ("rcl", "renamed id", lambda rec: rec.update(id="rcl-n10-999999"), [
+        "rcl-n10-999999: field: id 'rcl-n10-999999' != 'rcl-n10-000000'",
+    ]),
+    ("ruletaker", "missing id", lambda rec: rec.pop("id"), [
+        "<missing id>: field: id None != 'ruletaker-n5-000000'",
+    ]),
+    ("grl", "strategy", lambda rec: rec.update(strategy="hard"), [
+        "grl-n5-000000: field: strategy 'hard' != header's 'naive'",
+    ]),
+    ("rcl", "missing strategy", lambda rec: rec.pop("strategy"), [
+        "rcl-n10-000000: field: strategy None != header's 'naive'",
+    ]),
+    ("grl", "string diversity", lambda rec: rec.update(diversity="yes"), [
+        "grl-n5-000000: field: bad diversity 'yes' for strategy 'naive'",
+    ]),
+    ("ruletaker", "diversity in a naive dataset", lambda rec: rec.update(diversity=True), [
+        "ruletaker-n5-000000: field: bad diversity True for strategy 'naive'",
+    ]),
+    ("ruletaker", "missing diversity", lambda rec: rec.pop("diversity"), [
+        "ruletaker-n5-000000: field: bad diversity None for strategy 'naive'",
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "fragment,tamper,expected",
+    [(frag, tamper, expected) for frag, _, tamper, expected in VERIFY_ORIGIN_TABLE],
+    ids=[f"{frag}-{what}" for frag, what, _, _ in VERIFY_ORIGIN_TABLE],
+)
+def test_verify_checks_record_origin(tmp_path, verify_datasets, fragment, tamper, expected):
+    config, records = verify_datasets[fragment]
+    bad = [dict(r) for r in records]
+    tamper(bad[0])
+    path = rewrite(tmp_path / "origin.jsonl", config, bad)
+    assert [str(issue) for issue in verify_dataset(path)] == expected
+
+
+def test_verify_checks_the_strategy_of_a_hard_dataset(tmp_path):
+    table = CalibrationTable()
+    table.set_band(5, 1.0, 0.5, Fraction(4), Fraction(5))
+    config = naive_config(strategy="hard", count_per_size=6, diversity_fraction=0.5)
+    records = generate_records(config, table=table)
+    assert any(r["diversity"] for r in records)  # a hard diversity draw verifies
+    assert verify_dataset(rewrite(tmp_path / "hard.jsonl", config, records)) == []
+    bad = [dict(r) for r in records]
+    bad[0]["strategy"] = "naive"
+    path = rewrite(tmp_path / "mixed.jsonl", config, bad)
+    assert [str(issue) for issue in verify_dataset(path)] == [
+        f"{bad[0]['id']}: field: strategy 'naive' != header's 'hard'",
+    ]
+
+
 # A ruletaker record's alpha is m/n_vars for the m >= n_clauses clauses
 # retrofit drew; the first record here has 22 clauses over 5 variables.
 # (The third, 11/5 over 10 clauses, shows m may exceed the clause count:

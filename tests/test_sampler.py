@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
+from nlsatgen import sampler
 from nlsatgen.cnf import CnfFormula
 from nlsatgen.rng import derive_rng
 from nlsatgen.sampler import (
@@ -26,6 +27,7 @@ from nlsatgen.sampler import (
     estimate_psat,
     _draw_clause,
     _draw_clauses,
+    _MASK_SCAN_MAX_VARS,
     _unsat_threshold,
     draw_m,
     sample_clause,
@@ -37,6 +39,7 @@ from nlsatgen.solver import (
     SAT,
     UNSAT,
     BudgetExhaustedError,
+    _dpll,
     solve,
     solve_bruteforce,
 )
@@ -271,9 +274,35 @@ def test_calibrate_guards_degenerate_families():
     assert "raise alpha_max" in str(exc.value)
 
 
-def test_calibrate_gives_up_after_repeated_budget_exhaustion():
+def test_calibrate_gives_up_after_repeated_budget_exhaustion(monkeypatch):
+    # only the bisection branch searches, so only it has a budget to exhaust
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return _dpll(*args)
+
+    monkeypatch.setattr(sampler, "_dpll", counted)
     with pytest.raises(BudgetExhaustedError):
-        calibrate_critical(8, 1.0, 0.5, trials_per_point=3, max_decisions=0)
+        calibrate_critical(
+            _MASK_SCAN_MAX_VARS + 1, 1.0, 0.5, trials_per_point=3, max_decisions=0
+        )
+    assert len(solves) == 5  # the first trial's stream, then four redraws
+
+
+def test_mask_scan_calibration_ignores_the_budget():
+    default = calibrate_critical(8, 1.0, 0.5, trials_per_point=100, seed=3)
+    assert calibrate_critical(8, 1.0, 0.5, trials_per_point=100, seed=3, max_decisions=0) == default
+
+
+def test_mask_scan_calibration_does_no_search(monkeypatch):
+    expected = calibrate_critical(8, 1.0, 0.5, trials_per_point=100, seed=1)
+
+    def no_search(*args):
+        raise AssertionError("the mask scan called _dpll")
+
+    monkeypatch.setattr(sampler, "_dpll", no_search)
+    assert calibrate_critical(8, 1.0, 0.5, trials_per_point=100, seed=1) == expected
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -297,6 +326,52 @@ def test_unsat_threshold_matches_a_bruteforce_scan(n, p_int, alpha_max, rnd):
         m_max + 1,
     )
     assert _unsat_threshold(n, clauses, DEFAULT_MAX_DECISIONS) == scan
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n=st.integers(3, _MASK_SCAN_MAX_VARS),
+    p_int=st.sampled_from((0.0, 0.5, 1.0)),
+    alpha_max=st.integers(0, 8),
+    rnd=st.randoms(use_true_random=True),
+)
+def test_mask_scan_threshold_matches_a_dpll_scan(n, p_int, alpha_max, rnd):
+    # up to the constant the threshold is a truth-table scan, which
+    # shares no code with the DPLL that decides each prefix here
+    m_max = alpha_max * n
+    clauses = _draw_clauses(SampleSpec(n=n, p_int=p_int, p_neg=0.5), m_max, rnd)
+    scan = next(
+        (
+            m
+            for m in range(1, m_max + 1)
+            if _dpll(n, clauses[:m], DEFAULT_MAX_DECISIONS).label == UNSAT
+        ),
+        m_max + 1,
+    )
+    assert _unsat_threshold(n, clauses, DEFAULT_MAX_DECISIONS) == scan
+
+
+@pytest.mark.parametrize(
+    "p_int, alpha_max, seed",
+    [(1.0, 8, 0), (1.0, 8, 1), (0.5, 6, 2), (0.0, 3, 3), (1.0, 2, 4), (0.5, 8, 5), (1.0, 6, 6)],
+)
+def test_bisection_threshold_matches_a_bruteforce_scan(p_int, alpha_max, seed):
+    # just above the constant the threshold is bisected with DPLL
+    n = _MASK_SCAN_MAX_VARS + 1
+    m_max = alpha_max * n
+    rng = derive_rng("bisection-threshold", seed)
+    clauses = _draw_clauses(SampleSpec(n=n, p_int=p_int, p_neg=0.5), m_max, rng)
+    scan = next(
+        (
+            m
+            for m in range(1, m_max + 1)
+            if solve_bruteforce(CnfFormula.from_ints(n, clauses[:m])).label == UNSAT
+        ),
+        m_max + 1,
+    )
+    assert _unsat_threshold(n, clauses, DEFAULT_MAX_DECISIONS) == scan
+    if scan <= m_max:  # a stream that turns unsat only at its last clause
+        assert _unsat_threshold(n, clauses[:scan], DEFAULT_MAX_DECISIONS) == scan
 
 
 @pytest.mark.parametrize(
