@@ -318,16 +318,14 @@ def _rt_candidate(config, band, vocab, size, index, rng):
         n=size, p_int=config.p_int, p_neg=config.p_neg, with_replacement=True
     )
     m = draw_m(spec, config.strategy, band, rng, config.diversity_fraction)
-    drawn = ruletaker._retrofit(spec, _draw_clauses(spec, m, rng), rng, config.max_decisions)
-    if drawn is None:
+    theory = ruletaker._retrofit(spec, _draw_clauses(spec, m, rng), rng, config.max_decisions)
+    if theory is None:
         return None  # contradictory facts or unsatisfiable rules
-    theory, model = drawn
     try:
-        theory, mapping = _reindex(theory)
+        theory, _ = _reindex(theory)
     except FragmentError:
         return None  # some attribute never occurs; the text could not mention it
-    model = {mapping[v]: value for v, value in model.items()}
-    pools, refutations = ruletaker._conjecture_pools(theory, model, config.max_decisions)
+    pools = ruletaker._conjecture_pools(theory, config.max_decisions)
     # Draw both label options in a fixed order so the byte stream does
     # not depend on which one the collector ends up needing.
     picks = {}
@@ -346,8 +344,9 @@ def _rt_candidate(config, band, vocab, size, index, rng):
     dimacs = _dimacs(theory)
     options = {}
     for label, conjecture in picks.items():
-        # the backbone test that decided the conjecture was its refutation
-        stats = refutations[conjecture if label == true else -conjecture]
+        # The pools decided the label; this DPLL solve only measures the
+        # refutation, and verify re-decides the label with its own solves.
+        stats = ruletaker._refutation(theory, conjecture, label, config.max_decisions).stats
         record = _record(
             config, band, size, index, m, size, len(theory.clauses), text, dimacs, stats, label
         )

@@ -18,10 +18,14 @@ Rules render as implications and facts as plain statements:
 A finished instance pairs the theory with a conjecture about the same
 entity, labeled "true" when the theory entails it and "false" when the
 theory refutes it; conjectures the theory leaves open are never asked.
-The decided literals are the theory's backbone, found from models: a
-variable is tested only while every model seen so far gives it the same
-value, and the test that entails a literal is also the refutation whose
-solver effort the instance records.
+The decided literals are the theory's backbone.  Up to
+``solver._MASK_SCAN_MAX_VARS`` variables it is read off the mask of all
+models (``solver._models``): a variable is entailed when every model
+gives it the same value, with no search.  Above that it is found from
+models by DPLL: a variable is tested only while every model seen so far
+gives it the same value.  Either way the solver effort an instance
+records is one DPLL refutation of the picked conjecture: the rules,
+then the facts, then the unit the label says is false.
 
 Validation happens at the boundary: :func:`reindex_theory`,
 :func:`conjecture_pools`, :func:`refutation_stats` and
@@ -31,9 +35,9 @@ Validation happens at the boundary: :func:`reindex_theory`,
 return them.  Below that boundary a theory is a ``cnf._IntCnf``: the
 rules in order, then one unit clause per fact, the clause order of
 ``RetrofitTheory.formula``.  The cores (``_retrofit``,
-``_conjecture_pools``, ``_render``, ``_parse``, ``_parse_conjecture``)
-and ``fragments._reindex`` work on it and solve with ``solver._dpll``;
-the ruletaker generator chains them and builds no clause objects, and
+``_conjecture_pools``, ``_refutation``, ``_render``, ``_parse``,
+``_parse_conjecture``) and ``fragments._reindex`` work on it; the
+ruletaker generator chains them and builds no clause objects, and
 the theory's clauses are checked when DIMACS writes them.  ``verify``
 decides a parsed conjecture with ``solver._entailment`` and builds none
 either.
@@ -55,7 +59,15 @@ from .fragments import (
     check_token_budget,
 )
 from .sampler import SampleSpec, _draw_clause, _draw_clauses
-from .solver import DEFAULT_MAX_DECISIONS, SAT, DegenerateTheoryError, _dpll
+from .solver import (
+    _MASK_SCAN_MAX_VARS,
+    DEFAULT_MAX_DECISIONS,
+    SAT,
+    DegenerateTheoryError,
+    _dpll,
+    _models,
+    _var_masks,
+)
 
 LABEL_TRUE = "true"
 LABEL_FALSE = "false"
@@ -140,17 +152,19 @@ def retrofit(spec: SampleSpec, m: int, rng, max_decisions: int = DEFAULT_MAX_DEC
     deduplicated in first-seen order.  Returns None when the result is
     unusable as a theory: contradictory facts, or rules and facts that
     are unsatisfiable together.  Since the facts never contradict each
-    other, one solve of the whole theory also covers the rules alone.
+    other, one check of the whole theory also covers the rules alone.
+    Up to ``solver._MASK_SCAN_MAX_VARS`` variables that check is a
+    truth-table pass and ``max_decisions`` is unused; above it the check
+    is a DPLL solve within the budget.
     """
-    drawn = _retrofit(spec, _draw_clauses(spec, m, rng), rng, max_decisions)
-    return None if drawn is None else _as_theory(drawn[0])
+    theory = _retrofit(spec, _draw_clauses(spec, m, rng), rng, max_decisions)
+    return None if theory is None else _as_theory(theory)
 
 
 def _retrofit(spec: SampleSpec, clauses, rng, max_decisions: int):
-    """The retrofit core, on signed-int clauses over 1..spec.n:
-    (theory, model) or None.
+    """The retrofit core, on signed-int clauses over 1..spec.n: the theory
+    as a ``cnf._IntCnf``, or None.
 
-    ``model`` is the model that the satisfiability check found.
     Tautologies are redrawn from ``spec`` through ``sampler._draw_clause``
     in clause order, each as soon as it is met.
     """
@@ -171,10 +185,11 @@ def _retrofit(spec: SampleSpec, clauses, rng, max_decisions: int):
             stated.add(lit)
             facts.append(norm)
     theory = _IntCnf(spec.n, rules + facts)
-    result = _dpll(spec.n, theory.clauses, max_decisions)
-    if result.label != SAT:
-        return None
-    return theory, result.model
+    if spec.n <= _MASK_SCAN_MAX_VARS:
+        satisfiable = _models(spec.n, theory.clauses) != 0
+    else:
+        satisfiable = _dpll(spec.n, theory.clauses, max_decisions).label == SAT
+    return theory if satisfiable else None
 
 
 def conjecture_pools(theory: RetrofitTheory, max_decisions: int = DEFAULT_MAX_DECISIONS) -> dict:
@@ -184,34 +199,59 @@ def conjecture_pools(theory: RetrofitTheory, max_decisions: int = DEFAULT_MAX_DE
     order.  Literals stated verbatim as facts are dropped from the
     "true" pool when anything else is available, so entailed
     conjectures usually take at least one inference step.  Raises
-    DegenerateTheoryError when the theory itself is unsatisfiable.
+    DegenerateTheoryError when the theory itself is unsatisfiable.  Up
+    to ``solver._MASK_SCAN_MAX_VARS`` variables the backbone is read off
+    the truth table and ``max_decisions`` is unused; above it each DPLL
+    solve of the backbone search has that budget.
     """
-    t = _ints_of(theory)
-    result = _dpll(t.n_vars, t.clauses, max_decisions)
-    if result.label != SAT:
-        raise DegenerateTheoryError("degenerate theory: unsatisfiable on its own")
-    pools, _ = _conjecture_pools(t, result.model, max_decisions)
+    pools = _conjecture_pools(_ints_of(theory), max_decisions)
     return {label: [Literal.from_int(v) for v in pool] for label, pool in pools.items()}
 
 
-def _conjecture_pools(t: _IntCnf, model: dict, max_decisions: int) -> tuple:
-    """The pools core: the backbone of a satisfiable theory, from models.
-
-    ``model`` is any model of the theory.  Each variable on which every
-    model found so far agrees is tested once, by solving the theory plus
-    the negation of its literal: a model of that formula rules out every
-    candidate it flips, and unsatisfiability entails the literal.
-
-    Returns (pools, refutations).  ``pools`` is what
-    :func:`conjecture_pools` returns, with signed-int literals;
-    ``refutations`` maps each entailed literal l to the ``SolveStats``
-    of refuting theory + (-l), the formula :func:`refutation_stats`
-    solves both for a "true" l and for a "false" -l.
-    """
-    n = t.n_vars
+def _conjecture_pools(t: _IntCnf, max_decisions: int) -> dict:
+    """The pools core: what :func:`conjecture_pools` returns, with
+    signed-int literals."""
     clauses = list(t.clauses)
-    candidates = {v: v if model[v] else -v for v in range(1, n + 1)}
-    refutations = {}
+    entailed = _backbone(t.n_vars, clauses, max_decisions)
+    pools = {LABEL_TRUE: entailed, LABEL_FALSE: [-lit for lit in entailed]}
+    stated = {cl[0] for cl in clauses if len(cl) == 1}
+    inferred = [q for q in entailed if q not in stated]
+    if inferred:
+        pools[LABEL_TRUE] = inferred
+    return pools
+
+
+def _backbone(n: int, clauses: list, max_decisions: int) -> list:
+    """Every literal that signed-int clauses over 1..n entail, in variable order.
+
+    Up to ``_MASK_SCAN_MAX_VARS`` variables it comes from the mask of
+    all models: v is entailed when its models are all of them, and -v
+    when it has none.  Above it, it is found from models by DPLL
+    (Janota, Lynce & Marques-Silva 2015): starting from one model, each
+    variable on which every model found so far agrees is tested once,
+    by solving the clauses plus the negation of its literal.  A model of
+    that formula rules out every candidate it flips, and
+    unsatisfiability entails the literal.  Raises DegenerateTheoryError
+    when the clauses have no model.
+    """
+    if n <= _MASK_SCAN_MAX_VARS:
+        models = _models(n, clauses)
+        if not models:
+            raise DegenerateTheoryError("degenerate theory: unsatisfiable on its own")
+        masks, _ = _var_masks(n)
+        entailed = []
+        for v in range(1, n + 1):
+            true_models = models & masks[v]
+            if true_models == models:
+                entailed.append(v)
+            elif not true_models:
+                entailed.append(-v)
+        return entailed
+    result = _dpll(n, clauses, max_decisions)
+    if result.label != SAT:
+        raise DegenerateTheoryError("degenerate theory: unsatisfiable on its own")
+    candidates = {v: v if result.model[v] else -v for v in range(1, n + 1)}
+    entailed = []
     while candidates:
         v, lit = next(iter(candidates.items()))
         del candidates[v]
@@ -220,13 +260,8 @@ def _conjecture_pools(t: _IntCnf, model: dict, max_decisions: int) -> tuple:
             flipped = result.model
             candidates = {u: l for u, l in candidates.items() if flipped[u] == (l > 0)}
         else:
-            refutations[lit] = result.stats
-    pools = {LABEL_TRUE: list(refutations), LABEL_FALSE: [-lit for lit in refutations]}
-    stated = {cl[0] for cl in clauses if len(cl) == 1}
-    inferred = [q for q in pools[LABEL_TRUE] if q not in stated]
-    if inferred:
-        pools[LABEL_TRUE] = inferred
-    return pools, refutations
+            entailed.append(lit)
+    return entailed
 
 
 def refutation_stats(
@@ -247,12 +282,20 @@ def refutation_stats(
         raise ValueError(f"conjecture variable {conjecture.var} outside 1..{theory.n_vars}")
     if label not in (LABEL_TRUE, LABEL_FALSE):
         raise ValueError(f"unknown label {label!r}")
-    refuted = conjecture.negate() if label == LABEL_TRUE else conjecture
-    t = _ints_of(theory)
-    result = _dpll(t.n_vars, t.clauses + [(refuted.to_int(),)], max_decisions)
+    result = _refutation(_ints_of(theory), conjecture.to_int(), label, max_decisions)
     if result.label == SAT:
         raise ValueError("conjecture label does not match the theory")
     return result.stats
+
+
+def _refutation(t: _IntCnf, conjecture: int, label: str, max_decisions: int):
+    """The refutation core: the ``SolveResult`` of ``_dpll`` on the rules,
+    then the facts, then the unit that ``label`` says is false.
+
+    It checks nothing: unsat is the answer when the label is right.
+    """
+    refuted = -conjecture if label == LABEL_TRUE else conjecture
+    return _dpll(t.n_vars, list(t.clauses) + [(refuted,)], max_decisions)
 
 
 def reindex_theory(theory: RetrofitTheory) -> tuple:

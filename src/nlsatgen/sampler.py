@@ -40,7 +40,13 @@ from typing import Optional, Sequence
 from .cnf import Clause, _as_clause
 from .fileio import atomic_writer
 from .rng import derive_rng
-from .solver import DEFAULT_MAX_DECISIONS, BudgetExhaustedError, _dpll, _unsat_prefix
+from .solver import (
+    _MASK_SCAN_MAX_VARS,
+    DEFAULT_MAX_DECISIONS,
+    BudgetExhaustedError,
+    _dpll,
+    _unsat_prefix,
+)
 
 HARD = "hard"
 NAIVE = "naive"
@@ -52,12 +58,6 @@ DIVERSITY_FRACTION = 0.1
 DIVERSITY_WIDEN = Fraction(1)
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
-
-# Largest n whose calibration thresholds come from the truth-table scan.
-# Its 2^n-bit masks outgrow DPLL bisection past here: per trial at n=17
-# the scan took 0.12-0.26x bisection's time for every width mix tried,
-# at 18 0.32-0.87x, and at 19 1.74x for p_int 0.5 (20: 2.5-5.6x).
-_MASK_SCAN_MAX_VARS = 17
 
 
 class CalibrationError(RuntimeError):

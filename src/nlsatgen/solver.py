@@ -28,12 +28,15 @@ the same split: :func:`check_entailment` checks the query and calls
 ``_entailment``, which ``verify`` calls directly on parsed int clauses
 and which also returns the refuting solve's statistics.
 
-Beside the search sit two truth-table routines over big-integer masks
-of the 2^n assignments: :func:`solve_bruteforce`, the oracle, and
+Beside the search sit three truth-table routines over big-integer
+masks of the 2^n assignments: :func:`solve_bruteforce`, the oracle;
 ``_unsat_prefix``, which gives the shortest unsat prefix of a clause
-stream in one pass.  Calibration uses the latter up to
-``sampler._MASK_SCAN_MAX_VARS`` variables and bisects with ``_dpll``
-above it, so the decision budget applies to calibration only there.
+stream in one pass; and ``_models``, the mask of every model of a
+formula.  Up to ``_MASK_SCAN_MAX_VARS`` variables calibration takes its
+thresholds from ``_unsat_prefix`` and the ruletaker generator decides
+its theories and their backbones from ``_models``; above it both search
+with ``_dpll``, so the decision budget applies to them only there (and
+to the ruletaker solve that gives a record its statistics).
 """
 
 from __future__ import annotations
@@ -263,6 +266,13 @@ def _entailment(n: int, clauses, q: int, max_decisions: int) -> tuple:
 
 BRUTEFORCE_MAX_VARS = 24
 
+# Largest n whose sat answers come from truth-table masks rather than
+# search.  Its 2^n-bit masks outgrow DPLL past here: per calibration
+# trial at n=17 the scan took 0.12-0.26x bisection's time for every
+# width mix tried, at 18 0.32-0.87x, and at 19 1.74x for p_int 0.5
+# (20: 2.5-5.6x).
+_MASK_SCAN_MAX_VARS = 17
+
 
 @lru_cache(maxsize=2)
 def _var_masks(n: int) -> tuple:
@@ -330,3 +340,23 @@ def _unsat_prefix(n: int, clauses) -> int:
         if not acc:
             return length
     return len(clauses) + 1
+
+
+def _models(n: int, clauses) -> int:
+    """The mask of every model of signed-int clauses over 1..n, or 0 if none.
+
+    Bit i is assignment i in ``_var_masks`` order.  Each clause's mask
+    is ANDed into a running mask over the truth table, so there is no
+    search and no budget.
+    """
+    masks, full = _var_masks(n)
+    negated = [full ^ mask for mask in masks]
+    acc = full
+    for cl in clauses:
+        cm = 0
+        for lit in cl:
+            cm |= masks[lit] if lit > 0 else negated[-lit]
+        acc &= cm
+        if not acc:
+            return 0
+    return acc

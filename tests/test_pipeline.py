@@ -4,10 +4,11 @@ import hashlib
 import json
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
-from nlsatgen import pipeline
+from nlsatgen import pipeline, ruletaker
 from nlsatgen.cnf import Clause, CnfFormula, Literal, to_dimacs
 from nlsatgen.fragments import reindex_formula
 from nlsatgen.pipeline import (
@@ -34,6 +35,7 @@ from nlsatgen.sampler import (
     draw_m,
     sample_clause,
 )
+from nlsatgen.solver import _MASK_SCAN_MAX_VARS
 
 SPLITS = ("train", "dev", "test")
 
@@ -937,3 +939,53 @@ def test_sat_candidates_build_no_clause_objects(monkeypatch, fragment, sizes):
         for index in range(draws)
     ]
     assert sum(c is not None for c in candidates) > 20
+
+
+@pytest.mark.parametrize("size", [6, _MASK_SCAN_MAX_VARS])
+def test_ruletaker_candidates_solve_only_for_stats(size):
+    # up to the mask-scan limit retrofit and the pools do no search: a
+    # candidate's one DPLL solve per record it offers gives that record's
+    # stats, and a draw that retrofit rejects is never solved
+    config = DatasetConfig(
+        fragment="ruletaker", sizes=(size,), count_per_size=2, seed=108, strategy="naive"
+    )
+    vocab = load_vocabulary(config)
+    real_retrofit = ruletaker._retrofit
+    theories = []
+
+    def retrofit_core(*args):
+        theories.append(real_retrofit(*args))
+        return theories[-1]
+
+    rejected = offered = 0
+    with mock.patch.object(ruletaker, "_dpll", side_effect=ruletaker._dpll) as solves, \
+            mock.patch.object(ruletaker, "_retrofit", side_effect=retrofit_core):
+        for index in range(60):
+            before = solves.call_count
+            options = generate_candidate(config, None, vocab, size, index)
+            calls = solves.call_count - before
+            assert calls == len(options or ()) <= 2
+            if theories[-1] is None:
+                rejected += 1
+                assert calls == 0
+            offered += bool(options)
+    assert len(theories) == 60
+    assert rejected and offered
+
+
+def test_verify_flags_every_record_of_swapped_pools(tmp_path, monkeypatch):
+    # a pools fault that swaps the labels must not pass verify, which
+    # decides each conjecture with DPLL instead of the generator's masks
+    real_pools = ruletaker._conjecture_pools
+
+    def swapped(*args):
+        pools = real_pools(*args)
+        return {ruletaker.LABEL_TRUE: pools[ruletaker.LABEL_FALSE],
+                ruletaker.LABEL_FALSE: pools[ruletaker.LABEL_TRUE]}
+
+    config = naive_config(fragment="ruletaker", sizes=(5, 8), count_per_size=6, seed=3)
+    monkeypatch.setattr(ruletaker, "_conjecture_pools", swapped)
+    records = generate_records(config)
+    monkeypatch.undo()
+    issues = verify_dataset(rewrite(tmp_path / "swapped.jsonl", config, records))
+    assert {i.record_id for i in issues if i.kind == "label"} == {r["id"] for r in records}

@@ -26,11 +26,13 @@ from nlsatgen.ruletaker import (
 )
 from nlsatgen.sampler import SampleSpec, _draw_clause, admissible_m
 from nlsatgen.solver import (
+    _MASK_SCAN_MAX_VARS,
     DEFAULT_MAX_DECISIONS,
     SAT,
     UNSAT,
     BudgetExhaustedError,
     DegenerateTheoryError,
+    _dpll,
     solve,
     solve_bruteforce,
 )
@@ -51,8 +53,8 @@ def collapse(n, clauses, rng=None, max_decisions=DEFAULT_MAX_DECISIONS):
     """The retrofit core on given with-replacement int clauses over 1..n:
     (theory clauses, rules then units) or None."""
     spec = SampleSpec(n=n, p_int=1.0, with_replacement=True)
-    drawn = ruletaker._retrofit(spec, clauses, rng, max_decisions)
-    return None if drawn is None else drawn[0].clauses
+    theory = ruletaker._retrofit(spec, clauses, rng, max_decisions)
+    return None if theory is None else theory.clauses
 
 
 def accepted_theory(n, p_int, rnd, all_mentioned=False):
@@ -145,10 +147,26 @@ class TestRetrofit:
         assert len(clauses) == 1
 
     def test_solve_respects_the_decision_budget(self):
+        # only above the mask-scan limit is the check a DPLL solve
+        n = _MASK_SCAN_MAX_VARS + 1
         raws = [(1, 2, 2), (2, 3, 3)]
         with pytest.raises(BudgetExhaustedError):
-            collapse(3, raws, max_decisions=0)
-        assert collapse(3, raws, max_decisions=1) == [(1, 2), (2, 3)]
+            collapse(n, raws, max_decisions=0)
+        assert collapse(n, raws, max_decisions=1) == [(1, 2), (2, 3)]
+
+    def test_mask_scan_ignores_the_decision_budget(self):
+        # up to the limit neither retrofit nor the pools search, so a zero
+        # budget gives the default's theory and pools
+        for n in (3, 8, _MASK_SCAN_MAX_VARS):
+            spec = SampleSpec(n=n, p_int=0.5, with_replacement=True)
+            kept = 0
+            for seed in range(40):
+                theory = retrofit(spec, 2 * n, random.Random(seed))
+                assert retrofit(spec, 2 * n, random.Random(seed), max_decisions=0) == theory
+                if theory is not None:
+                    kept += 1
+                    assert conjecture_pools(theory, max_decisions=0) == conjecture_pools(theory)
+            assert kept
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +242,11 @@ class TestConjectures:
         assert pools == {LABEL_TRUE: [], LABEL_FALSE: []}
 
     def test_pools_respect_the_decision_budget(self):
-        # deciding Literal(1) against (1 v 2)(2 v 3) needs a branch on
-        # the side where 1 holds, which a zero budget does not allow
-        theory = RetrofitTheory(3, (Clause.from_ints(1, 2), Clause.from_ints(2, 3)), ())
+        # above the mask-scan limit the backbone is searched with DPLL:
+        # (1 v 2)(2 v 3) has no model without a branch, which a zero
+        # budget does not allow, and one decision decides every test
+        n = _MASK_SCAN_MAX_VARS + 1
+        theory = RetrofitTheory(n, (Clause.from_ints(1, 2), Clause.from_ints(2, 3)), ())
         with pytest.raises(BudgetExhaustedError):
             conjecture_pools(theory, max_decisions=0)
         assert conjecture_pools(theory, max_decisions=1) == {LABEL_TRUE: [], LABEL_FALSE: []}
@@ -269,17 +289,10 @@ class TestConjectures:
         assert checked > 50
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    n=st.integers(2, 10),
-    p_int=st.sampled_from((0.0, 0.5, 1.0)),
-    rnd=st.randoms(use_true_random=True),
-)
-def test_backbone_pools_match_bruteforce_property(n, p_int, rnd):
-    # the brute-force oracle shares no code with the DPLL or the backbone
-    theory = accepted_theory(n, p_int, rnd)
+def bruteforce_pools(theory):
+    """The pools by one brute-force refutation per literal, with Literals."""
     expected = {LABEL_TRUE: [], LABEL_FALSE: []}
-    for v in range(1, n + 1):
+    for v in range(1, theory.n_vars + 1):
         for lit in (Literal(v), Literal(v, True)):
             if solve_bruteforce(with_unit(theory, lit.negate())).label == UNSAT:
                 expected[LABEL_TRUE].append(lit)
@@ -287,30 +300,82 @@ def test_backbone_pools_match_bruteforce_property(n, p_int, rnd):
     inferred = [q for q in expected[LABEL_TRUE] if q not in theory.facts]
     if inferred:
         expected[LABEL_TRUE] = inferred
+    return expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 10),
+    p_int=st.sampled_from((0.0, 0.5, 1.0)),
+    rnd=st.randoms(use_true_random=True),
+)
+def test_backbone_pools_match_bruteforce_property(n, p_int, rnd):
+    theory = accepted_theory(n, p_int, rnd)
+    expected = bruteforce_pools(theory)
 
     real = ruletaker._dpll
     with mock.patch.object(ruletaker, "_dpll", side_effect=real) as counted:
         pools = conjecture_pools(theory)
     assert pools == expected
+    # up to the mask-scan limit the backbone takes no search at all
+    assert counted.call_count == 0
+
+    # the int core gives the same pools, and the refutation core solves
+    # theory + (-q) for an entailed q under either label
+    int_pools = ruletaker._conjecture_pools(ruletaker._ints_of(theory), 10_000)
+    assert {label: [Literal.from_int(v) for v in pool] for label, pool in int_pools.items()} == expected
+    t = ruletaker._ints_of(theory)
+    for q in expected[LABEL_TRUE]:
+        refuted = solve(with_unit(theory, q.negate()))
+        assert refuted.label == UNSAT
+        assert ruletaker._refutation(t, q.to_int(), LABEL_TRUE, 10_000) == refuted
+        assert ruletaker._refutation(t, -q.to_int(), LABEL_FALSE, 10_000) == refuted
+        assert refutation_stats(theory, q, LABEL_TRUE) == refuted.stats
+        assert refutation_stats(theory, q.negate(), LABEL_FALSE) == refuted.stats
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    n=st.integers(_MASK_SCAN_MAX_VARS + 1, _MASK_SCAN_MAX_VARS + 2),
+    p_int=st.sampled_from((0.0, 0.5, 1.0)),
+    rnd=st.randoms(use_true_random=True),
+)
+def test_model_guided_backbone_matches_bruteforce_property(n, p_int, rnd):
+    # above the mask-scan limit the backbone is searched with DPLL, which
+    # shares no code with the brute-force oracle
+    theory = accepted_theory(n, p_int, rnd)
+    real = ruletaker._dpll
+    with mock.patch.object(ruletaker, "_dpll", side_effect=real) as counted:
+        pools = conjecture_pools(theory)
+    assert pools == bruteforce_pools(theory)
     # one first model, then at most one test per variable; two refutations
     # per variable would take 2n
     assert counted.call_count <= n + 1
 
-    # the core from a different first model: the same pools, and each
-    # entailed literal's stats are those of refuting its negation
-    model = solve_bruteforce(theory.formula()).model
-    int_pools, refutations = ruletaker._conjecture_pools(
-        ruletaker._ints_of(theory), model, 10_000
-    )
-    assert {label: [Literal.from_int(v) for v in pool] for label, pool in int_pools.items()} == expected
-    entailed = [Literal.from_int(v) for v in refutations]
-    assert set(entailed) >= set(expected[LABEL_TRUE])
-    assert {q.negate() for q in entailed} == set(expected[LABEL_FALSE])
-    for q in entailed:
-        stats = solve(with_unit(theory, q.negate())).stats
-        assert refutations[q.to_int()] == stats
-        assert refutation_stats(theory, q, LABEL_TRUE) == stats
-        assert refutation_stats(theory, q.negate(), LABEL_FALSE) == stats
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, _MASK_SCAN_MAX_VARS),
+    p_int=st.sampled_from((0.0, 0.5, 1.0)),
+    rnd=st.randoms(use_true_random=True),
+)
+def test_mask_pools_match_a_dpll_refutation_scan(n, p_int, rnd):
+    # the mask core against one DPLL refutation per literal, which
+    # shares no code with it
+    theory = accepted_theory(n, p_int, rnd)
+    t = ruletaker._ints_of(theory)
+    entailed = [
+        lit
+        for v in range(1, n + 1)
+        for lit in (v, -v)
+        if _dpll(n, list(t.clauses) + [(-lit,)], DEFAULT_MAX_DECISIONS).label == UNSAT
+    ]
+    stated = {cl[0] for cl in t.clauses if len(cl) == 1}
+    inferred = [q for q in entailed if q not in stated]
+    assert ruletaker._conjecture_pools(t, DEFAULT_MAX_DECISIONS) == {
+        LABEL_TRUE: inferred or entailed,
+        LABEL_FALSE: [-q for q in entailed],
+    }
 
 
 # ---------------------------------------------------------------------------
