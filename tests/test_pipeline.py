@@ -848,6 +848,11 @@ GOLDEN_DIGESTS = {
 WIDTH2_GRL_DIGEST = "25d4646d807e2cb210fe78abc86bd21fbc55054cc41cb6d241acf423a55e19e2"
 
 
+# Above 21 variables random.sample tracks its picks in a set, not a pool
+# list; every other digest is at 12 variables or fewer.
+SET_BRANCH_GRL_DIGEST = "4110c0e275297138210c8999ec3f8a51049fc74887c2bcf2279483d123b910e3"
+
+
 # Unbalanced, each viable draw is taken under its natural label; for
 # ruletaker that is the one path where a draw offers both labels and its
 # own decides.  The odd count means no pairing of labels is assumed.
@@ -876,6 +881,10 @@ def test_golden_dataset_digest(tmp_path, fragment, sizes, strategy):
 def test_golden_width2_grl_digest(tmp_path):
     digest = _golden_digest(tmp_path, "grl", (8, 10), "naive", p_int=0.5)
     assert digest == WIDTH2_GRL_DIGEST
+
+
+def test_golden_set_branch_grl_digest(tmp_path):
+    assert _golden_digest(tmp_path, "grl", (22, 24), "naive") == SET_BRANCH_GRL_DIGEST
 
 
 def test_golden_unbalanced_ruletaker_digest(tmp_path):
