@@ -20,12 +20,14 @@ estimates are floats.
 
 There is one sampling path: ``draw_m`` picks m from a strategy and a
 band, then m clauses are drawn from the ``SampleSpec`` distribution as
-signed-int tuples (+v / -v) by one private routine, which
-``sample_clause`` wraps in a ``Clause`` and retrofitting's tautology
-redraws reuse.  Draws with replacement are not canonical, so they stay
-ints until the ruletaker retrofit collapses them.  The phase curve and
-the generators stay on the ints through retrofitting, reindexing, the
-solver and DIMACS.
+signed-int tuples (+v / -v) by one private loop, which ``sample_clause``
+wraps in a ``Clause`` and retrofitting's tautology redraws reuse.  The
+loop makes the ``getrandbits`` draws of ``random.sample`` and
+``randrange`` itself, so the stream and the clauses are theirs without
+their per-call argument checks.  Draws with replacement are not
+canonical, so they stay ints until the ruletaker retrofit collapses
+them.  The phase curve and the generators stay on the ints through
+retrofitting, reindexing, the solver and DIMACS.
 """
 
 from __future__ import annotations
@@ -81,6 +83,8 @@ class SampleSpec:
     with_replacement: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.n, int):
+            raise TypeError(f"n must be an int, got {type(self.n).__name__} {self.n!r}")
         if self.n < 2:
             raise ValueError("need at least 2 variables")
         if self.p_int > 0 and self.n < 3 and not self.with_replacement:
@@ -91,30 +95,73 @@ class SampleSpec:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
 
 
-def _draw_clause(spec: SampleSpec, rng) -> tuple:
-    """Draw one signed-int clause: width, then variables, then polarities.
-
-    Every draw of a clause goes through here, so the RNG calls (one
-    ``random()`` for the width, ``sample`` or ``randrange`` for the
-    variables, one ``random()`` per literal) happen in one fixed order.
-    Without replacement the variables are distinct and sorted, so the
-    clause is canonical.
-    """
-    random = rng.random
-    width = 3 if random() < spec.p_int else 2
-    if spec.with_replacement:
-        variables = [rng.randrange(1, spec.n + 1) for _ in range(width)]
-    else:
-        variables = sorted(rng.sample(range(1, spec.n + 1), width))
-    p_neg = spec.p_neg
-    # list comprehensions, here and in the wrappers: every sampled clause
-    # pays for them, and they are cheaper than generator expressions
-    return tuple([-v if random() < p_neg else v for v in variables])
+# random.sample keeps a list of the unpicked items when the population
+# is at most this long, and a set of picks above it; the value is its
+# ``setsize`` for k <= 5, which covers clause widths 2 and 3.
+_SAMPLE_SETSIZE = 21
 
 
 def _draw_clauses(spec: SampleSpec, m: int, rng) -> list:
-    """Draw m signed-int clauses, in order."""
-    return [_draw_clause(spec, rng) for _ in range(m)]
+    """Draw m signed-int clauses, in order.
+
+    Every clause draw goes through this loop, so its RNG calls happen in
+    one fixed order: one ``random()`` for the width, the variables'
+    ``getrandbits`` draws, then one ``random()`` per literal after the
+    sort.  The loop makes the ``getrandbits`` draws itself, exactly as
+    ``rng.sample(range(1, n + 1), width)`` (without replacement) or
+    ``rng.randrange(1, n + 1)`` per literal (with it) would make them:
+    ``_randbelow``'s rejection loop, and ``sample``'s pool up to
+    ``_SAMPLE_SETSIZE`` variables or its set of picks above.  That
+    restates CPython's ``random.Random``, so ``rng`` must be one, which
+    is what ``derive_rng`` returns.  Without replacement the variables
+    are distinct and sorted, so the clause is canonical.
+    """
+    random, getrandbits = rng.random, rng.getrandbits
+    n, p_int, p_neg = spec.n, spec.p_int, spec.p_neg
+    with_replacement, bits = spec.with_replacement, n.bit_length()
+    population = list(range(1, n + 1)) if n <= _SAMPLE_SETSIZE else None
+    clauses = []
+    for _ in range(m):
+        width = 3 if random() < p_int else 2
+        variables = []
+        if with_replacement:
+            # randrange(1, n + 1) is 1 + _randbelow(n)
+            for _ in range(width):
+                j = getrandbits(bits)
+                while j >= n:
+                    j = getrandbits(bits)
+                variables.append(j + 1)
+        elif population is not None:
+            # sample's pool: take pool[j] for j below the unpicked count,
+            # then move the last unpicked item into slot j
+            pool = population[:]
+            size = n
+            for _ in range(width):
+                k = size.bit_length()
+                j = getrandbits(k)
+                while j >= size:
+                    j = getrandbits(k)
+                variables.append(pool[j])
+                size -= 1
+                pool[j] = pool[size]
+            variables.sort()
+        else:
+            # sample's set of picks: redraw j below n while j + 1 is picked
+            for _ in range(width):
+                j = getrandbits(bits)
+                while j >= n or j + 1 in variables:
+                    j = getrandbits(bits)
+                variables.append(j + 1)
+            variables.sort()
+        # a list comprehension: every sampled clause pays for it, and it
+        # is cheaper than a generator expression
+        clauses.append(tuple([-v if random() < p_neg else v for v in variables]))
+    return clauses
+
+
+def _draw_clause(spec: SampleSpec, rng) -> tuple:
+    """Draw one signed-int clause: ``_draw_clauses`` with m = 1."""
+    return _draw_clauses(spec, 1, rng)[0]
 
 
 def sample_clause(spec: SampleSpec, rng) -> Clause:

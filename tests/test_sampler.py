@@ -69,6 +69,10 @@ def test_spec_validation():
         SampleSpec(n=3, p_int=-0.1)
     with pytest.raises(ValueError):
         SampleSpec(n=3, p_neg=1.5)
+    with pytest.raises(TypeError, match="n must be an int, got float 8.0"):
+        SampleSpec(n=8.0)
+    with pytest.raises(TypeError, match="n must be an int"):
+        calibrate_critical(8.0, 1.0, 0.5)
     with pytest.raises(ValueError, match="unknown strategy 'weird'"):
         strategy_m_candidates(
             SampleSpec(n=3), "weird", (Fraction(1), Fraction(2)), ScriptedRng(0.5)
@@ -139,6 +143,34 @@ def test_sample_clause_wraps_the_shared_draw(with_replacement, p_int):
         else:
             assert sample_clause(spec, a).to_ints() == _draw_clause(spec, b)
     assert a.getstate() == b.getstate()
+
+
+def _reference_draw(spec, rng):
+    # the draw as random's public calls make it; _draw_clauses restates them
+    width = 3 if rng.random() < spec.p_int else 2
+    if spec.with_replacement:
+        variables = [rng.randrange(1, spec.n + 1) for _ in range(width)]
+    else:
+        variables = sorted(rng.sample(range(1, spec.n + 1), width))
+    return tuple(-v if rng.random() < spec.p_neg else v for v in variables)
+
+
+# n <= 21 is random.sample's pool branch, above it its set branch; n = 2
+# without replacement takes only two-literal clauses
+@pytest.mark.parametrize("n,p_int,with_replacement", [
+    (n, p_int, with_replacement)
+    for n in (*range(2, 41), 2**20)
+    for p_int in (0.0, 0.3, 1.0)
+    for with_replacement in (False, True)
+    if n > 2 or p_int == 0.0 or with_replacement
+])
+def test_draw_makes_the_rng_calls_of_sample_and_randrange(n, p_int, with_replacement):
+    spec = SampleSpec(n=n, p_int=p_int, p_neg=0.5, with_replacement=with_replacement)
+    batch, single, reference = (derive_rng("stream", n, p_int, with_replacement) for _ in range(3))
+    clauses = _draw_clauses(spec, 200, batch)
+    assert [_draw_clause(spec, single) for _ in range(200)] == clauses
+    assert [_reference_draw(spec, reference) for _ in range(200)] == clauses
+    assert batch.getstate() == single.getstate() == reference.getstate()
 
 
 def test_three_clause_distribution_is_uniform():
