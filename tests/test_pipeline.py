@@ -859,6 +859,17 @@ SET_BRANCH_GRL_DIGEST = "4110c0e275297138210c8999ec3f8a51049fc74887c2bcf2279483d
 UNBALANCED_RT_DIGEST = "7bb38ef32ec1389e61b56714908142b14a757cd6bcceb1cd68425e7d8bf2d50c"
 
 
+# Ruletaker paths the hard digest misses: sizes 17 and 18 sit either side
+# of the truth-table limit, so retrofit decides them by mask and by DPLL;
+# p_int=0.5 draws two-literal clauses and redraws their tautologies; and
+# the biased band's far ratios reject nearly every draw in retrofit.
+RT_PATH_DIGESTS = {
+    ((17, 18), "naive", 1.0): "895c5b5742e4d564f4dff93ebaa9cab1e6514c9eadffbe91d77168f0af1e723f",
+    ((6, 8), "naive", 0.5): "405d4bc541ba21351e9214b1ad74c98ce19af2e790b0fd3ccc4122f24411ec40",
+    ((6, 8), "biased", 1.0): "ffa1bd9a46505c79e03c449f3bef9513e103064af811b5bc14aedc3b25ecd1f1",
+}
+
+
 def _golden_digest(tmp_path, fragment, sizes, strategy, **settings) -> str:
     table = CalibrationTable()
     for n, band in GOLDEN_BANDS.items():
@@ -892,6 +903,12 @@ def test_golden_unbalanced_ruletaker_digest(tmp_path):
         tmp_path, "ruletaker", (6, 8), "hard", count_per_size=41, balance_labels=False
     )
     assert digest == UNBALANCED_RT_DIGEST
+
+
+@pytest.mark.parametrize("sizes,strategy,p_int", sorted(RT_PATH_DIGESTS))
+def test_golden_ruletaker_path_digest(tmp_path, sizes, strategy, p_int):
+    digest = _golden_digest(tmp_path, "ruletaker", sizes, strategy, p_int=p_int)
+    assert digest == RT_PATH_DIGESTS[(sizes, strategy, p_int)]
 
 
 @pytest.mark.parametrize("fragment,sizes", [("grl", (8, 10)), ("ruletaker", (6, 8))])
