@@ -1,12 +1,14 @@
 """Dataset generation: sample, label, verbalize, balance, split, verify.
 
 Every candidate is a pure function of (master seed, fragment, size,
-index): one draw, rejected or turned into ``{label: record}``, one
-record per label it can carry, each built by ``_record``.  A size's
-records depend only on its own candidates and quota, so the unit of
-work is one size: a collector takes its candidates in index order until
-each label's quota (exactly half per size) or, unbalanced, the one
-shared quota is met.  Output is thus byte-identical at any worker count.
+index): one draw, rejected or turned into ``{label: build}``, one
+zero-argument builder per label it can carry, each of which makes its
+record with ``_record``.  A size's records depend only on its own
+candidates and quota, so the unit of work is one size: a collector
+takes its candidates in index order until each label's quota (exactly
+half per size) or, unbalanced, the one shared quota is met, and builds
+only the record it takes.  Builders stay in the process that collects
+the size.  Output is thus byte-identical at any worker count.
 
 Records are emitted as JSON Lines: a header object first, then one
 object per instance, keys sorted.  :func:`verify_dataset` re-derives
@@ -24,6 +26,7 @@ import statistics
 from collections import deque
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from . import grl, lexicon as lexicon_mod, rcl, ruletaker
@@ -49,6 +52,7 @@ from .sampler import (
     STRATEGIES,
     CalibrationError,
     SampleSpec,
+    _clause_stream,
     _draw_clauses,
     draw_m,
 )
@@ -279,7 +283,7 @@ def _grl_candidate(config, band, vocab, size, index, rng):
     result = _dpll(size, f.clauses, config.max_decisions)
     binding = bind_vocabulary(f, vocab, rng)
     text = " ".join(grl._render(f.clauses, binding, config.token_budget))
-    return {result.label: _record(
+    return {result.label: lambda: _record(
         config, band, size, index, m, size, m, text, _dimacs(f), result.stats, result.label
     )}
 
@@ -306,11 +310,15 @@ def _rcl_candidate(config, band, vocab, size, index, rng):
     sentences = rcl._render(
         problem, binding, vocab, rng, config.no_rewrite_prob, config.token_budget
     )
-    record = _record(
-        config, band, size, index, m, n_preds, m, " ".join(sentences),
-        _dimacs(grounded), result.stats, result.label,
-    )
-    return {result.label: record | {"n_ground_vars": grounded.n_vars, "n_constants": n_consts}}
+
+    def build():
+        record = _record(
+            config, band, size, index, m, n_preds, m, " ".join(sentences),
+            _dimacs(grounded), result.stats, result.label,
+        )
+        return record | {"n_ground_vars": grounded.n_vars, "n_constants": n_consts}
+
+    return {result.label: build}
 
 
 def _rt_candidate(config, band, vocab, size, index, rng):
@@ -318,7 +326,8 @@ def _rt_candidate(config, band, vocab, size, index, rng):
         n=size, p_int=config.p_int, p_neg=config.p_neg, with_replacement=True
     )
     m = draw_m(spec, config.strategy, band, rng, config.diversity_fraction)
-    theory = ruletaker._retrofit(spec, _draw_clauses(spec, m, rng), rng, config.max_decisions)
+    clauses = itertools.islice(_clause_stream(spec, rng), m)
+    theory = ruletaker._retrofit(spec, clauses, rng, config.max_decisions)
     if theory is None:
         return None  # contradictory facts or unsatisfiable rules
     try:
@@ -341,29 +350,34 @@ def _rt_candidate(config, band, vocab, size, index, rng):
         picks = dict(reversed(picks.items()))
     binding = ruletaker.bind_attributes(theory, vocab, rng)
     text = " ".join(ruletaker._render(theory, binding, config.token_budget))
-    dimacs = _dimacs(theory)
-    options = {}
-    for label, conjecture in picks.items():
+
+    def build(label, conjecture):
         # The pools decided the label; this DPLL solve only measures the
         # refutation, and verify re-decides the label with its own solves.
         stats = ruletaker._refutation(theory, conjecture, label, config.max_decisions).stats
         record = _record(
-            config, band, size, index, m, size, len(theory.clauses), text, dimacs, stats, label
+            config, band, size, index, m, size, len(theory.clauses), text, _dimacs(theory),
+            stats, label,
         )
         conjecture_text = ruletaker._render_conjecture(conjecture, binding, config.token_budget)
-        options[label] = record | {"conjecture_text": conjecture_text}
-    return options
+        return record | {"conjecture_text": conjecture_text}
+
+    return {label: partial(build, label, conjecture) for label, conjecture in picks.items()}
 
 
 _CANDIDATE_FNS = {GRL: _grl_candidate, RCL: _rcl_candidate, RULETAKER: _rt_candidate}
 
 
 def generate_candidate(config: DatasetConfig, band, vocab, size: int, index: int):
-    """Candidate (size, index) as ``{label: record}``, or None when rejected.
+    """Candidate (size, index) as ``{label: build}``, or None when rejected.
 
     A draw offers one record per label it can carry, natural label first:
     the label it gets when labels are not balanced.  Only a ruletaker
-    draw can offer both.
+    draw can offer both.  ``build()`` makes that label's record; the
+    draw, the solve that labels it and every RNG call happen before it
+    returns, so a builder uses no RNG and the collector builds only the
+    record it takes.  For ruletaker that skips the refutation solve, the
+    conjecture and the DIMACS of each offer it drops.
     """
     rng = derive_rng(config.seed, config.fragment, size, index)
     return _CANDIDATE_FNS[config.fragment](config, band, vocab, size, index, rng)
@@ -373,7 +387,8 @@ def _collect_size(config, stream, size) -> list:
     """Accept candidates in index order until every label meets its quota.
 
     With label balancing off, every viable candidate counts toward one
-    shared quota under its natural label instead.
+    shared quota under its natural label instead.  Only the taken
+    label's record is built.
     """
     if config.balance_labels:
         need = dict.fromkeys(config.labels, config.count_per_size // 2)
@@ -397,7 +412,7 @@ def _collect_size(config, stream, size) -> list:
             window_accepts -= window.popleft()
         if take is not None:
             need[take if config.balance_labels else None] -= 1
-            accepted.append(options[take])
+            accepted.append(options[take]())
             if not any(need.values()):
                 return accepted
         elif len(window) == STALL_WINDOW and window_accepts < STALL_MIN_ACCEPTS:

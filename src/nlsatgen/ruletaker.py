@@ -27,6 +27,12 @@ gives it the same value.  Either way the solver effort an instance
 records is one DPLL refutation of the picked conjecture: the rules,
 then the facts, then the unit the label says is false.
 
+Retrofit reads the draw one clause at a time and rejects it at the
+first prefix that no assignment satisfies (above the mask-scan limit,
+at the first contradictory fact), so most hard-band draws, which are
+unsat, are never drawn in full.  The clause collapse is memoized,
+since draws repeat a few thousand distinct clauses.
+
 Validation happens at the boundary: :func:`reindex_theory`,
 :func:`conjecture_pools`, :func:`refutation_stats` and
 :func:`render_ruletaker` take and return ``RetrofitTheory`` and
@@ -46,6 +52,8 @@ either.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import islice
 
 from .cnf import Clause, CnfFormula, Literal, _as_clause, _as_formula, _IntCnf, _normalize_ints
 from .fragments import (
@@ -58,7 +66,7 @@ from .fragments import (
     _reindex,
     check_token_budget,
 )
-from .sampler import SampleSpec, _draw_clause, _draw_clauses
+from .sampler import SampleSpec, _clause_stream
 from .solver import (
     _MASK_SCAN_MAX_VARS,
     DEFAULT_MAX_DECISIONS,
@@ -148,48 +156,88 @@ def retrofit(spec: SampleSpec, m: int, rng, max_decisions: int = DEFAULT_MAX_DEC
     """Draw m clauses from ``spec`` and collapse them into rules and facts.
 
     The RNG calls are the ruletaker generator's, in the same order.
-    Tautological clauses are redrawn; collapsed units become facts,
+    Tautological clauses are redrawn after the m-th clause, in clause
+    order, and keep their place; collapsed units become facts,
     deduplicated in first-seen order.  Returns None when the result is
     unusable as a theory: contradictory facts, or rules and facts that
-    are unsatisfiable together.  Since the facts never contradict each
-    other, one check of the whole theory also covers the rules alone.
-    Up to ``solver._MASK_SCAN_MAX_VARS`` variables that check is a
-    truth-table pass and ``max_decisions`` is unused; above it the check
-    is a DPLL solve within the budget.
+    are unsatisfiable together.  Up to ``solver._MASK_SCAN_MAX_VARS``
+    variables that check is a truth-table pass and ``max_decisions`` is
+    unused; above it the check is a DPLL solve within the budget.
+
+    A rejected draw stops at the first clause that decides it, so it
+    leaves ``rng`` earlier in its stream than a full draw of m clauses
+    would: a caller that shares one RNG across calls sees different
+    later draws than it would with the whole draw made.  The generator
+    gives each candidate its own RNG, so no dataset byte depends on it.
     """
-    theory = _retrofit(spec, _draw_clauses(spec, m, rng), rng, max_decisions)
+    theory = _retrofit(spec, islice(_clause_stream(spec, rng), m), rng, max_decisions)
     return None if theory is None else _as_theory(theory)
+
+
+# The clause collapse is memoized here only: draws repeat a few thousand
+# distinct clause tuples, and the DIMACS parser passes lists.
+_collapse = lru_cache(maxsize=4096)(_normalize_ints)
 
 
 def _retrofit(spec: SampleSpec, clauses, rng, max_decisions: int):
     """The retrofit core, on signed-int clauses over 1..spec.n: the theory
     as a ``cnf._IntCnf``, or None.
 
-    Tautologies are redrawn from ``spec`` through ``sampler._draw_clause``
-    in clause order, each as soon as it is met.
+    ``clauses`` is read lazily, one clause at a time, and collapsed as it
+    comes.  Adding clauses never makes an unsat formula sat again, so
+    the draw is rejected as soon as the clauses read so far, tautologies
+    left out, decide it: up to ``_MASK_SCAN_MAX_VARS`` variables when
+    the AND of their truth-table masks is empty, which covers
+    contradictory facts too, and above it at the first contradictory
+    fact.  Tautologies are redrawn from one ``sampler._clause_stream``
+    on ``rng`` after the last clause, in clause order, and checked the
+    same way as they come; then, above the limit, one DPLL solve within
+    ``max_decisions`` decides the theory.
     """
-    rules = []
-    facts = []
+    n = spec.n
+    scan = n <= _MASK_SCAN_MAX_VARS
+    if scan:
+        masks, acc = _var_masks(n)
+        negated = [acc ^ mask for mask in masks]
     stated = set()
+    collapsed = []
+    tautologies = []
+
+    def consistent(norm) -> bool:
+        nonlocal acc
+        if scan:
+            cm = 0
+            for lit in norm:
+                cm |= masks[lit] if lit > 0 else negated[-lit]
+            acc &= cm
+            return acc != 0
+        if len(norm) == 1:
+            if -norm[0] in stated:
+                return False  # contradictory facts
+            stated.add(norm[0])
+        return True
+
     for cl in clauses:
-        norm = _normalize_ints(cl)
-        while norm is None:
-            norm = _normalize_ints(_draw_clause(spec, rng))
-        if len(norm) > 1:
-            rules.append(norm)
-            continue
-        (lit,) = norm
-        if -lit in stated:
-            return None  # contradictory facts
-        if lit not in stated:
-            stated.add(lit)
-            facts.append(norm)
-    theory = _IntCnf(spec.n, rules + facts)
-    if spec.n <= _MASK_SCAN_MAX_VARS:
-        satisfiable = _models(spec.n, theory.clauses) != 0
-    else:
-        satisfiable = _dpll(spec.n, theory.clauses, max_decisions).label == SAT
-    return theory if satisfiable else None
+        norm = _collapse(cl)
+        if norm is None:
+            tautologies.append(len(collapsed))
+        elif not consistent(norm):
+            return None
+        collapsed.append(norm)
+    if tautologies:
+        redraws = _clause_stream(spec, rng)
+        for at in tautologies:
+            norm = _collapse(next(redraws))
+            while norm is None:
+                norm = _collapse(next(redraws))
+            if not consistent(norm):
+                return None
+            collapsed[at] = norm
+    facts = list(dict.fromkeys([norm for norm in collapsed if len(norm) == 1]))
+    theory = _IntCnf(n, [norm for norm in collapsed if len(norm) > 1] + facts)
+    if scan or _dpll(n, theory.clauses, max_decisions).label == SAT:
+        return theory
+    return None
 
 
 def conjecture_pools(theory: RetrofitTheory, max_decisions: int = DEFAULT_MAX_DECISIONS) -> dict:

@@ -19,15 +19,18 @@ Ratios are kept as exact fractions end to end; only Monte Carlo
 estimates are floats.
 
 There is one sampling path: ``draw_m`` picks m from a strategy and a
-band, then m clauses are drawn from the ``SampleSpec`` distribution as
-signed-int tuples (+v / -v) by one private loop, which ``sample_clause``
-wraps in a ``Clause`` and retrofitting's tautology redraws reuse.  The
-loop makes the ``getrandbits`` draws of ``random.sample`` and
-``randrange`` itself, so the stream and the clauses are theirs without
-their per-call argument checks.  Draws with replacement are not
-canonical, so they stay ints until the ruletaker retrofit collapses
-them.  The phase curve and the generators stay on the ints through
-retrofitting, reindexing, the solver and DIMACS.
+band, then clauses are drawn from the ``SampleSpec`` distribution as
+signed-int tuples (+v / -v) by one private loop, the endless generator
+``_clause_stream``.  ``_draw_clauses`` takes its first m clauses,
+``sample_clause`` wraps its first in a ``Clause``, and the ruletaker
+retrofit reads it one clause at a time, so that it can stop at the
+first unsat prefix, and redraws its tautologies from it.  The loop
+makes the ``getrandbits`` draws of ``random.sample`` and ``randrange``
+itself, so the stream and the clauses are theirs without their
+per-call argument checks.  Draws with replacement are not canonical,
+so they stay ints until the ruletaker retrofit collapses them.  The
+phase curve and the generators stay on the ints through retrofitting,
+reindexing, the solver and DIMACS.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -101,8 +105,8 @@ class SampleSpec:
 _SAMPLE_SETSIZE = 21
 
 
-def _draw_clauses(spec: SampleSpec, m: int, rng) -> list:
-    """Draw m signed-int clauses, in order.
+def _clause_stream(spec: SampleSpec, rng):
+    """Draw signed-int clauses without end, in order; the one draw loop.
 
     Every clause draw goes through this loop, so its RNG calls happen in
     one fixed order: one ``random()`` for the width, the variables'
@@ -115,13 +119,16 @@ def _draw_clauses(spec: SampleSpec, m: int, rng) -> list:
     restates CPython's ``random.Random``, so ``rng`` must be one, which
     is what ``derive_rng`` returns.  Without replacement the variables
     are distinct and sorted, so the clause is canonical.
+
+    The stream is lazy: a clause's RNG calls are made when it is taken,
+    so a reader that stops early, as retrofit does on an unsat prefix,
+    leaves the RNG where its last clause left it.
     """
     random, getrandbits = rng.random, rng.getrandbits
     n, p_int, p_neg = spec.n, spec.p_int, spec.p_neg
     with_replacement, bits = spec.with_replacement, n.bit_length()
     population = list(range(1, n + 1)) if n <= _SAMPLE_SETSIZE else None
-    clauses = []
-    for _ in range(m):
+    while True:
         width = 3 if random() < p_int else 2
         variables = []
         if with_replacement:
@@ -155,13 +162,17 @@ def _draw_clauses(spec: SampleSpec, m: int, rng) -> list:
             variables.sort()
         # a list comprehension: every sampled clause pays for it, and it
         # is cheaper than a generator expression
-        clauses.append(tuple([-v if random() < p_neg else v for v in variables]))
-    return clauses
+        yield tuple([-v if random() < p_neg else v for v in variables])
+
+
+def _draw_clauses(spec: SampleSpec, m: int, rng) -> list:
+    """Draw m signed-int clauses, in order: the first m of ``_clause_stream``."""
+    return list(islice(_clause_stream(spec, rng), m))
 
 
 def _draw_clause(spec: SampleSpec, rng) -> tuple:
-    """Draw one signed-int clause: ``_draw_clauses`` with m = 1."""
-    return _draw_clauses(spec, 1, rng)[0]
+    """Draw one signed-int clause: the first of ``_clause_stream``."""
+    return next(_clause_stream(spec, rng))
 
 
 def sample_clause(spec: SampleSpec, rng) -> Clause:

@@ -965,38 +965,42 @@ def test_sat_candidates_build_no_clause_objects(monkeypatch, fragment, sizes):
         for index in range(draws)
     ]
     assert sum(c is not None for c in candidates) > 20
+    # a candidate offers each record as a builder, so build every one
+    records = [build() for options in candidates if options for build in options.values()]
+    assert len(records) > 20 and all(record["dimacs"] for record in records)
 
 
 @pytest.mark.parametrize("size", [6, _MASK_SCAN_MAX_VARS])
 def test_ruletaker_candidates_solve_only_for_stats(size):
-    # up to the mask-scan limit retrofit and the pools do no search: a
-    # candidate's one DPLL solve per record it offers gives that record's
-    # stats, and a draw that retrofit rejects is never solved
+    # up to the mask-scan limit retrofit and the pools do no search, and a
+    # record's one DPLL solve, which gives its stats, runs in its builder:
+    # one solve per taken record, none for an offer the collector drops
+    # and none for a draw that retrofit rejects
     config = DatasetConfig(
-        fragment="ruletaker", sizes=(size,), count_per_size=2, seed=108, strategy="naive"
+        fragment="ruletaker", sizes=(size,), count_per_size=4, seed=108, strategy="naive"
     )
     vocab = load_vocabulary(config)
     real_retrofit = ruletaker._retrofit
     theories = []
+    offers = []
 
     def retrofit_core(*args):
         theories.append(real_retrofit(*args))
         return theories[-1]
 
-    rejected = offered = 0
+    def candidate(*args):
+        options = generate_candidate(*args)
+        offers.append(len(options or ()))
+        return options
+
     with mock.patch.object(ruletaker, "_dpll", side_effect=ruletaker._dpll) as solves, \
-            mock.patch.object(ruletaker, "_retrofit", side_effect=retrofit_core):
-        for index in range(60):
-            before = solves.call_count
-            options = generate_candidate(config, None, vocab, size, index)
-            calls = solves.call_count - before
-            assert calls == len(options or ()) <= 2
-            if theories[-1] is None:
-                rejected += 1
-                assert calls == 0
-            offered += bool(options)
-    assert len(theories) == 60
-    assert rejected and offered
+            mock.patch.object(ruletaker, "_retrofit", side_effect=retrofit_core), \
+            mock.patch.object(pipeline, "generate_candidate", side_effect=candidate):
+        records = generate_records(config)
+    assert solves.call_count == len(records) == 4
+    assert None in theories  # some draws were rejected, offering nothing
+    assert all(not n for theory, n in zip(theories, offers, strict=True) if theory is None)
+    assert sum(offers) > len(records)  # and some offers were dropped
 
 
 def test_verify_flags_every_record_of_swapped_pools(tmp_path, monkeypatch):

@@ -24,7 +24,7 @@ from nlsatgen.ruletaker import (
     render_ruletaker,
     retrofit,
 )
-from nlsatgen.sampler import SampleSpec, _draw_clause, admissible_m
+from nlsatgen.sampler import SampleSpec, _clause_stream, _draw_clause, _draw_clauses, admissible_m
 from nlsatgen.solver import (
     _MASK_SCAN_MAX_VARS,
     DEFAULT_MAX_DECISIONS,
@@ -55,6 +55,23 @@ def collapse(n, clauses, rng=None, max_decisions=DEFAULT_MAX_DECISIONS):
     spec = SampleSpec(n=n, p_int=1.0, with_replacement=True)
     theory = ruletaker._retrofit(spec, clauses, rng, max_decisions)
     return None if theory is None else theory.clauses
+
+
+def full_draw_retrofit(spec, m, rng):
+    """Retrofit without the early exit: all m clauses drawn and collapsed,
+    tautologies redrawn in clause order, then one brute-force solve.
+    Returns (theory clauses, rules then facts, or None; clauses drawn)."""
+    collapsed = [_normalize_ints(cl) for cl in _draw_clauses(spec, m, rng)]
+    drawn = m
+    for at, norm in enumerate(collapsed):
+        while norm is None:
+            norm = _normalize_ints(_draw_clause(spec, rng))
+            drawn += 1
+        collapsed[at] = norm
+    rules = [cl for cl in collapsed if len(cl) > 1]
+    facts = list(dict.fromkeys(cl for cl in collapsed if len(cl) == 1))
+    f = CnfFormula(spec.n, tuple(Clause.from_ints(*cl) for cl in rules + facts))
+    return (None if solve_bruteforce(f).label == UNSAT else rules + facts), drawn
 
 
 def accepted_theory(n, p_int, rnd, all_mentioned=False):
@@ -167,6 +184,34 @@ class TestRetrofit:
                     kept += 1
                     assert conjecture_pools(theory, max_decisions=0) == conjecture_pools(theory)
             assert kept
+
+    @pytest.mark.parametrize("p_int", [1.0, 0.5])
+    @pytest.mark.parametrize("n", [3, 5, 6, 8, _MASK_SCAN_MAX_VARS, _MASK_SCAN_MAX_VARS + 1])
+    def test_early_exit_matches_a_full_draw(self, n, p_int):
+        # retrofit stops at the first clause that decides a rejection; a
+        # full draw gives the same theories, the same RNG state after an
+        # accepted draw, and never stops sooner after a rejected one
+        spec = SampleSpec(n=n, p_int=p_int, with_replacement=True)
+        picker = random.Random(f"m-{n}-{p_int}")
+        outcomes = set()
+        for seed in range(120):
+            m = picker.randint(1, 8 * n)
+            rng, full = random.Random(seed), random.Random(seed)
+            theory = retrofit(spec, m, rng)
+            expected, drawn = full_draw_retrofit(spec, m, full)
+            assert (None if theory is None else ruletaker._ints_of(theory).clauses) == expected
+            outcomes.add(theory is None)
+            if theory is not None:
+                assert rng.getstate() == full.getstate()
+                continue
+            replay = random.Random(seed)
+            states = [replay.getstate()]
+            stream = _clause_stream(spec, replay)
+            for _ in range(drawn):
+                next(stream)
+                states.append(replay.getstate())
+            assert rng.getstate() in states
+        assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------

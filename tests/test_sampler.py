@@ -2,7 +2,7 @@
 
 import hashlib
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +25,7 @@ from nlsatgen.sampler import (
     calibrate_critical,
     calibration_cache_path,
     estimate_psat,
+    _clause_stream,
     _draw_clause,
     _draw_clauses,
     _MASK_SCAN_MAX_VARS,
@@ -171,6 +172,17 @@ def test_draw_makes_the_rng_calls_of_sample_and_randrange(n, p_int, with_replace
     assert [_draw_clause(spec, single) for _ in range(200)] == clauses
     assert [_reference_draw(spec, reference) for _ in range(200)] == clauses
     assert batch.getstate() == single.getstate() == reference.getstate()
+
+
+# n on both sides of random.sample's pool and set branches
+@pytest.mark.parametrize("n", [5, sampler._SAMPLE_SETSIZE, sampler._SAMPLE_SETSIZE + 1, 40])
+@pytest.mark.parametrize("with_replacement", [False, True])
+def test_draw_takes_the_first_m_of_the_lazy_stream(n, with_replacement):
+    spec = SampleSpec(n=n, p_int=0.7, p_neg=0.5, with_replacement=with_replacement)
+    for m in (0, 1, 2, 7, 200):
+        batch, lazy = (derive_rng("lazy", n, with_replacement, m) for _ in range(2))
+        assert _draw_clauses(spec, m, batch) == list(islice(_clause_stream(spec, lazy), m))
+        assert batch.getstate() == lazy.getstate()
 
 
 def test_three_clause_distribution_is_uniform():
