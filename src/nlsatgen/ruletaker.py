@@ -30,8 +30,9 @@ then the facts, then the unit the label says is false.
 Retrofit reads the draw one clause at a time and rejects it at the
 first prefix that no assignment satisfies (above the mask-scan limit,
 at the first contradictory fact), so most hard-band draws, which are
-unsat, are never drawn in full.  The clause collapse is memoized,
-since draws repeat a few thousand distinct clauses.
+unsat, are never drawn in full.  Up to 8 variables the clause collapse
+is memoized, since every width-3 draw then fits in a few thousand
+entries.
 
 Validation happens at the boundary: :func:`reindex_theory`,
 :func:`conjecture_pools`, :func:`refutation_stats` and
@@ -174,9 +175,14 @@ def retrofit(spec: SampleSpec, m: int, rng, max_decisions: int = DEFAULT_MAX_DEC
     return None if theory is None else _as_theory(theory)
 
 
-# The clause collapse is memoized here only: draws repeat a few thousand
-# distinct clause tuples, and the DIMACS parser passes lists.
-_collapse = lru_cache(maxsize=4096)(_normalize_ints)
+# The clause collapse is memoized here only, and only up to
+# _COLLAPSE_MEMO_MAX_VARS variables, where all (2n)^3 width-3 draws fit
+# the 4,096 entries and nearly every collapse is a hit.  Above it the
+# keys mostly miss (about 28% hits at n=12, 10% at n=17), and the memo
+# saves nothing at n=12 and slows n=17.  The DIMACS parser passes lists
+# and keeps the plain function.
+_COLLAPSE_MEMO_MAX_VARS = 8
+_collapse = lru_cache(maxsize=(2 * _COLLAPSE_MEMO_MAX_VARS) ** 3)(_normalize_ints)
 
 
 def _retrofit(spec: SampleSpec, clauses, rng, max_decisions: int):
@@ -186,53 +192,47 @@ def _retrofit(spec: SampleSpec, clauses, rng, max_decisions: int):
     ``clauses`` is read lazily, one clause at a time, and collapsed as it
     comes.  Adding clauses never makes an unsat formula sat again, so
     the draw is rejected as soon as the clauses read so far, tautologies
-    left out, decide it: up to ``_MASK_SCAN_MAX_VARS`` variables when
-    the AND of their truth-table masks is empty, which covers
-    contradictory facts too, and above it at the first contradictory
-    fact.  Tautologies are redrawn from one ``sampler._clause_stream``
-    on ``rng`` after the last clause, in clause order, and checked the
-    same way as they come; then, above the limit, one DPLL solve within
-    ``max_decisions`` decides the theory.
+    left out, decide it: up to ``_MASK_SCAN_MAX_VARS`` variables they
+    stream into ``solver._models``, which stops at the first prefix with
+    no model (contradictory facts included), and above it the draw stops
+    at the first contradictory fact.  Tautologies are redrawn from one
+    ``sampler._clause_stream`` on ``rng`` after the last clause, in
+    clause order, and stream into the same check as they come; then,
+    above the limit, one DPLL solve within ``max_decisions`` decides the
+    theory.
     """
     n = spec.n
     scan = n <= _MASK_SCAN_MAX_VARS
-    if scan:
-        masks, acc = _var_masks(n)
-        negated = [acc ^ mask for mask in masks]
-    stated = set()
+    collapse = _collapse if n <= _COLLAPSE_MEMO_MAX_VARS else _normalize_ints
     collapsed = []
     tautologies = []
 
-    def consistent(norm) -> bool:
-        nonlocal acc
-        if scan:
-            cm = 0
-            for lit in norm:
-                cm |= masks[lit] if lit > 0 else negated[-lit]
-            acc &= cm
-            return acc != 0
-        if len(norm) == 1:
-            if -norm[0] in stated:
-                return False  # contradictory facts
-            stated.add(norm[0])
-        return True
-
-    for cl in clauses:
-        norm = _collapse(cl)
-        if norm is None:
-            tautologies.append(len(collapsed))
-        elif not consistent(norm):
-            return None
-        collapsed.append(norm)
-    if tautologies:
+    def kept():
+        for cl in clauses:
+            norm = collapse(cl)
+            collapsed.append(norm)
+            if norm is None:
+                tautologies.append(len(collapsed) - 1)
+            else:
+                yield norm
         redraws = _clause_stream(spec, rng)
         for at in tautologies:
-            norm = _collapse(next(redraws))
+            norm = collapse(next(redraws))
             while norm is None:
-                norm = _collapse(next(redraws))
-            if not consistent(norm):
-                return None
+                norm = collapse(next(redraws))
             collapsed[at] = norm
+            yield norm
+
+    if scan:
+        if not _models(n, kept()):
+            return None
+    else:
+        stated = set()
+        for norm in kept():
+            if len(norm) == 1:
+                if -norm[0] in stated:
+                    return None  # contradictory facts
+                stated.add(norm[0])
     facts = list(dict.fromkeys([norm for norm in collapsed if len(norm) == 1]))
     theory = _IntCnf(n, [norm for norm in collapsed if len(norm) > 1] + facts)
     if scan or _dpll(n, theory.clauses, max_decisions).label == SAT:
