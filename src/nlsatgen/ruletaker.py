@@ -20,7 +20,7 @@ entity, labeled "true" when the theory entails it and "false" when the
 theory refutes it; conjectures the theory leaves open are never asked.
 The decided literals are the theory's backbone.  Up to
 ``solver._MASK_SCAN_MAX_VARS`` variables it is read off the mask of all
-models (``solver._models``): a variable is entailed when every model
+models (``solver._mask_scan``): a variable is entailed when every model
 gives it the same value, with no search.  Above that it is found from
 models by DPLL: a variable is tested only while every model seen so far
 gives it the same value.  Either way the solver effort an instance
@@ -74,7 +74,7 @@ from .solver import (
     SAT,
     DegenerateTheoryError,
     _dpll,
-    _models,
+    _mask_scan,
     _var_masks,
 )
 
@@ -193,7 +193,7 @@ def _retrofit(spec: SampleSpec, clauses, rng, max_decisions: int):
     comes.  Adding clauses never makes an unsat formula sat again, so
     the draw is rejected as soon as the clauses read so far, tautologies
     left out, decide it: up to ``_MASK_SCAN_MAX_VARS`` variables they
-    stream into ``solver._models``, which stops at the first prefix with
+    stream into ``solver._mask_scan``, which stops at the first prefix with
     no model (contradictory facts included), and above it the draw stops
     at the first contradictory fact.  Tautologies are redrawn from one
     ``sampler._clause_stream`` on ``rng`` after the last clause, in
@@ -224,7 +224,7 @@ def _retrofit(spec: SampleSpec, clauses, rng, max_decisions: int):
             yield norm
 
     if scan:
-        if not _models(n, kept()):
+        if not _mask_scan(n, kept())[0]:
             return None
     else:
         stated = set()
@@ -283,7 +283,7 @@ def _backbone(n: int, clauses: list, max_decisions: int) -> list:
     when the clauses have no model.
     """
     if n <= _MASK_SCAN_MAX_VARS:
-        models = _models(n, clauses)
+        models, _ = _mask_scan(n, clauses)
         if not models:
             raise DegenerateTheoryError("degenerate theory: unsatisfiable on its own")
         masks, _ = _var_masks(n)

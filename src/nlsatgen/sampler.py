@@ -15,6 +15,10 @@ draws formulas with one of three band strategies:
 * naive   alpha uniform over a fixed wide band, default [0.5, 8.0]
 * biased  alpha far from the band: [0.5, lo/2] union [2*hi, 8.0]
 
+Each calibration trial draws from its own stream, keyed by the trial's
+index, so no trial depends on another; under the mask scan a trial
+draws its stream only up to its threshold.
+
 Ratios are kept as exact fractions end to end; only Monte Carlo
 estimates are floats.
 
@@ -22,9 +26,10 @@ There is one sampling path: ``draw_m`` picks m from a strategy and a
 band, then clauses are drawn from the ``SampleSpec`` distribution as
 signed-int tuples (+v / -v) by one private loop, the endless generator
 ``_clause_stream``.  ``_draw_clauses`` takes its first m clauses,
-``sample_clause`` wraps its first in a ``Clause``, and the ruletaker
-retrofit reads it one clause at a time, so that it can stop at the
-first unsat prefix, and redraws its tautologies from it.  The loop
+``sample_clause`` wraps its first in a ``Clause``, and calibration and
+the ruletaker retrofit read it one clause at a time, so that they can
+stop at the first unsat prefix; the retrofit also redraws its
+tautologies from it.  The loop
 makes the ``getrandbits`` draws of ``random.sample`` and ``randrange``
 itself, so the stream and the clauses are theirs without their
 per-call argument checks.  Draws with replacement are not canonical,
@@ -51,7 +56,7 @@ from .solver import (
     DEFAULT_MAX_DECISIONS,
     BudgetExhaustedError,
     _dpll,
-    _unsat_prefix,
+    _mask_scan,
 )
 
 HARD = "hard"
@@ -355,16 +360,20 @@ class CalibrationResult:
     trials_per_point: int
 
 
-def _unsat_threshold(n: int, clauses: list, max_decisions: int) -> int:
+def _unsat_threshold(n: int, clauses, max_decisions: int) -> int:
     """Length of the shortest unsat prefix of clauses, or len + 1 if none.
 
-    Up to ``_MASK_SCAN_MAX_VARS`` variables it is one truth-table scan,
-    which does no search and ignores ``max_decisions``.  Above it,
-    adding clauses never makes an unsat formula sat, so bisection with
-    ``_dpll`` finds it, and a solve may exhaust the budget.
+    Up to ``_MASK_SCAN_MAX_VARS`` variables it is one truth-table scan
+    that reads ``clauses``, any iterable, only up to that prefix, so a
+    lazy stream is drawn no further; the scan does no search and ignores
+    ``max_decisions``.  Above it, adding clauses never makes an unsat
+    formula sat, so bisection with ``_dpll`` finds it over the whole
+    stream, and a solve may exhaust the budget.
     """
     if n <= _MASK_SCAN_MAX_VARS:
-        return _unsat_prefix(n, clauses)
+        models, read = _mask_scan(n, clauses)
+        return read + 1 if models else read
+    clauses = list(clauses)
     sat, unsat = 0, len(clauses) + 1  # known-sat and known-unsat lengths
     probe = len(clauses)              # solve the whole stream first
     while unsat - sat > 1:
@@ -374,6 +383,24 @@ def _unsat_threshold(n: int, clauses: list, max_decisions: int) -> int:
             unsat = probe
         probe = (sat + unsat) // 2
     return unsat
+
+
+def _thresholds(spec: SampleSpec, m_max: int, seed: int, trials, max_decisions: int) -> list:
+    """The unsat threshold of each trial in ``trials``, in order.
+
+    Trial t reads the first m_max clauses of its own stream, keyed by
+    its index, so its threshold does not depend on which other trials
+    run or in what order.  A trial whose solve exhausts the decision
+    budget draws its next m_max clauses from the same stream.
+    """
+    key = ("threshold", seed, spec.n, float(spec.p_int), float(spec.p_neg), m_max)
+    thresholds = []
+    for trial in trials:
+        rng = derive_rng(*key, trial)
+        thresholds.append(_redraw_on_budget(lambda: _unsat_threshold(
+            spec.n, islice(_clause_stream(spec, rng), m_max), max_decisions
+        )))
+    return thresholds
 
 
 def calibrate_critical(
@@ -388,27 +415,26 @@ def calibrate_critical(
 ) -> CalibrationResult:
     """Locate the ratio where half the sampled formulas are satisfiable.
 
-    Each trial draws one stream of m_max = floor(alpha_max * n) clauses
-    and finds its threshold, the length of its shortest unsat prefix.
-    The share of thresholds above m is P_sat(m) for every m at once, and
-    it cannot rise with m.  alpha_c is the m/n whose P_sat is nearest 0.5;
-    it must come within tolerance + its Wilson half-width of 0.5.  The
-    critical band spans the ratios whose P_sat lies in [0.4, 0.6].  Up
-    to ``_MASK_SCAN_MAX_VARS`` variables a threshold is one truth-table
-    scan and ``max_decisions`` is unused; above it the threshold is
-    bisected with DPLL, and a trial whose solve exhausts the decision
-    budget redraws its stream, a few times, before giving up.
+    Each trial reads m_max = floor(alpha_max * n) clauses from its own
+    stream, keyed by its index, and finds its threshold, the length of
+    its shortest unsat prefix.  The share of thresholds above m is
+    P_sat(m) for every m at once, and it cannot rise with m.  alpha_c is
+    the m/n whose P_sat is nearest 0.5; it must come within tolerance +
+    its Wilson half-width of 0.5.  The critical band spans the ratios
+    whose P_sat lies in [0.4, 0.6].  Up to ``_MASK_SCAN_MAX_VARS``
+    variables a threshold is one truth-table scan, which draws the
+    stream only up to the threshold, and ``max_decisions`` is unused.
+    Above it the whole stream is drawn and the threshold is bisected
+    with DPLL, and a trial whose solve exhausts the decision budget
+    redraws from its own stream, a few times, before giving up.  No two
+    trials share an RNG, so the thresholds do not depend on the order
+    in which the trials run.
     """
     if trials_per_point <= 0:
         raise ValueError("trials must be positive")
     m_max = math.floor(Fraction(alpha_max) * n)
     spec = SampleSpec(n=n, p_int=p_int, p_neg=p_neg)
-    rng = derive_rng("threshold", seed, n, float(p_int), float(p_neg), m_max)
-
-    def trial():
-        return _unsat_threshold(n, _draw_clauses(spec, m_max, rng), max_decisions)
-
-    thresholds = [_redraw_on_budget(trial) for _ in range(trials_per_point)]
+    thresholds = _thresholds(spec, m_max, seed, range(trials_per_point), max_decisions)
     psat = [sum(t > m for t in thresholds) / trials_per_point for m in range(m_max + 1)]
     if psat[m_max] >= 0.5:
         raise CalibrationError(

@@ -28,13 +28,13 @@ the same split: :func:`check_entailment` checks the query and calls
 ``_entailment``, which ``verify`` calls directly on parsed int clauses
 and which also returns the refuting solve's statistics.
 
-Beside the search sit three truth-table routines over big-integer
-masks of the 2^n assignments: :func:`solve_bruteforce`, the oracle;
-``_unsat_prefix``, which gives the shortest unsat prefix of a clause
-stream in one pass; and ``_models``, the mask of every model of a
-formula.  Up to ``_MASK_SCAN_MAX_VARS`` variables calibration takes its
-thresholds from ``_unsat_prefix`` and the ruletaker generator decides
-its theories and their backbones from ``_models``; above it both search
+Beside the search sit two truth-table routines over big-integer
+masks of the 2^n assignments: :func:`solve_bruteforce`, the oracle,
+and ``_mask_scan``, one pass over a clause stream that gives the mask
+of every model and stops at the shortest unsat prefix.  Up to
+``_MASK_SCAN_MAX_VARS`` variables calibration takes its thresholds
+from ``_mask_scan`` and the ruletaker generator decides its theories
+and their backbones from it; above it both search
 with ``_dpll``, so the decision budget applies to them only there (and
 to the ruletaker solve that gives a record its statistics).
 """
@@ -321,42 +321,27 @@ def solve_bruteforce(f: CnfFormula, max_vars: int = BRUTEFORCE_MAX_VARS) -> Solv
     return SolveResult(SAT, model, SolveStats())
 
 
-def _unsat_prefix(n: int, clauses) -> int:
-    """Length of the shortest unsat prefix of signed-int clauses, or len + 1.
+def _mask_scan(n: int, clauses) -> tuple:
+    """The models of signed-int clauses over 1..n, and how many were read.
 
-    One pass over the truth table of 1..n: each clause's assignment mask
-    is ANDed into a running mask, and the first prefix that leaves no
-    assignment standing is the answer.  No search, so no budget; the
+    ``clauses`` is any iterable, read one clause at a time.  Each
+    clause's assignment mask is ANDed into a running mask over the truth
+    table of 1..n (bit i is assignment i in ``_var_masks`` order), and
+    the scan stops at the first prefix that leaves no assignment
+    standing.  Returns (models, read): models is the running mask, 0
+    when that prefix was found, and read is the number of clauses read,
+    which is then that prefix's length.  No search, so no budget; the
     cost is a few 2^n-bit operations per clause.
     """
     masks, full = _var_masks(n)
     negated = [full ^ mask for mask in masks]
     acc = full
-    for length, cl in enumerate(clauses, 1):
+    read = 0
+    for read, cl in enumerate(clauses, 1):
         cm = 0
         for lit in cl:
             cm |= masks[lit] if lit > 0 else negated[-lit]
         acc &= cm
         if not acc:
-            return length
-    return len(clauses) + 1
-
-
-def _models(n: int, clauses) -> int:
-    """The mask of every model of signed-int clauses over 1..n, or 0 if none.
-
-    Bit i is assignment i in ``_var_masks`` order.  Each clause's mask
-    is ANDed into a running mask over the truth table, so there is no
-    search and no budget.
-    """
-    masks, full = _var_masks(n)
-    negated = [full ^ mask for mask in masks]
-    acc = full
-    for cl in clauses:
-        cm = 0
-        for lit in cl:
-            cm |= masks[lit] if lit > 0 else negated[-lit]
-        acc &= cm
-        if not acc:
-            return 0
-    return acc
+            break
+    return acc, read

@@ -349,6 +349,52 @@ def test_mask_scan_calibration_does_no_search(monkeypatch):
     assert calibrate_critical(8, 1.0, 0.5, trials_per_point=100, seed=1) == expected
 
 
+@pytest.mark.parametrize(
+    "n, p_int, alpha_max, trials",
+    [(6, 1.0, 12, 60), (8, 0.5, 12, 60), (_MASK_SCAN_MAX_VARS, 1.0, 6, 10),
+     (_MASK_SCAN_MAX_VARS + 1, 1.0, 6, 10)],
+)
+def test_a_trial_threshold_is_that_of_its_full_draw(n, p_int, alpha_max, trials):
+    # stopping the draw at the first unsat prefix leaves the threshold
+    # that the whole m_max-clause stream of the trial's key gives
+    spec = SampleSpec(n=n, p_int=p_int, p_neg=0.5)
+    m_max = alpha_max * n
+    thresholds = sampler._thresholds(spec, m_max, 4, range(trials), DEFAULT_MAX_DECISIONS)
+    for trial, threshold in enumerate(thresholds):
+        rng = derive_rng("threshold", 4, n, p_int, 0.5, m_max, trial)
+        full = _draw_clauses(spec, m_max, rng)
+        assert threshold == _unsat_threshold(n, full, DEFAULT_MAX_DECISIONS)
+
+
+def test_trial_thresholds_do_not_depend_on_the_other_trials():
+    spec = SampleSpec(n=8, p_int=1.0, p_neg=0.5)
+
+    def thresholds(trials):
+        return sampler._thresholds(spec, 96, 0, trials, DEFAULT_MAX_DECISIONS)
+
+    whole = thresholds(range(100))
+    assert thresholds(range(50)) == whole[:50]
+    assert thresholds(range(50, 100)) == whole[50:]
+    assert thresholds(range(99, -1, -1)) == whole[::-1]
+
+
+def test_mask_scan_trials_draw_only_up_to_their_threshold(monkeypatch):
+    drawn = []  # clauses taken from each stream
+    stream = sampler._clause_stream
+
+    def counted(spec, rng):
+        drawn.append(0)
+        for clause in stream(spec, rng):
+            drawn[-1] += 1
+            yield clause
+
+    monkeypatch.setattr(sampler, "_clause_stream", counted)
+    m_max = 40  # alpha 5 at n=8: some streams have no unsat prefix
+    thresholds = sampler._thresholds(SampleSpec(n=8), m_max, 0, range(200), DEFAULT_MAX_DECISIONS)
+    assert drawn == [min(t, m_max) for t in thresholds]
+    assert m_max + 1 in thresholds and min(thresholds) <= m_max
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     n=st.integers(3, 10),
