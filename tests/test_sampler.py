@@ -633,4 +633,4 @@ def test_calibration_transcript_is_pinned():
     result = calibrate_critical(6, 1.0, 0.5, trials_per_point=100, seed=0)
     transcript = repr((result.alpha_c, result.band, result.points))
     digest = hashlib.sha256(transcript.encode()).hexdigest()
-    assert digest == "a33257ff9eb109bfe0fc8125eba2ad71f35252f1d89c6d0f8392d7aa70767d4e"
+    assert digest == "a1ba5917d645a4953679d5d1933ca39af194c846737cbef2819e2ceb4ac73fc0"
