@@ -29,13 +29,12 @@ signed-int tuples (+v / -v) by one private loop, the endless generator
 ``sample_clause`` wraps its first in a ``Clause``, and calibration and
 the ruletaker retrofit read it one clause at a time, so that they can
 stop at the first unsat prefix; the retrofit also redraws its
-tautologies from it.  The loop
-makes the ``getrandbits`` draws of ``random.sample`` and ``randrange``
-itself, so the stream and the clauses are theirs without their
-per-call argument checks.  Draws with replacement are not canonical,
-so they stay ints until the ruletaker retrofit collapses them.  The
-phase curve and the generators stay on the ints through retrofitting,
-reindexing, the solver and DIMACS.
+tautologies from it.  The loop makes the ``getrandbits`` draws of
+``random.sample`` and ``randrange`` itself, so the stream and the
+clauses are theirs without their per-call argument checks.  Draws with
+replacement are not canonical, so they stay ints until the ruletaker
+retrofit collapses them.  The phase curve and the generators stay on
+the ints through retrofitting, reindexing, the solver and DIMACS.
 """
 
 from __future__ import annotations
@@ -393,14 +392,15 @@ def _thresholds(spec: SampleSpec, m_max: int, seed: int, trials, max_decisions: 
     run or in what order.  A trial whose solve exhausts the decision
     budget draws its next m_max clauses from the same stream.
     """
-    key = ("threshold", seed, spec.n, float(spec.p_int), float(spec.p_neg), m_max)
-    thresholds = []
-    for trial in trials:
-        rng = derive_rng(*key, trial)
-        thresholds.append(_redraw_on_budget(lambda: _unsat_threshold(
-            spec.n, islice(_clause_stream(spec, rng), m_max), max_decisions
-        )))
-    return thresholds
+    n = spec.n
+    key = ("threshold", seed, n, float(spec.p_int), float(spec.p_neg), m_max)
+
+    def threshold(rng):
+        return _redraw_on_budget(
+            lambda: _unsat_threshold(n, islice(_clause_stream(spec, rng), m_max), max_decisions)
+        )
+
+    return [threshold(derive_rng(*key, trial)) for trial in trials]
 
 
 def calibrate_critical(

@@ -28,15 +28,15 @@ the same split: :func:`check_entailment` checks the query and calls
 ``_entailment``, which ``verify`` calls directly on parsed int clauses
 and which also returns the refuting solve's statistics.
 
-Beside the search sit two truth-table routines over big-integer
-masks of the 2^n assignments: :func:`solve_bruteforce`, the oracle,
-and ``_mask_scan``, one pass over a clause stream that gives the mask
-of every model and stops at the shortest unsat prefix.  Up to
+Beside the search sit two truth-table routines over big-integer masks
+of the 2^n assignments: :func:`solve_bruteforce`, the oracle, and
+``_mask_scan``, one pass over a clause stream that gives the mask of
+every model and stops at the shortest unsat prefix.  Up to
 ``_MASK_SCAN_MAX_VARS`` variables calibration takes its thresholds
 from ``_mask_scan`` and the ruletaker generator decides its theories
-and their backbones from it; above it both search
-with ``_dpll``, so the decision budget applies to them only there (and
-to the ruletaker solve that gives a record its statistics).
+and their backbones from it; above it both search with ``_dpll``, so
+the decision budget applies to them only there (and to the ruletaker
+solve that gives a record its statistics).
 """
 
 from __future__ import annotations
