@@ -360,7 +360,7 @@ class CalibrationResult:
 
 
 def _unsat_threshold(n: int, clauses, max_decisions: int) -> int:
-    """Length of the shortest unsat prefix of clauses, or len + 1 if none.
+    """Length of the shortest unsat prefix of clauses, or their count + 1 if none.
 
     Up to ``_MASK_SCAN_MAX_VARS`` variables it is one truth-table scan
     that reads ``clauses``, any iterable, only up to that prefix, so a

@@ -351,7 +351,8 @@ def test_mask_scan_calibration_does_no_search(monkeypatch):
 
 @pytest.mark.parametrize(
     "n, p_int, alpha_max, trials",
-    [(6, 1.0, 12, 60), (8, 0.5, 12, 60), (_MASK_SCAN_MAX_VARS, 1.0, 6, 10),
+    # alpha_max 5 at n=8 leaves some streams with no unsat prefix
+    [(6, 1.0, 12, 60), (8, 0.5, 12, 60), (8, 1.0, 5, 60), (_MASK_SCAN_MAX_VARS, 1.0, 6, 10),
      (_MASK_SCAN_MAX_VARS + 1, 1.0, 6, 10)],
 )
 def test_a_trial_threshold_is_that_of_its_full_draw(n, p_int, alpha_max, trials):
