@@ -1,6 +1,7 @@
 """Random formula generation, phase curve estimation, calibration, strategies."""
 
 import hashlib
+import random
 from fractions import Fraction
 from itertools import combinations, islice, product
 
@@ -183,6 +184,20 @@ def test_draw_takes_the_first_m_of_the_lazy_stream(n, with_replacement):
         batch, lazy = (derive_rng("lazy", n, with_replacement, m) for _ in range(2))
         assert _draw_clauses(spec, m, batch) == list(islice(_clause_stream(spec, lazy), m))
         assert batch.getstate() == lazy.getstate()
+
+
+# the public path of a band check: one sample_clause per clause into a
+# CnfFormula, labelled by the brute-force oracle, at the band midpoints
+# of the checked-in calibration for n=8 and n=10
+@pytest.mark.parametrize("n,m,sat", [(8, 42, 474), (10, 50, 501)])
+def test_band_check_through_sample_clause_is_pinned(n, m, sat):
+    spec = SampleSpec(n=n, p_int=1.0, p_neg=0.5)
+    rng = random.Random(f"band-check:108:{n}")
+    labels = [
+        solve_bruteforce(CnfFormula(n, tuple(sample_clause(spec, rng) for _ in range(m)))).label
+        for _ in range(1000)
+    ]
+    assert labels.count(SAT) == sat
 
 
 def test_three_clause_distribution_is_uniform():
