@@ -124,7 +124,8 @@ class Clause:
         return len(self.literals)
 
     def max_var(self) -> int:
-        return max(lit.var for lit in self.literals)
+        # canonical: the last literal has the largest variable
+        return self.literals[-1].var
 
 
 def _as_clause(ints) -> Clause:

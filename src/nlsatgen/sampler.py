@@ -35,6 +35,12 @@ clauses are theirs without their per-call argument checks.  Draws with
 replacement are not canonical, so they stay ints until the ruletaker
 retrofit collapses them.  The phase curve and the generators stay on
 the ints through retrofitting, reindexing, the solver and DIMACS.
+
+``sample_clause`` is the one path that builds objects, one clause per
+call.  Equal draws there share one ``Clause``, validated the first time
+it was drawn, from a memo of 4,096 entries.  The memo is bounded
+because the number of distinct clauses grows as n^3, and it is skipped
+above ``_CLAUSE_MEMO_MAX_VARS`` variables, where most draws would miss.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from pathlib import Path
 from typing import Optional, Sequence
@@ -107,6 +114,9 @@ class SampleSpec:
 # is at most this long, and a set of picks above it; the value is its
 # ``setsize`` for k <= 5, which covers clause widths 2 and 3.
 _SAMPLE_SETSIZE = 21
+# Each clause's pool, for n up to it, is a slice of this one list, so
+# starting a stream builds nothing.
+_POPULATION = list(range(1, _SAMPLE_SETSIZE + 1))
 
 
 def _clause_stream(spec: SampleSpec, rng):
@@ -131,7 +141,7 @@ def _clause_stream(spec: SampleSpec, rng):
     random, getrandbits = rng.random, rng.getrandbits
     n, p_int, p_neg = spec.n, spec.p_int, spec.p_neg
     with_replacement, bits = spec.with_replacement, n.bit_length()
-    population = list(range(1, n + 1)) if n <= _SAMPLE_SETSIZE else None
+    pooled = n <= _SAMPLE_SETSIZE
     while True:
         width = 3 if random() < p_int else 2
         variables = []
@@ -142,10 +152,10 @@ def _clause_stream(spec: SampleSpec, rng):
                 while j >= n:
                     j = getrandbits(bits)
                 variables.append(j + 1)
-        elif population is not None:
+        elif pooled:
             # sample's pool: take pool[j] for j below the unpicked count,
             # then move the last unpicked item into slot j
-            pool = population[:]
+            pool = _POPULATION[:n]
             size = n
             for _ in range(width):
                 k = size.bit_length()
@@ -179,11 +189,28 @@ def _draw_clause(spec: SampleSpec, rng) -> tuple:
     return next(_clause_stream(spec, rng))
 
 
+# A draw is a canonical int tuple and a Clause is immutable, so equal
+# draws can share one Clause, validated once.  4,096 entries hold every
+# clause up to 15 variables (8*C(15,3) + 4*C(15,2) = 4,060).  From 22
+# variables on at most a third of the three-literal draws hit, and the
+# misses cost as much as the hits save, so sample_clause skips the memo.
+# The parsers and the DIMACS reader pass lists and keep the plain function.
+_CLAUSE_MEMO_MAX_VARS = 21
+_sampled_clause = lru_cache(maxsize=4096)(_as_clause)
+
+
 def sample_clause(spec: SampleSpec, rng) -> Clause:
-    """Draw one canonical clause from a spec that samples without replacement."""
+    """Draw one canonical clause from a spec that samples without replacement.
+
+    Up to ``_CLAUSE_MEMO_MAX_VARS`` variables, equal draws share one
+    ``Clause``, validated when it was first drawn, from a memo that is
+    bounded because the number of distinct clauses grows as n^3.  The
+    RNG calls are those of ``_draw_clause`` either way.
+    """
     if spec.with_replacement:
         raise ValueError("sample_clause draws without replacement; retrofit draws with it")
-    return _as_clause(_draw_clause(spec, rng))
+    ints = _draw_clause(spec, rng)
+    return _sampled_clause(ints) if spec.n <= _CLAUSE_MEMO_MAX_VARS else _as_clause(ints)
 
 
 def admissible_m(n: int, alpha_min: Fraction, alpha_max: Fraction) -> range:

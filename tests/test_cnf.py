@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -77,6 +78,21 @@ def test_clause_width_limits():
 def test_max_var():
     assert Clause.from_ints(-2, 9).max_var() == 9
     assert Clause.from_ints(3).max_var() == 3
+
+
+def test_max_var_of_every_canonical_clause_over_five_variables():
+    n = 5
+    for width in (1, 2, 3):
+        for variables in combinations(range(1, n + 1), width):
+            for signs in product((1, -1), repeat=width):
+                clause = Clause.from_ints(*(s * v for s, v in zip(signs, variables)))
+                assert clause.max_var() == max(variables)
+                CnfFormula(max(variables), (clause,))
+                if max(variables) == n:
+                    with pytest.raises(ValueError, match=f"literal {n} exceeds n={n - 1}"):
+                        CnfFormula(n - 1, (clause,))
+                else:
+                    CnfFormula(n - 1, (clause,))
 
 
 # ---------------------------------------------------------------- normalize

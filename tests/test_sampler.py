@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from nlsatgen import sampler
-from nlsatgen.cnf import CnfFormula
+from nlsatgen.cnf import CnfFormula, _as_clause
 from nlsatgen.rng import derive_rng
 from nlsatgen.sampler import (
     BIASED,
@@ -184,6 +184,39 @@ def test_draw_takes_the_first_m_of_the_lazy_stream(n, with_replacement):
         batch, lazy = (derive_rng("lazy", n, with_replacement, m) for _ in range(2))
         assert _draw_clauses(spec, m, batch) == list(islice(_clause_stream(spec, lazy), m))
         assert batch.getstate() == lazy.getstate()
+
+
+# 5 and 15 fit the memo whole, 16 and 21 fill it and evict, and from 22
+# on sample_clause converts each draw with the plain function
+@pytest.mark.parametrize("n", [5, 15, 16, 21, 22, 40])
+def test_sample_clause_is_the_clause_of_its_draw_whatever_the_memo_holds(n):
+    spec = SampleSpec(n=n, p_int=0.7, p_neg=0.5)
+    a, b = derive_rng("memo", n), derive_rng("memo", n)
+
+    def check(draws):
+        clauses = [sample_clause(spec, a) for _ in range(draws)]
+        assert clauses == [_as_clause(_draw_clause(spec, b)) for _ in range(draws)]
+        assert a.getstate() == b.getstate()
+        return clauses
+
+    memo = sampler._sampled_clause
+    memo.cache_clear()
+    check(300)  # cold
+    clauses = check(300)  # warm
+    if n <= sampler._CLAUSE_MEMO_MAX_VARS:
+        # equal draws share one Clause
+        assert len({id(c) for c in clauses}) == len(set(clauses))
+    # full and evicting: clauses over 21 variables push every earlier
+    # entry out of the memo
+    wide, rng = SampleSpec(n=21, p_int=0.7, p_neg=0.5), derive_rng("fill", n)
+    misses = memo.cache_info().misses
+    while memo.cache_info().misses < misses + 2 * memo.cache_info().maxsize:
+        sample_clause(wide, rng)
+    misses = memo.cache_info().misses
+    check(3000)
+    assert memo.cache_info().currsize == memo.cache_info().maxsize
+    if n <= sampler._CLAUSE_MEMO_MAX_VARS:
+        assert memo.cache_info().misses > misses
 
 
 # the public path of a band check: one sample_clause per clause into a
