@@ -135,7 +135,7 @@ def cmd_generate(args) -> int:
         settings["splits"] = _parse_splits(settings["splits"])
     config = DatasetConfig(**settings)
     table, _ = _load_table(args.cache)
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
+    jobs = (os.cpu_count() or 1) if args.jobs is None else args.jobs
     records = generate_records(config, table, jobs=jobs)
     write_dataset(args.out, config, records)
     stats_path = Path(args.out).with_suffix(".stats.txt")
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entities", dest="entities_path", help="entity word list")
     p.add_argument(
         "--jobs", type=int,
-        help="worker processes, at most one worker per size (default: all cores)",
+        help="worker processes, at least 1 and at most one per size (default: all cores)",
     )
     p.add_argument("--config", help="JSON file with generation settings")
     p.add_argument("--cache", help="calibration file (default: cache directory)")

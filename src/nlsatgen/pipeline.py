@@ -492,8 +492,10 @@ def generate_records(config: DatasetConfig, table=None, jobs: int = 1) -> list:
 
     The work unit is one size.  ``jobs`` only sets how many processes
     generate sizes, at most one per size; the output is byte-identical
-    at any value.
+    at any value, which must be at least 1.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     vocab = load_vocabulary(config)
     _check_vocabulary_capacity(config, vocab)
     bands = bands_for_config(config, table)

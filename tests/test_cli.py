@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from nlsatgen import cli
 from nlsatgen.cli import _parse_sizes, _parse_splits, main
 from nlsatgen.fragments import parse_theory, split_sentences
 from nlsatgen.lexicon import default_occupation_lexicon, load_lexicon
@@ -165,6 +166,34 @@ class TestGenerate:
         ])
         assert rc == 2
         assert "must be even" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
+        out = tmp_path / "x.jsonl"
+        rc = main([
+            "generate", "--fragment", "grl", "--sizes", "5", "--per-size", "4",
+            "--seed", "1", "--strategy", "naive", "--jobs", jobs, "--out", str(out),
+        ])
+        assert rc == 2
+        assert f"jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_jobs_left_out_means_all_cores(self, tmp_path, monkeypatch):
+        seen = []
+        generate = cli.generate_records
+
+        def recording(config, table, jobs):
+            seen.append(jobs)
+            return generate(config, table, jobs=jobs)
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(cli, "generate_records", recording)
+        rc = main([
+            "generate", "--fragment", "grl", "--sizes", "5", "--per-size", "4",
+            "--seed", "1", "--strategy", "naive", "--out", str(tmp_path / "x.jsonl"),
+        ])
+        assert rc == 0
+        assert seen == [3]
 
     def test_exhausted_budget_exits_three(self, tmp_path, capsys):
         rc = main([

@@ -290,6 +290,11 @@ class TestGenerateRecords:
         monkeypatch.setattr(pipeline, "multiprocessing", SimpleNamespace(Pool=no_pool))
         assert generate_records(config, jobs=4) == serial
 
+    @pytest.mark.parametrize("jobs", [0, -7])
+    def test_jobs_below_one_is_refused(self, jobs):
+        with pytest.raises(ValueError, match=f"^jobs must be at least 1, got {jobs}$"):
+            generate_records(naive_config(), None, jobs=jobs)
+
 
 # ---------------------------------------------------------------------------
 # Writing and reading
