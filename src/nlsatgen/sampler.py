@@ -189,11 +189,10 @@ def _draw_clause(spec: SampleSpec, rng) -> tuple:
     return next(_clause_stream(spec, rng))
 
 
-# A draw is a canonical int tuple and a Clause is immutable, so equal
-# draws can share one Clause, validated once.  4,096 entries hold every
-# clause up to 15 variables (8*C(15,3) + 4*C(15,2) = 4,060).  From 22
-# variables on at most a third of the three-literal draws hit, and the
-# misses cost as much as the hits save, so sample_clause skips the memo.
+# Sharing is safe because a draw is a canonical int tuple and a Clause is
+# immutable.  4,096 entries hold every clause up to 15 variables
+# (8*C(15,3) + 4*C(15,2) = 4,060); from 22 on at most a third of the
+# three-literal draws hit, and the misses cost as much as the hits save.
 # The parsers and the DIMACS reader pass lists and keep the plain function.
 _CLAUSE_MEMO_MAX_VARS = 21
 _sampled_clause = lru_cache(maxsize=4096)(_as_clause)

@@ -186,8 +186,8 @@ def test_draw_takes_the_first_m_of_the_lazy_stream(n, with_replacement):
         assert batch.getstate() == lazy.getstate()
 
 
-# 5 and 15 fit the memo whole, 16 and 21 fill it and evict, and from 22
-# on sample_clause converts each draw with the plain function
+# the memo holds every clause over 5 or 15 variables but not over 16 or
+# 21; from 22 on sample_clause converts each draw with the plain function
 @pytest.mark.parametrize("n", [5, 15, 16, 21, 22, 40])
 def test_sample_clause_is_the_clause_of_its_draw_whatever_the_memo_holds(n):
     spec = SampleSpec(n=n, p_int=0.7, p_neg=0.5)
