@@ -217,6 +217,8 @@ def test_sample_clause_is_the_clause_of_its_draw_whatever_the_memo_holds(n):
     assert memo.cache_info().currsize == memo.cache_info().maxsize
     if n <= sampler._CLAUSE_MEMO_MAX_VARS:
         assert memo.cache_info().misses > misses
+    else:
+        assert memo.cache_info().misses == misses
 
 
 # the public path of a band check: one sample_clause per clause into a
