@@ -171,6 +171,16 @@ class TestRetrofit:
             collapse(n, raws, max_decisions=0)
         assert collapse(n, raws, max_decisions=1) == [(1, 2), (2, 3)]
 
+    @pytest.mark.parametrize(
+        "raws",
+        [[(4, 4, 4), (-4, -4, -4)], [(1, 2, 2), (2, 3, 3), (4, 4, 4), (-4, -4, -4)]],
+    )
+    def test_contradictory_facts_need_no_decision(self, raws):
+        # above the mask-scan limit contradictory facts are a conflict
+        # before any branch, so a zero budget still rejects them, even
+        # beside rules that would need a decision to satisfy
+        assert collapse(_MASK_SCAN_MAX_VARS + 1, raws, max_decisions=0) is None
+
     def test_mask_scan_ignores_the_decision_budget(self):
         # up to the limit neither retrofit nor the pools search, so a zero
         # budget gives the default's theory and pools
