@@ -142,6 +142,10 @@ class DatasetConfig:
             raise ValueError("p_int and p_neg must lie in [0, 1]")
         if not 0.0 <= self.diversity_fraction <= 1.0:
             raise ValueError("diversity_fraction must lie in [0, 1]")
+        if not 0.0 <= self.no_rewrite_prob <= 1.0:
+            raise ValueError(f"no_rewrite_prob must lie in [0, 1], got {self.no_rewrite_prob}")
+        if self.max_decisions < 0:
+            raise ValueError(f"max_decisions must be non-negative, got {self.max_decisions}")
         if len(self.splits) != 3 or any(s < 0 for s in self.splits):
             raise ValueError("splits must be three non-negative fractions")
         if sum(self.splits) != 1:
@@ -663,6 +667,8 @@ def verify_dataset(path, max_decisions: int = DEFAULT_MAX_DECISIONS) -> list:
     and the DIMACS comparison run on the signed-int cores and build no
     clause objects.
     """
+    if max_decisions < 0:
+        raise ValueError(f"max_decisions must be non-negative, got {max_decisions}")
     header, records = read_dataset(path)
     fragment = header.get("fragment")
     vocab = _packaged_vocab(fragment)
@@ -813,7 +819,7 @@ def export_dimacs_files(path, out_dir) -> int:
                 raise DatasetError(f"{path}: record {rec['id']} has a non-string {key!r}")
         from_dimacs(rec["dimacs"])  # refuse to export corrupt formulas
         name = rec["id"]
-        if "/" in name or "\\" in name or name.startswith("."):
+        if not name or "/" in name or "\\" in name or name.startswith("."):
             raise DatasetError(f"unsafe record id {name!r}")
         if name in names:
             raise DatasetError(f"{path}: record id {name!r} repeats")

@@ -18,21 +18,18 @@ Rules render as implications and facts as plain statements:
 A finished instance pairs the theory with a conjecture about the same
 entity, labeled "true" when the theory entails it and "false" when the
 theory refutes it; conjectures the theory leaves open are never asked.
-The decided literals are the theory's backbone.  Up to
-``solver._MASK_SCAN_MAX_VARS`` variables it is read off the mask of all
-models (``solver._mask_scan``): a variable is entailed when every model
-gives it the same value, with no search.  Above that it is found from
-models by DPLL: a variable is tested only while every model seen so far
-gives it the same value.  Either way the solver effort an instance
-records is one DPLL refutation of the picked conjecture: the rules,
-then the facts, then the unit the label says is false.
+The decided literals are the theory's backbone, which
+``solver._backbone`` finds: a variable is entailed when every model
+gives it the same value.  The solver effort an instance records is one
+DPLL refutation of the picked conjecture: the rules, then the facts,
+then the unit the label says is false.
 
-Retrofit reads the draw one clause at a time and rejects it at the
-first prefix that no assignment satisfies (above the mask-scan limit,
-at the first contradictory fact), so most hard-band draws, which are
-unsat, are never drawn in full.  Up to 8 variables the clause collapse
-is memoized, since every width-3 draw then fits in a few thousand
-entries.
+Retrofit streams the draw, one clause at a time, into
+``solver._satisfiable``.  Up to 17 variables that check rejects it at
+the first prefix that no assignment satisfies, so most hard-band draws,
+which are unsat, are never drawn in full.  Up to 8 variables the clause
+collapse is memoized, since every width-3 draw then fits in a few
+thousand entries.
 
 Validation happens at the boundary: :func:`reindex_theory`,
 :func:`conjecture_pools`, :func:`refutation_stats` and
@@ -68,15 +65,7 @@ from .fragments import (
     check_token_budget,
 )
 from .sampler import SampleSpec, _clause_stream
-from .solver import (
-    _MASK_SCAN_MAX_VARS,
-    DEFAULT_MAX_DECISIONS,
-    SAT,
-    DegenerateTheoryError,
-    _dpll,
-    _mask_scan,
-    _var_masks,
-)
+from .solver import DEFAULT_MAX_DECISIONS, SAT, _backbone, _dpll, _satisfiable
 
 LABEL_TRUE = "true"
 LABEL_FALSE = "false"
@@ -161,15 +150,16 @@ def retrofit(spec: SampleSpec, m: int, rng, max_decisions: int = DEFAULT_MAX_DEC
     order, and keep their place; collapsed units become facts,
     deduplicated in first-seen order.  Returns None when the result is
     unusable as a theory: contradictory facts, or rules and facts that
-    are unsatisfiable together.  Up to ``solver._MASK_SCAN_MAX_VARS``
-    variables that check is a truth-table pass and ``max_decisions`` is
-    unused; above it the check is a DPLL solve within the budget.
+    are unsatisfiable together.  ``solver._satisfiable`` makes that
+    check: up to 17 variables ``max_decisions`` is unused, and above
+    that the check is a DPLL solve within the budget.
 
-    A rejected draw stops at the first clause that decides it, so it
-    leaves ``rng`` earlier in its stream than a full draw of m clauses
-    would: a caller that shares one RNG across calls sees different
-    later draws than it would with the whole draw made.  The generator
-    gives each candidate its own RNG, so no dataset byte depends on it.
+    Up to 17 variables a rejected draw stops at the first clause that
+    decides it, so it leaves ``rng`` earlier in its stream than a full
+    draw of m clauses would: a caller that shares one RNG across calls
+    sees different later draws than it would with the whole draw made.
+    The generator gives each candidate its own RNG, so no dataset byte
+    depends on it.
     """
     theory = _retrofit(spec, islice(_clause_stream(spec, rng), m), rng, max_decisions)
     return None if theory is None else _as_theory(theory)
@@ -190,19 +180,13 @@ def _retrofit(spec: SampleSpec, clauses, rng, max_decisions: int):
     as a ``cnf._IntCnf``, or None.
 
     ``clauses`` is read lazily, one clause at a time, and collapsed as it
-    comes.  Adding clauses never makes an unsat formula sat again, so
-    the draw is rejected as soon as the clauses read so far, tautologies
-    left out, decide it: up to ``_MASK_SCAN_MAX_VARS`` variables they
-    stream into ``solver._mask_scan``, which stops at the first prefix with
-    no model (contradictory facts included), and above it the draw stops
-    at the first contradictory fact.  Tautologies are redrawn from one
+    comes; tautologies are left out and redrawn from one
     ``sampler._clause_stream`` on ``rng`` after the last clause, in
-    clause order, and stream into the same check as they come; then,
-    above the limit, one DPLL solve within ``max_decisions`` decides the
-    theory.
+    clause order.  The kept clauses stream, in that order, into
+    ``solver._satisfiable``, which may stop reading at the first unsat
+    prefix.
     """
     n = spec.n
-    scan = n <= _MASK_SCAN_MAX_VARS
     collapse = _collapse if n <= _COLLAPSE_MEMO_MAX_VARS else _normalize_ints
     collapsed = []
     tautologies = []
@@ -223,21 +207,10 @@ def _retrofit(spec: SampleSpec, clauses, rng, max_decisions: int):
             collapsed[at] = norm
             yield norm
 
-    if scan:
-        if not _mask_scan(n, kept())[0]:
-            return None
-    else:
-        stated = set()
-        for norm in kept():
-            if len(norm) == 1:
-                if -norm[0] in stated:
-                    return None  # contradictory facts
-                stated.add(norm[0])
+    if not _satisfiable(n, kept(), max_decisions):
+        return None
     facts = list(dict.fromkeys([norm for norm in collapsed if len(norm) == 1]))
-    theory = _IntCnf(n, [norm for norm in collapsed if len(norm) > 1] + facts)
-    if scan or _dpll(n, theory.clauses, max_decisions).label == SAT:
-        return theory
-    return None
+    return _IntCnf(n, [norm for norm in collapsed if len(norm) > 1] + facts)
 
 
 def conjecture_pools(theory: RetrofitTheory, max_decisions: int = DEFAULT_MAX_DECISIONS) -> dict:
@@ -247,10 +220,10 @@ def conjecture_pools(theory: RetrofitTheory, max_decisions: int = DEFAULT_MAX_DE
     order.  Literals stated verbatim as facts are dropped from the
     "true" pool when anything else is available, so entailed
     conjectures usually take at least one inference step.  Raises
-    DegenerateTheoryError when the theory itself is unsatisfiable.  Up
-    to ``solver._MASK_SCAN_MAX_VARS`` variables the backbone is read off
-    the truth table and ``max_decisions`` is unused; above it each DPLL
-    solve of the backbone search has that budget.
+    DegenerateTheoryError when the theory itself is unsatisfiable.
+    ``solver._backbone`` decides the literals: up to 17 variables
+    ``max_decisions`` is unused, and above that each DPLL solve of its
+    search has that budget.
     """
     pools = _conjecture_pools(_ints_of(theory), max_decisions)
     return {label: [Literal.from_int(v) for v in pool] for label, pool in pools.items()}
@@ -267,49 +240,6 @@ def _conjecture_pools(t: _IntCnf, max_decisions: int) -> dict:
     if inferred:
         pools[LABEL_TRUE] = inferred
     return pools
-
-
-def _backbone(n: int, clauses: list, max_decisions: int) -> list:
-    """Every literal that signed-int clauses over 1..n entail, in variable order.
-
-    Up to ``_MASK_SCAN_MAX_VARS`` variables it comes from the mask of
-    all models: v is entailed when its models are all of them, and -v
-    when it has none.  Above it, it is found from models by DPLL
-    (Janota, Lynce & Marques-Silva 2015): starting from one model, each
-    variable on which every model found so far agrees is tested once,
-    by solving the clauses plus the negation of its literal.  A model of
-    that formula rules out every candidate it flips, and
-    unsatisfiability entails the literal.  Raises DegenerateTheoryError
-    when the clauses have no model.
-    """
-    if n <= _MASK_SCAN_MAX_VARS:
-        models, _ = _mask_scan(n, clauses)
-        if not models:
-            raise DegenerateTheoryError("degenerate theory: unsatisfiable on its own")
-        masks, _ = _var_masks(n)
-        entailed = []
-        for v in range(1, n + 1):
-            true_models = models & masks[v]
-            if true_models == models:
-                entailed.append(v)
-            elif not true_models:
-                entailed.append(-v)
-        return entailed
-    result = _dpll(n, clauses, max_decisions)
-    if result.label != SAT:
-        raise DegenerateTheoryError("degenerate theory: unsatisfiable on its own")
-    candidates = {v: v if result.model[v] else -v for v in range(1, n + 1)}
-    entailed = []
-    while candidates:
-        v, lit = next(iter(candidates.items()))
-        del candidates[v]
-        result = _dpll(n, clauses + [(-lit,)], max_decisions)
-        if result.label == SAT:
-            flipped = result.model
-            candidates = {u: l for u, l in candidates.items() if flipped[u] == (l > 0)}
-        else:
-            entailed.append(lit)
-    return entailed
 
 
 def refutation_stats(

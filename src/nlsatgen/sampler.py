@@ -5,9 +5,9 @@ unsatisfiable as alpha = m/n crosses a critical value; problems drawn
 near the crossing are empirically the hardest.  This module samples
 clauses and formulas, estimates the satisfiable fraction by Monte
 Carlo, locates the crossing from the unsat thresholds of random clause
-streams (the shortest unsat prefix of each: one truth-table mask scan
-for n up to ``_MASK_SCAN_MAX_VARS``, DPLL bisection above it), and
-draws formulas with one of three band strategies:
+streams (the shortest unsat prefix of each, which ``solver`` finds by a
+truth-table scan or by DPLL), and draws formulas with one of three band
+strategies:
 
 * hard    alpha inside the calibrated critical band (where the
           satisfiable fraction is within 0.5 +/- 0.1), with a small
@@ -16,7 +16,7 @@ draws formulas with one of three band strategies:
 * biased  alpha far from the band: [0.5, lo/2] union [2*hi, 8.0]
 
 Each calibration trial draws from its own stream, keyed by the trial's
-index, so no trial depends on another; under the mask scan a trial
+index, so no trial depends on another; up to 17 variables a trial
 draws its stream only up to its threshold.
 
 Ratios are kept as exact fractions end to end; only Monte Carlo
@@ -57,13 +57,7 @@ from typing import Optional, Sequence
 from .cnf import Clause, _as_clause
 from .fileio import atomic_writer
 from .rng import derive_rng
-from .solver import (
-    _MASK_SCAN_MAX_VARS,
-    DEFAULT_MAX_DECISIONS,
-    BudgetExhaustedError,
-    _dpll,
-    _mask_scan,
-)
+from .solver import DEFAULT_MAX_DECISIONS, BudgetExhaustedError, _dpll, _unsat_threshold
 
 HARD = "hard"
 NAIVE = "naive"
@@ -385,31 +379,6 @@ class CalibrationResult:
     trials_per_point: int
 
 
-def _unsat_threshold(n: int, clauses, max_decisions: int) -> int:
-    """Length of the shortest unsat prefix of clauses, or their count + 1 if none.
-
-    Up to ``_MASK_SCAN_MAX_VARS`` variables it is one truth-table scan
-    that reads ``clauses``, any iterable, only up to that prefix, so a
-    lazy stream is drawn no further; the scan does no search and ignores
-    ``max_decisions``.  Above it, adding clauses never makes an unsat
-    formula sat, so bisection with ``_dpll`` finds it over the whole
-    stream, and a solve may exhaust the budget.
-    """
-    if n <= _MASK_SCAN_MAX_VARS:
-        models, read = _mask_scan(n, clauses)
-        return read + 1 if models else read
-    clauses = list(clauses)
-    sat, unsat = 0, len(clauses) + 1  # known-sat and known-unsat lengths
-    probe = len(clauses)              # solve the whole stream first
-    while unsat - sat > 1:
-        if _dpll(n, clauses[:probe], max_decisions).label == "sat":
-            sat = probe
-        else:
-            unsat = probe
-        probe = (sat + unsat) // 2
-    return unsat
-
-
 def _thresholds(spec: SampleSpec, m_max: int, seed: int, trials, max_decisions: int) -> list:
     """The unsat threshold of each trial in ``trials``, in order.
 
@@ -447,14 +416,13 @@ def calibrate_critical(
     P_sat(m) for every m at once, and it cannot rise with m.  alpha_c is
     the m/n whose P_sat is nearest 0.5; it must come within tolerance +
     its Wilson half-width of 0.5.  The critical band spans the ratios
-    whose P_sat lies in [0.4, 0.6].  Up to ``_MASK_SCAN_MAX_VARS``
-    variables a threshold is one truth-table scan, which draws the
-    stream only up to the threshold, and ``max_decisions`` is unused.
-    Above it the whole stream is drawn and the threshold is bisected
-    with DPLL, and a trial whose solve exhausts the decision budget
-    redraws from its own stream, a few times, before giving up.  No two
-    trials share an RNG, so the thresholds do not depend on the order
-    in which the trials run.
+    whose P_sat lies in [0.4, 0.6].  ``solver._unsat_threshold`` finds
+    each threshold: up to 17 variables it draws the stream only up to
+    the threshold and ``max_decisions`` is unused; above that the whole
+    stream is drawn and searched, and a trial whose solve exhausts the
+    decision budget redraws from its own stream, a few times, before
+    giving up.  No two trials share an RNG, so the thresholds do not
+    depend on the order in which the trials run.
     """
     if trials_per_point <= 0:
         raise ValueError("trials must be positive")

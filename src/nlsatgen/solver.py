@@ -31,12 +31,14 @@ and which also returns the refuting solve's statistics.
 Beside the search sit two truth-table routines over big-integer masks
 of the 2^n assignments: :func:`solve_bruteforce`, the oracle, and
 ``_mask_scan``, one pass over a clause stream that gives the mask of
-every model and stops at the shortest unsat prefix.  Up to
-``_MASK_SCAN_MAX_VARS`` variables calibration takes its thresholds
-from ``_mask_scan`` and the ruletaker generator decides its theories
-and their backbones from it; above it both search with ``_dpll``, so
-the decision budget applies to them only there (and to the ruletaker
-solve that gives a record its statistics).
+every model and stops at the shortest unsat prefix.  This module alone
+chooses between the scan and the search, for three questions: where a
+clause stream first turns unsat (``_unsat_threshold``, calibration's
+thresholds), whether clauses are satisfiable (``_satisfiable``,
+ruletaker's retrofit) and which literals they entail (``_backbone``,
+ruletaker's conjectures).  Up to ``_MASK_SCAN_MAX_VARS`` variables each
+is answered by ``_mask_scan`` and the decision budget is unused; above
+it each searches with ``_dpll`` within the budget.
 """
 
 from __future__ import annotations
@@ -345,3 +347,84 @@ def _mask_scan(n: int, clauses) -> tuple:
         if not acc:
             break
     return acc, read
+
+
+def _unsat_threshold(n: int, clauses, max_decisions: int) -> int:
+    """Length of the shortest unsat prefix of clauses, or their count + 1 if none.
+
+    Up to ``_MASK_SCAN_MAX_VARS`` variables it is one truth-table scan
+    that reads ``clauses``, any iterable, only up to that prefix, so a
+    lazy stream is drawn no further; the scan does no search and ignores
+    ``max_decisions``.  Above it, adding clauses never makes an unsat
+    formula sat, so bisection with ``_dpll`` finds it over the whole
+    stream, and a solve may exhaust the budget.
+    """
+    if n <= _MASK_SCAN_MAX_VARS:
+        models, read = _mask_scan(n, clauses)
+        return read + 1 if models else read
+    clauses = list(clauses)
+    sat, unsat = 0, len(clauses) + 1  # known-sat and known-unsat lengths
+    probe = len(clauses)              # solve the whole stream first
+    while unsat - sat > 1:
+        if _dpll(n, clauses[:probe], max_decisions).label == "sat":
+            sat = probe
+        else:
+            unsat = probe
+        probe = (sat + unsat) // 2
+    return unsat
+
+
+def _satisfiable(n: int, clauses, max_decisions: int) -> bool:
+    """Whether signed-int clauses over 1..n have a model.
+
+    Up to ``_MASK_SCAN_MAX_VARS`` variables it is one truth-table scan
+    that reads ``clauses``, any iterable, only up to its first unsat
+    prefix, and ignores ``max_decisions``.  Above it, it is one ``_dpll``
+    solve over all of them, which may exhaust the budget.
+    """
+    if n <= _MASK_SCAN_MAX_VARS:
+        return bool(_mask_scan(n, clauses)[0])
+    return _dpll(n, list(clauses), max_decisions).label == SAT
+
+
+def _backbone(n: int, clauses: list, max_decisions: int) -> list:
+    """Every literal that signed-int clauses over 1..n entail, in variable order.
+
+    Up to ``_MASK_SCAN_MAX_VARS`` variables it comes from the mask of
+    all models: v is entailed when its models are all of them, and -v
+    when it has none.  Above it, it is found from models by DPLL
+    (Janota, Lynce & Marques-Silva 2015): starting from one model, each
+    variable on which every model found so far agrees is tested once,
+    by solving the clauses plus the negation of its literal.  A model of
+    that formula rules out every candidate it flips, and
+    unsatisfiability entails the literal.  Raises DegenerateTheoryError
+    when the clauses have no model.
+    """
+    if n <= _MASK_SCAN_MAX_VARS:
+        models, _ = _mask_scan(n, clauses)
+        if not models:
+            raise DegenerateTheoryError("degenerate theory: unsatisfiable on its own")
+        masks, _ = _var_masks(n)
+        entailed = []
+        for v in range(1, n + 1):
+            true_models = models & masks[v]
+            if true_models == models:
+                entailed.append(v)
+            elif not true_models:
+                entailed.append(-v)
+        return entailed
+    result = _dpll(n, clauses, max_decisions)
+    if result.label != SAT:
+        raise DegenerateTheoryError("degenerate theory: unsatisfiable on its own")
+    candidates = {v: v if result.model[v] else -v for v in range(1, n + 1)}
+    entailed = []
+    while candidates:
+        v, lit = next(iter(candidates.items()))
+        del candidates[v]
+        result = _dpll(n, clauses + [(-lit,)], max_decisions)
+        if result.label == SAT:
+            flipped = result.model
+            candidates = {u: l for u, l in candidates.items() if flipped[u] == (l > 0)}
+        else:
+            entailed.append(lit)
+    return entailed

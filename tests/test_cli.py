@@ -178,6 +178,27 @@ class TestGenerate:
         assert f"jobs must be at least 1, got {jobs}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("prob", ["1.5", "-3", "nan"])
+    def test_no_rewrite_prob_outside_unit_interval_is_a_usage_error(self, tmp_path, capsys, prob):
+        out = tmp_path / "x.jsonl"
+        rc = main([
+            "generate", "--fragment", "rcl", "--sizes", "10", "--per-size", "4",
+            "--seed", "1", "--strategy", "naive", "--no-rewrite-prob", prob, "--out", str(out),
+        ])
+        assert rc == 2
+        assert "no_rewrite_prob must lie in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_budget_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.jsonl"
+        rc = main([
+            "generate", "--fragment", "grl", "--sizes", "5", "--per-size", "4",
+            "--seed", "1", "--strategy", "naive", "--max-decisions", "-1", "--out", str(out),
+        ])
+        assert rc == 2
+        assert "max_decisions must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_jobs_left_out_means_all_cores(self, tmp_path, monkeypatch):
         seen = []
         generate = cli.generate_records
@@ -445,6 +466,10 @@ class TestVerify:
         for rid in tampered:
             assert f"{rid}: label: degenerate theory: unsatisfiable on its own" in err
 
+    def test_negative_budget_is_a_usage_error(self, small_dataset, capsys):
+        assert main(["verify", str(small_dataset), "--max-decisions", "-1"]) == 2
+        assert "max_decisions must be non-negative, got -1" in capsys.readouterr().err
+
     def test_missing_dataset_is_a_usage_error(self, tmp_path, capsys):
         assert main(["verify", str(tmp_path / "nope.jsonl")]) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -530,6 +555,12 @@ class TestExportDimacs:
         assert main(["export-dimacs", str(bad), str(tmp_path / "cnfs")]) == 2
         assert f"has a non-string {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "cnfs").exists()  # no partial export
+
+    def test_empty_id_is_a_usage_error(self, small_dataset, tmp_path, capsys):
+        bad = _with_second_record(small_dataset, tmp_path, lambda rec: {**rec, "id": ""})
+        assert main(["export-dimacs", str(bad), str(tmp_path / "cnfs")]) == 2
+        assert "unsafe record id ''" in capsys.readouterr().err
+        assert not (tmp_path / "cnfs").exists()
 
     def test_repeated_id_is_a_usage_error(self, small_dataset, tmp_path, capsys):
         # the second file would replace the first, losing a formula

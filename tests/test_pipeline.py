@@ -93,6 +93,18 @@ class TestDatasetConfig:
         with pytest.raises(ValueError, match="sizes must be integers"):
             naive_config(sizes=(5.0, 6))
 
+    @pytest.mark.parametrize("prob", [1.5, -3.0, float("nan")])
+    def test_no_rewrite_prob_must_be_a_probability(self, prob):
+        with pytest.raises(ValueError, match=r"^no_rewrite_prob must lie in \[0, 1\]"):
+            naive_config(fragment="rcl", sizes=(10,), no_rewrite_prob=prob)
+        for bound in (0.0, 1.0):
+            assert naive_config(fragment="rcl", sizes=(10,), no_rewrite_prob=bound)
+
+    def test_max_decisions_must_not_be_negative(self):
+        with pytest.raises(ValueError, match="^max_decisions must be non-negative, got -1$"):
+            naive_config(max_decisions=-1)
+        assert naive_config(max_decisions=0).max_decisions == 0
+
     def test_odd_count_allowed_when_unbalanced(self):
         config = naive_config(count_per_size=7, balance_labels=False)
         assert config.count_per_size == 7
@@ -387,6 +399,11 @@ class TestVerifyDataset:
     def test_clean_dataset_has_no_issues(self, grl_dataset):
         _, _, path = grl_dataset
         assert verify_dataset(path) == []
+
+    def test_negative_budget_is_refused(self, grl_dataset):
+        _, _, path = grl_dataset
+        with pytest.raises(ValueError, match="^max_decisions must be non-negative, got -1$"):
+            verify_dataset(path, max_decisions=-1)
 
     def test_flipped_label_is_caught(self, tmp_path, grl_dataset):
         config, records, _ = grl_dataset
@@ -820,6 +837,16 @@ class TestStatsAndExport:
         path = rewrite(tmp_path / "unsafe.jsonl", config, bad)
         with pytest.raises(DatasetError, match="unsafe record id"):
             export_dimacs_files(path, tmp_path / "out")
+
+    def test_export_refuses_an_empty_id(self, tmp_path, grl_dataset):
+        # an empty id would be written as the hidden file ".cnf"
+        config, records, _ = grl_dataset
+        bad = [dict(r) for r in records]
+        bad[-1]["id"] = ""
+        path = rewrite(tmp_path / "empty.jsonl", config, bad)
+        with pytest.raises(DatasetError, match="unsafe record id ''"):
+            export_dimacs_files(path, tmp_path / "out")
+        assert not (tmp_path / "out").exists()  # refused before any file is written
 
 
 # ---------------------------------------------------------------------------

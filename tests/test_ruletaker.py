@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nlsatgen import ruletaker
+from nlsatgen import ruletaker, solver
 from nlsatgen.cnf import Clause, CnfFormula, Literal, _normalize_ints, to_dimacs
 from nlsatgen.fragments import RULETAKER, FragmentError, ParseError, VarBinding, parse_theory
 from nlsatgen.lexicon import default_attributes, default_entities
@@ -368,8 +368,8 @@ def test_backbone_pools_match_bruteforce_property(n, p_int, rnd):
     theory = accepted_theory(n, p_int, rnd)
     expected = bruteforce_pools(theory)
 
-    real = ruletaker._dpll
-    with mock.patch.object(ruletaker, "_dpll", side_effect=real) as counted:
+    real = solver._dpll
+    with mock.patch.object(solver, "_dpll", side_effect=real) as counted:
         pools = conjecture_pools(theory)
     assert pools == expected
     # up to the mask-scan limit the backbone takes no search at all
@@ -399,8 +399,8 @@ def test_model_guided_backbone_matches_bruteforce_property(n, p_int, rnd):
     # above the mask-scan limit the backbone is searched with DPLL, which
     # shares no code with the brute-force oracle
     theory = accepted_theory(n, p_int, rnd)
-    real = ruletaker._dpll
-    with mock.patch.object(ruletaker, "_dpll", side_effect=real) as counted:
+    real = solver._dpll
+    with mock.patch.object(solver, "_dpll", side_effect=real) as counted:
         pools = conjecture_pools(theory)
     assert pools == bruteforce_pools(theory)
     # one first model, then at most one test per variable; two refutations

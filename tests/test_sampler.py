@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
-from nlsatgen import sampler
+from nlsatgen import sampler, solver
 from nlsatgen.cnf import CnfFormula, _as_clause
 from nlsatgen.rng import derive_rng
 from nlsatgen.sampler import (
@@ -29,19 +29,19 @@ from nlsatgen.sampler import (
     _clause_stream,
     _draw_clause,
     _draw_clauses,
-    _MASK_SCAN_MAX_VARS,
-    _unsat_threshold,
     draw_m,
     sample_clause,
     strategy_m_candidates,
     wilson_halfwidth,
 )
 from nlsatgen.solver import (
+    _MASK_SCAN_MAX_VARS,
     DEFAULT_MAX_DECISIONS,
     SAT,
     UNSAT,
     BudgetExhaustedError,
     _dpll,
+    _unsat_threshold,
     solve,
     solve_bruteforce,
 )
@@ -376,7 +376,7 @@ def test_calibrate_gives_up_after_repeated_budget_exhaustion(monkeypatch):
         solves.append(args)
         return _dpll(*args)
 
-    monkeypatch.setattr(sampler, "_dpll", counted)
+    monkeypatch.setattr(solver, "_dpll", counted)
     with pytest.raises(BudgetExhaustedError):
         calibrate_critical(
             _MASK_SCAN_MAX_VARS + 1, 1.0, 0.5, trials_per_point=3, max_decisions=0
@@ -395,7 +395,7 @@ def test_mask_scan_calibration_does_no_search(monkeypatch):
     def no_search(*args):
         raise AssertionError("the mask scan called _dpll")
 
-    monkeypatch.setattr(sampler, "_dpll", no_search)
+    monkeypatch.setattr(solver, "_dpll", no_search)
     assert calibrate_critical(8, 1.0, 0.5, trials_per_point=100, seed=1) == expected
 
 
