@@ -1,5 +1,7 @@
 """Search engine: DPLL with propagation, brute force, entailment."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -327,3 +329,35 @@ def test_unsat_cores_with_deep_backtracking():
         f = CnfFormula.from_ints(n, sorted(clauses))
         assert solve(f).label == solve_bruteforce(f).label
 
+
+
+def _dpll_pin_cases():
+    """About 2,000 seeded formulas over n = 1..12, with unit clauses, each
+    with a budget of 0, 1, 3 or 10^7 decisions; every n meets every budget."""
+    rng = random.Random(1729)
+    budgets = (0, 1, 3, 10**7)
+    for i in range(2000):
+        n = 1 + i % 12
+        clauses = []
+        for _ in range(rng.randint(0, 6 * n)):
+            width = min(rng.choice((1, 2, 2, 3, 3, 3, 3, 3, 3, 3)), n)
+            variables = sorted(rng.sample(range(1, n + 1), width))
+            clauses.append(tuple(v if rng.random() < 0.5 else -v for v in variables))
+        yield n, clauses, budgets[(i // 12) % 4]
+
+
+def test_dpll_results_are_pinned():
+    # one digest over every label, model and SolveStats, or the budget
+    # error, so a rewrite of the search must reproduce all of them
+    digest = hashlib.sha256()
+    outcomes = set()
+    for n, clauses, budget in _dpll_pin_cases():
+        try:
+            r = _dpll(n, clauses, budget)
+            out = [r.label, sorted(r.model.items()) if r.model else None, r.stats.as_dict()]
+        except BudgetExhaustedError as exc:
+            out = ["budget", str(exc)]
+        outcomes.add(out[0])
+        digest.update(json.dumps(out).encode() + b"\n")
+    assert outcomes == {SAT, UNSAT, "budget"}
+    assert digest.hexdigest() == "b903e94f8eec9a60e0da45cd1b82c74d76463fbf28c0a3df4de81bec2aff126a"
