@@ -17,6 +17,13 @@ Once every clause is satisfied the remaining variables are filled in as
 False without branching, so formulas decided by propagation alone
 report ``decisions == 0``.
 
+The search is one loop over flat lists.  Clause occurrences and literal
+values are each one list indexed by signed literal, so -v wraps around
+the end of a list of 2n+1.  Per clause it counts the literals propagated
+true and those not yet propagated false.  The trail holds the literals made true, in order,
+and a conflict undoes it once, back to the latest decision still to
+flip.
+
 Validation happens at the boundary: :func:`solve` takes a
 ``CnfFormula``, whose constructors have checked every ``Clause`` and
 ``Literal``, and converts once to signed ints
@@ -103,128 +110,112 @@ def _dpll(n: int, clauses, max_decisions: int) -> SolveResult:
     from a draw that is canonical by construction.
     """
     m = len(clauses)
-    stats = SolveStats()
-
     if m == 0:
-        return SolveResult(SAT, {v: False for v in range(1, n + 1)}, stats)
+        return SolveResult(SAT, {v: False for v in range(1, n + 1)}, SolveStats())
 
-    occ_true = [[] for _ in range(n + 1)]   # clause indices containing +v
-    occ_false = [[] for _ in range(n + 1)]  # clause indices containing -v
+    # occ and val are indexed by signed literal: -v wraps around to 2n+1-v
+    occ = [[] for _ in range(2 * n + 1)]  # clause indices containing each literal
     for ci, cl in enumerate(clauses):
         for lit in cl:
-            (occ_true if lit > 0 else occ_false)[abs(lit)].append(ci)
-
-    assign = [0] * (n + 1)            # 0 unknown, 1 true, -1 false
-    sat_count = [0] * m               # true literals per clause
+            occ[lit].append(ci)
+    val = [0] * (2 * n + 1)               # per literal: 1 true, -1 false, 0 unknown
+    sat_count = [0] * m                   # true literals per clause
     unk_count = [len(cl) for cl in clauses]
-    satisfied = 0                     # clauses with sat_count > 0
-    trail = []                        # (var, value) in assignment order
-    qhead = 0                         # next trail position to process
-    dstack = []                       # (var, trail_base, flipped)
+    satisfied = 0                         # clauses with sat_count > 0
+    trail = []                            # literals made true, in assignment order
+    qhead = 0                             # next trail position to propagate
+    dstack = []                           # (decision literal, trail base); -v, +v once flipped
+    decisions = conflicts = propagations = 0
 
-    def enqueue(var: int, value: int) -> None:
-        assign[var] = value
-        trail.append((var, value))
+    # level-0 units seed the first propagation
+    for cl in clauses:
+        if len(cl) == 1:
+            lit = cl[0]
+            if not val[lit]:
+                propagations += 1
+                val[lit] = 1
+                val[-lit] = -1
+                trail.append(lit)
 
-    def propagate() -> Optional[int]:
-        """Process the trail to fixpoint; return a falsified clause index or None."""
-        nonlocal qhead, satisfied
-        while qhead < len(trail):
-            var, value = trail[qhead]
+    while True:
+        # propagate the trail to fixpoint or to the first falsified clause
+        conflict = False
+        while qhead < len(trail) and not conflict:
+            lit = trail[qhead]
             qhead += 1
-            sat_occ = occ_true[var] if value > 0 else occ_false[var]
-            unk_occ = occ_false[var] if value > 0 else occ_true[var]
-            for ci in sat_occ:
-                if sat_count[ci] == 0:
+            for ci in occ[lit]:
+                if not sat_count[ci]:
                     satisfied += 1
                 sat_count[ci] += 1
             # A conflict must not abort this loop: once qhead is past an
-            # entry, undo_to reverses ALL its counter effects, so every
-            # decrement has to happen even after a falsified clause.
-            conflict = None
-            for ci in unk_occ:
+            # entry, backtracking reverses ALL its counter effects, so
+            # every decrement has to happen even after a falsified clause.
+            for ci in occ[-lit]:
                 unk_count[ci] -= 1
-                if conflict is not None or sat_count[ci] or unk_count[ci] > 1:
+                if conflict or sat_count[ci] or unk_count[ci] > 1:
                     continue
-                # inspect actual assignments: queued-but-unprocessed
-                # entries are visible in assign[] though counters lag
+                # inspect actual values: queued-but-unpropagated entries
+                # are visible in val[] though the counters lag
                 unit = 0
-                is_true = False
-                for lit in clauses[ci]:
-                    a = assign[abs(lit)]
-                    if a == 0:
-                        unit = lit
-                    elif (a > 0) == (lit > 0):
-                        is_true = True
+                for u in clauses[ci]:
+                    a = val[u]
+                    if not a:
+                        unit = u
+                    elif a > 0:
                         break
-                if is_true:
-                    continue
-                if unit:
-                    stats.propagations += 1
-                    enqueue(abs(unit), 1 if unit > 0 else -1)
                 else:
-                    conflict = ci
-            if conflict is not None:
-                return conflict
-        return None
-
-    def undo_to(target: int) -> None:
-        nonlocal qhead, satisfied
-        while len(trail) > target:
-            pos = len(trail) - 1
-            var, value = trail.pop()
-            assign[var] = 0
-            if pos >= qhead:
-                continue  # never processed, no counter effects
-            sat_occ = occ_true[var] if value > 0 else occ_false[var]
-            unk_occ = occ_false[var] if value > 0 else occ_true[var]
-            for ci in sat_occ:
-                sat_count[ci] -= 1
-                if sat_count[ci] == 0:
-                    satisfied -= 1
-            for ci in unk_occ:
-                unk_count[ci] += 1
-        qhead = min(qhead, target)
-
-    # level-0 units seed the first propagation
-    for ci, cl in enumerate(clauses):
-        if len(cl) == 1:
-            lit = cl[0]
-            a = assign[abs(lit)]
-            if a == 0:
-                stats.propagations += 1
-                enqueue(abs(lit), 1 if lit > 0 else -1)
-
-    while True:
-        conflict_ci = propagate()
-        if conflict_ci is not None:
-            stats.conflicts += 1
-            while dstack and dstack[-1][2]:
-                _, base, _ = dstack.pop()
-                undo_to(base)
+                    if unit:
+                        propagations += 1
+                        val[unit] = 1
+                        val[-unit] = -1
+                        trail.append(unit)
+                    else:
+                        conflict = True
+        if conflict:
+            conflicts += 1
+            while dstack and dstack[-1][0] > 0:
+                dstack.pop()  # both branches tried
             if not dstack:
-                undo_to(0)
-                return SolveResult(UNSAT, None, stats)
-            var, base, _ = dstack[-1]
-            dstack[-1] = (var, base, True)
-            undo_to(base)
-            enqueue(var, 1)  # second branch: True
+                return SolveResult(UNSAT, None, SolveStats(decisions, conflicts, propagations))
+            lit, base = dstack[-1]
+            dstack[-1] = (-lit, base)
+            # undo to the latest untried decision; entries at or past
+            # qhead were never propagated, so they have no counter effects
+            for u in trail[base:qhead]:
+                for ci in occ[u]:
+                    sat_count[ci] -= 1
+                    if not sat_count[ci]:
+                        satisfied -= 1
+                for ci in occ[-u]:
+                    unk_count[ci] += 1
+            for u in trail[base:]:
+                val[u] = val[-u] = 0
+            del trail[base:]
+            qhead = min(qhead, base)
+            val[-lit] = 1  # second branch: True
+            val[lit] = -1
+            trail.append(-lit)
             continue
         var = 0  # stays 0 when every clause is satisfied or no variable is unset
         if satisfied < m:
-            var = next((v for v in range(1, n + 1) if assign[v] == 0), 0)
+            try:
+                var = val.index(0, 1, n + 1)
+            except ValueError:
+                pass
         if not var:
-            model = {v: assign[v] > 0 for v in range(1, n + 1)}
+            model = {v: val[v] > 0 for v in range(1, n + 1)}
             if __debug__:
                 assert all(any(model[abs(l)] != (l < 0) for l in cl) for cl in clauses)
-            return SolveResult(SAT, model, stats)
-        if stats.decisions >= max_decisions:
+            return SolveResult(SAT, model, SolveStats(decisions, conflicts, propagations))
+        if decisions >= max_decisions:
             raise BudgetExhaustedError(
                 f"budget exhausted: more than {max_decisions} decisions needed"
             )
-        stats.decisions += 1
-        dstack.append((var, len(trail), False))
-        enqueue(var, -1)  # first branch: False
+        decisions += 1
+        dstack.append((-var, len(trail)))
+        val[-var] = 1  # first branch: False
+        val[var] = -1
+        trail.append(-var)
 
 
 ENTAILED = "entailed"
