@@ -19,6 +19,12 @@ generator renders its int clauses without building objects.  Parsing
 mirrors it: the core ``_parse`` returns a ``cnf._IntCnf``, which
 ``verify`` compares and labels as it is, and :func:`parse_grl` builds
 the validated ``CnfFormula`` from it.
+
+Strict parsing reads a sentence with one compiled match of the
+renderer's surface (``_SURFACE``) and looks the captured words up in the
+lexicon.  A sentence the match refuses, or whose words are not lexicon
+nouns as written, goes to the token walker ``_walk``, which also reads
+every lenient sentence and is the only code that words a parse error.
 """
 
 from __future__ import annotations
@@ -38,6 +44,11 @@ from .fragments import (
 )
 
 _TOKEN = re.compile(r"\S+")
+# The renderer's sentence body: the antecedents' "no" and nouns, then the
+# consequent's "not" and noun.  "\S" and ``str.split`` agree on whitespace.
+_SURFACE = re.compile(r"If (no )?(\S+)(?: and (no )?(\S+))? then (not )?(\S+)")
+# words the match can capture as nouns where the walker reads them as grammar
+_GRAMMAR_WORDS = ("no", "not", "and", "then")
 
 
 def _sentence(cl, words: dict) -> str:
@@ -87,14 +98,61 @@ def parse_grl(sentences, lexicon, strict: bool = True):
 
 def _parse(sentences, lexicon, strict: bool) -> tuple:
     """The parsing core: (``_IntCnf``, binding), one canonical signed-int
-    clause per sentence.  Tokens come from ``str.split``; their character
-    spans are worked out only when an error reports one."""
+    clause per sentence.
+
+    A strict sentence is first tried against ``_SURFACE``, one compiled
+    match of the renderer's surface, and its captured words are looked
+    up in the lexicon.  A sentence that does not match, or that captures
+    a word that is not a lexicon noun as written, goes to the token
+    walker, ``_walk``, as does every lenient sentence; the walker alone
+    words an error.  The match accepts a subset of what the walker
+    accepts and gives the same clause, so long as no grammar word is a
+    lexicon noun; a lexicon that holds one is walked throughout.
+    """
     noun_to_var: dict = {}
     clauses = []
+    singular_of = lexicon.singular_of
+    fast = strict and not any(singular_of(w) == w for w in _GRAMMAR_WORDS)
+    for idx, sentence in enumerate(sentences, start=1):
+        if not sentence.endswith(".") or sentence.count(".") != 1:
+            raise ParseError(idx, None, "sentence must end with its only period")
+        body = sentence[:-1]
+        m = _SURFACE.fullmatch(body) if fast else None
+        if m is not None:
+            no1, w1, no2, w2, not3, w3 = m.groups()
+            words = (w1, w3) if w2 is None else (w1, w2, w3)
+            for word in words:
+                if word not in noun_to_var:
+                    if singular_of(word) != word:
+                        break
+                    noun_to_var[word] = len(noun_to_var) + 1
+            else:
+                # an antecedent states the negation of its clause literal
+                v = noun_to_var[w1]
+                literals = [v if no1 else -v]
+                if w2 is not None:
+                    v = noun_to_var[w2]
+                    literals.append(v if no2 else -v)
+                v = noun_to_var[w3]
+                literals.append(-v if not3 else v)
+                clauses.append(_clause_of(literals, idx))
+                continue
+        clauses.append(_clause_of(_walk(body, idx, lexicon, strict, noun_to_var), idx))
+
+    binding = VarBinding({v: noun for noun, v in noun_to_var.items()})
+    return _IntCnf(len(noun_to_var), clauses), binding
+
+
+def _walk(body: str, idx: int, lexicon, strict: bool, noun_to_var: dict) -> list:
+    """One sentence body's signed-int clause literals, read token by token.
+
+    Tokens come from ``str.split``; their character spans are worked out
+    only when an error reports one.  New nouns join ``noun_to_var``.
+    """
     ante_negations = ("no",) if strict else ("no", "not")
     cons_negations = ("not",) if strict else ("no", "not")
 
-    def literal(words, lo: int, hi: int, negations, idx: int, body: str) -> int:
+    def literal(lo: int, hi: int, negations) -> int:
         """The literal words[lo:hi] states, as written: an optionally negated noun."""
         negated = lo < hi and words[lo] in negations
         if negated:
@@ -106,36 +164,29 @@ def _parse(sentences, lexicon, strict: bool) -> tuple:
         var = noun_to_var.setdefault(noun, len(noun_to_var) + 1)
         return -var if negated else var
 
-    for idx, sentence in enumerate(sentences, start=1):
-        if not sentence.endswith(".") or sentence.count(".") != 1:
-            raise ParseError(idx, None, "sentence must end with its only period")
-        body = sentence[:-1]
-        words = body.split()
-        if not words:
-            raise ParseError(idx, None, "empty sentence")
-        head = words[0]
-        if head != "If" and (strict or head.lower() != "if"):
-            raise ParseError(idx, _span(body, 0, 0), f"expected 'If', got {head!r}")
-        if "then" not in words:
-            raise ParseError(idx, None, "missing 'then'")
-        then_at = words.index("then")
-        if then_at == 1:
-            raise ParseError(idx, None, "missing antecedent")
-        if then_at == len(words) - 1:
-            raise ParseError(idx, None, "missing consequent")
-        atoms = []
-        lo = 1
-        for k in range(1, then_at):
-            if words[k] == "and":
-                atoms.append((lo, k))
-                lo = k + 1
-        atoms.append((lo, then_at))
-        if not 1 <= len(atoms) <= 2:
-            raise ParseError(idx, None, f"expected 1 or 2 antecedents, got {len(atoms)}")
-        # an antecedent atom states the negation of its clause literal
-        literals = [-literal(words, a, b, ante_negations, idx, body) for a, b in atoms]
-        literals.append(literal(words, then_at + 1, len(words), cons_negations, idx, body))
-        clauses.append(_clause_of(literals, idx))
-
-    binding = VarBinding({v: noun for noun, v in noun_to_var.items()})
-    return _IntCnf(len(noun_to_var), clauses), binding
+    words = body.split()
+    if not words:
+        raise ParseError(idx, None, "empty sentence")
+    head = words[0]
+    if head != "If" and (strict or head.lower() != "if"):
+        raise ParseError(idx, _span(body, 0, 0), f"expected 'If', got {head!r}")
+    if "then" not in words:
+        raise ParseError(idx, None, "missing 'then'")
+    then_at = words.index("then")
+    if then_at == 1:
+        raise ParseError(idx, None, "missing antecedent")
+    if then_at == len(words) - 1:
+        raise ParseError(idx, None, "missing consequent")
+    atoms = []
+    lo = 1
+    for k in range(1, then_at):
+        if words[k] == "and":
+            atoms.append((lo, k))
+            lo = k + 1
+    atoms.append((lo, then_at))
+    if not 1 <= len(atoms) <= 2:
+        raise ParseError(idx, None, f"expected 1 or 2 antecedents, got {len(atoms)}")
+    # an antecedent atom states the negation of its clause literal
+    literals = [-literal(a, b, ante_negations) for a, b in atoms]
+    literals.append(literal(then_at + 1, len(words), cons_negations))
+    return literals

@@ -321,13 +321,20 @@ _GROUND_RE = re.compile(rf"^([A-Z][a-zA-Z]*) is ({_ATOM}) or ({_ATOM}) or ({_ATO
 
 class _RclParser:
     """The parsing core's state: ids by first appearance, and the
-    problem's clauses as canonical signed-int tuples."""
+    problem's clauses as canonical signed-int tuples.
+
+    ``atoms`` remembers, for one text, each atom's signed predicate id
+    by its text (such as "not a baker").  Only an atom's first occurrence
+    is looked up in the lexicon and has its article checked; a bad atom
+    raises there, where reading every occurrence would raise first.
+    """
 
     def __init__(self, lexicon, strict: bool):
         self.lexicon = lexicon
         self.strict = strict
         self.pred_ids: dict = {}
         self.const_ids: dict = {}
+        self.atoms: dict = {}  # atom text -> signed predicate id
         self.universals = []
         self.grounds = []
 
@@ -335,6 +342,14 @@ class _RclParser:
         return self.pred_ids.setdefault(noun, len(self.pred_ids) + 1)
 
     def atom(self, text: str, idx: int, offset: int) -> int:
+        """The signed predicate id of an atom such as "not a baker"; only
+        its first occurrence in the text is read, and can raise."""
+        pred = self.atoms.get(text)
+        if pred is None:
+            pred = self.atoms[text] = self._read_atom(text, idx, offset)
+        return pred
+
+    def _read_atom(self, text: str, idx: int, offset: int) -> int:
         negated = text.startswith("not ")
         body = text[4:] if negated else text
         art, _, word = body.partition(" ")

@@ -1,6 +1,8 @@
 """Propositional if-then fragment: rendering, parsing, round-trip identity."""
 
 import random
+import re
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -16,6 +18,7 @@ from nlsatgen.fragments import (
     parse_theory,
     reindex_formula,
 )
+from nlsatgen import grl
 from nlsatgen.grl import parse_grl, render_grl
 from nlsatgen.lexicon import Lexicon
 from nlsatgen.sampler import SampleSpec, sample_clause
@@ -160,6 +163,84 @@ def test_first_sentence_errors_are_numbered_one():
         parse_grl(("If carrot then banana banana.",), LEX)
     assert exc.value.sentence_index == 1
     assert "sentence 1" in str(exc.value)
+
+
+# ---------------------------------------------- compiled match against walker
+
+
+class GrammarNounLexicon:
+    """A lexicon whose nouns may be grammar words, which ``Lexicon`` refuses;
+    strict parsing asks a lexicon only for ``singular_of``."""
+
+    def __init__(self, nouns):
+        self.nouns = frozenset(nouns)
+
+    def singular_of(self, word):
+        return word if word in self.nouns else None
+
+
+def parse_outcome(sentences, lexicon, strict=True):
+    """What ``grl._parse`` gives: its result, or its error's index, span and text."""
+    try:
+        return grl._parse(sentences, lexicon, strict)
+    except ParseError as exc:
+        return exc.sentence_index, exc.span, str(exc)
+
+
+def enumerated_sentences(words, max_words):
+    """Every "If ..." sentence of 1 to ``max_words`` words after "If"."""
+    for k in range(1, max_words + 1):
+        for body in product(words, repeat=k):
+            yield "If " + " ".join(body) + "."
+
+
+WALKER_ONLY = re.compile(r"(?!)")  # a _SURFACE that never matches
+
+
+@pytest.mark.parametrize("lexicon", [
+    LEX,
+    GrammarNounLexicon(("and", "then", "no", "not", "carrot", "steak", "apples")),
+], ids=["lexicon", "grammar-word-nouns"])
+def test_compiled_match_agrees_with_walker_on_every_short_sentence(lexicon, monkeypatch):
+    # every body of up to five words over grammar words, nouns and a
+    # plural, alone and after a sentence that numbers two nouns
+    words = ("no", "not", "and", "then", "carrot", "carrots", "steak", "apples")
+    cases = []
+    for s in enumerated_sentences(words, 5):
+        cases += [(s,), ("If steak then not apples.", s)]
+    with_match = [parse_outcome(c, lexicon) for c in cases]
+    monkeypatch.setattr(grl, "_SURFACE", WALKER_ONLY)
+    assert [parse_outcome(c, lexicon) for c in cases] == with_match
+    accepted = sum(not isinstance(out[0], int) for out in with_match)
+    assert accepted >= 60
+
+
+def test_compiled_match_reads_every_rendered_sentence(monkeypatch):
+    # the walker is not needed for anything the renderer writes
+    def no_walk(*args):
+        raise AssertionError("rendered sentence fell back to the walker")
+
+    monkeypatch.setattr(grl, "_walk", no_walk)
+    for s1, s2, s3 in product((1, -1), repeat=3):
+        f = CnfFormula.from_ints(3, [(s1 * 1, s2 * 2, s3 * 3), (s1 * 1, s3 * 3)])
+        binding = VarBinding({1: "carrot", 2: "steak", 3: "apples"})
+        assert parse_grl(render_grl(f, binding).sentences, LEX) == (f, binding)
+
+
+def test_grammar_word_nouns_are_walked():
+    # "no" as a noun: the match would read "If no then steak." as the
+    # antecedent noun "no", where the walker reads a bare negation
+    lexicon = GrammarNounLexicon(("no", "steak"))
+    out = parse_outcome(("If no then steak.",), lexicon)
+    assert out == (1, None, "sentence 1: expected an optionally negated noun")
+    f, binding = grl._parse(("If no no then steak.",), lexicon, True)
+    assert f.clauses == [(1, 2)] and binding.variables == {1: "no", 2: "steak"}
+
+
+def test_lenient_parse_never_uses_the_match(monkeypatch):
+    monkeypatch.setattr(grl, "_SURFACE", None)
+    f, binding = parse_grl(("If carrot and no steak then apples.",), LEX, strict=False)
+    assert f.to_int_clauses() == [[-1, 2, 3]]
 
 
 # ---------------------------------------------------------------- round trips

@@ -2,15 +2,16 @@
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 
-from nlsatgen import pipeline, ruletaker
+from nlsatgen import grl, pipeline, ruletaker
 from nlsatgen.cnf import Clause, CnfFormula, Literal, to_dimacs
-from nlsatgen.fragments import reindex_formula
+from nlsatgen.fragments import GRL, ParseError, _packaged_vocab, reindex_formula, split_sentences
 from nlsatgen.pipeline import (
     DatasetConfig,
     DatasetError,
@@ -609,6 +610,70 @@ def test_verify_reports_each_tampering_exactly(tmp_path, verify_datasets, fragme
     assert [str(issue) for issue in verify_dataset(path)] == expected
 
 
+def _last_word(word):
+    def tamper(rec):
+        rec["text"] = rec["text"][:-1].rsplit(" ", 1)[0] + f" {word}."
+
+    return tamper
+
+
+def _nth_replace(old, new, n):
+    """Replace the n-th occurrence of ``old`` (0-based, negative from the end)."""
+    def tamper(rec):
+        parts = rec["text"].split(old)
+        k = n % (len(parts) - 1)
+        rec["text"] = old.join(parts[: k + 1]) + new + old.join(parts[k + 1 :])
+
+    return tamper
+
+
+# Strict parse errors past the first sentence and past an atom's first
+# occurrence, one tampering per record.  A doubled space is read by the
+# grl walker, so it is no issue.
+VERIFY_PARSE_TAMPERINGS = {
+    "grl": ([
+        _last_word("zzgrobble"),
+        _nth_replace(" then ", " then not not ", 3),
+        _nth_replace(" no ", " not ", 4),
+        _nth_replace(" and ", "  and ", 2),
+    ], [
+        "grl-n5-000000: parse: sentence 23, chars 35-44: unknown noun 'zzgrobble'",
+        "grl-n5-000001: parse: sentence 4, chars 31-45: expected an optionally negated noun",
+        "grl-n5-000004: parse: sentence 3, chars 3-13: expected an optionally negated noun",
+    ]),
+    "rcl": ([
+        _nth_replace(" a ", " an ", -1),
+        _nth_replace(" a ", " an ", 0),
+        _last_word("zzgrobble"),
+        _nth_replace(" an ", " a ", -1),
+    ], [
+        "rcl-n10-000000: parse: sentence 20, chars 39-49: "
+        "article mismatch: expected 'a' before 'dentist'",
+        "rcl-n10-000001: parse: sentence 1, chars 21-35: "
+        "article mismatch: expected 'a' before 'referee'",
+        "rcl-n10-000005: parse: sentence 27, chars 45-54: unknown noun 'zzgrobble'",
+        "rcl-n10-000010: parse: sentence 29, chars 8-15: "
+        "article mismatch: expected 'an' before 'usher'",
+    ]),
+}
+
+
+@pytest.mark.parametrize("fragment", sorted(VERIFY_PARSE_TAMPERINGS))
+def test_verify_reports_parse_tamperings_anywhere_in_the_text(
+    tmp_path, verify_datasets, fragment, monkeypatch
+):
+    config, records = verify_datasets[fragment]
+    tampers, expected = VERIFY_PARSE_TAMPERINGS[fragment]
+    bad = [dict(r) for r in records]
+    for rec, tamper in zip(bad, tampers):
+        tamper(rec)
+    path = rewrite(tmp_path / "tampered.jsonl", config, bad)
+    assert [str(issue) for issue in verify_dataset(path)] == expected
+    # grl: the same issues when every sentence goes to the token walker
+    monkeypatch.setattr(grl, "_SURFACE", re.compile(r"(?!)"))
+    assert [str(issue) for issue in verify_dataset(path)] == expected
+
+
 # The fields the text cannot show: the id is built from fragment, size
 # and seed_index, the strategy is the header's, and only a hard record
 # may be a diversity draw.
@@ -902,7 +967,8 @@ RT_PATH_DIGESTS = {
 }
 
 
-def _golden_digest(tmp_path, fragment, sizes, strategy, **settings) -> str:
+def _golden_config(fragment, sizes, strategy, **settings) -> tuple:
+    """(config, records) of a golden digest's dataset."""
     table = CalibrationTable()
     for n, band in GOLDEN_BANDS.items():
         table.set_band(n, 1.0, 0.5, *(BIASED_BAND if strategy == "biased" else band))
@@ -910,8 +976,12 @@ def _golden_digest(tmp_path, fragment, sizes, strategy, **settings) -> str:
         fragment=fragment, sizes=sizes, seed=108, strategy=strategy,
         **{"count_per_size": 40, **settings},
     )
+    return config, generate_records(config, table)
+
+
+def _golden_digest(tmp_path, fragment, sizes, strategy, **settings) -> str:
     path = tmp_path / "golden.jsonl"
-    write_dataset(path, config, generate_records(config, table))
+    write_dataset(path, *_golden_config(fragment, sizes, strategy, **settings))
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -941,6 +1011,62 @@ def test_golden_unbalanced_ruletaker_digest(tmp_path):
 def test_golden_ruletaker_path_digest(tmp_path, sizes, strategy, p_int):
     digest = _golden_digest(tmp_path, "ruletaker", sizes, strategy, p_int=p_int)
     assert digest == RT_PATH_DIGESTS[(sizes, strategy, p_int)]
+
+
+def _first_noun(sentence: str) -> str:
+    words = sentence.split()
+    return words[2] if words[1] == "no" else words[1]
+
+
+# Edits of one grl sentence: most make the walker report an error, and
+# the whitespace ones are read by the walker though the match refuses them.
+GRL_SENTENCE_MUTATIONS = (
+    lambda s: s[:-1].rsplit(" ", 1)[0] + " zzgrobble.",           # unknown noun
+    lambda s: s[:-1].rsplit(" ", 1)[0] + f" {_first_noun(s)}.",   # repeated noun
+    lambda s: s.replace(" no ", " ~ ").replace(" not ", " no ").replace(" ~ ", " not "),
+    lambda s: "i" + s[1:],                                        # lowercase if
+    lambda s: s.replace(" ", "  ", 1),                            # double space
+    lambda s: s.replace(" ", "\t", 1),                            # tab
+    lambda s: s[:-1] + " .",                                      # space before the period
+    lambda s: s[:-1] + " tasty.",                                 # two-word consequent
+    lambda s: s + ".",                                            # extra period
+    lambda s: s.replace(" then ", " ", 1),                        # missing then
+    lambda s: s.replace(" then ", f" and {_first_noun(s)}s then ", 1),  # plural
+)
+
+GRL_GOLDEN_CONFIGS = [key + ({},) for key in sorted(GOLDEN_DIGESTS) if key[0] == "grl"] + [
+    ("grl", (8, 10), "naive", {"p_int": 0.5}),
+    ("grl", (22, 24), "naive", {}),
+]
+
+
+def _grl_outcome(sentences, lexicon):
+    try:
+        return grl._parse(sentences, lexicon, True)
+    except ParseError as exc:
+        return exc.sentence_index, exc.span, str(exc)
+
+
+@pytest.mark.parametrize("fragment,sizes,strategy,settings", GRL_GOLDEN_CONFIGS)
+def test_grl_compiled_match_agrees_with_walker_on_golden_texts(
+    fragment, sizes, strategy, settings, monkeypatch
+):
+    # every record text, then one mutated sentence per record and
+    # mutation, parse the same with the compiled match as without it
+    _, records = _golden_config(fragment, sizes, strategy, **settings)
+    lexicon = _packaged_vocab(GRL)
+    texts = []
+    for i, rec in enumerate(records):
+        sentences = split_sentences(rec["text"])
+        texts.append(sentences)
+        for j, mutate in enumerate(GRL_SENTENCE_MUTATIONS):
+            k = (i + j) % len(sentences)
+            texts.append(sentences[:k] + [mutate(sentences[k])] + sentences[k + 1 :])
+    with_match = [_grl_outcome(t, lexicon) for t in texts]
+    monkeypatch.setattr(grl, "_SURFACE", re.compile(r"(?!)"))
+    assert [_grl_outcome(t, lexicon) for t in texts] == with_match
+    errors = [out for out in with_match if isinstance(out[0], int)]
+    assert len(records) < len(errors) < len(texts) - len(records)
 
 
 @pytest.mark.parametrize("fragment,sizes", [("grl", (8, 10)), ("ruletaker", (6, 8))])
