@@ -426,6 +426,8 @@ def calibrate_critical(
     """
     if trials_per_point <= 0:
         raise ValueError("trials must be positive")
+    if not tolerance >= 0:  # NaN fails this too, and would pass any closeness
+        raise ValueError(f"tolerance must be a non-negative number, got {tolerance!r}")
     m_max = math.floor(Fraction(alpha_max) * n)
     spec = SampleSpec(n=n, p_int=p_int, p_neg=p_neg)
     thresholds = _thresholds(spec, m_max, seed, range(trials_per_point), max_decisions)

@@ -112,6 +112,17 @@ class TestCalibrate:
         assert rc == 0
         assert (isolated_cache / "calibration.txt").exists()
 
+    @pytest.mark.parametrize("tolerance", ["-1", "nan"])
+    def test_negative_or_nan_tolerance_is_a_usage_error(self, tolerance, tmp_path, capsys):
+        path = tmp_path / "calibration.txt"
+        rc = main(["calibrate", "--n", "6", "--trials", "20", "--tolerance", tolerance,
+                   "--cache", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "tolerance must be a non-negative number" in err
+        assert "trials_per_point" not in err
+        assert not path.exists()
+
     def test_recalibration_replaces_the_curve(self, tmp_path, capsys):
         path = tmp_path / "calibration.txt"
         for trials in ("100", "40"):

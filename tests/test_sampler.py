@@ -368,6 +368,19 @@ def test_calibrate_guards_degenerate_families():
     assert "raise alpha_max" in str(exc.value)
 
 
+@pytest.mark.parametrize("tolerance", [-1.0, -1e-9, float("nan")])
+def test_calibrate_refuses_negative_or_nan_tolerance(tolerance, monkeypatch):
+    # refused before any trial is drawn
+    monkeypatch.setattr(sampler, "_thresholds", None)
+    with pytest.raises(ValueError, match="tolerance must be a non-negative number"):
+        calibrate_critical(6, 1.0, 0.5, tolerance=tolerance, trials_per_point=20)
+
+
+def test_calibrate_accepts_zero_tolerance():
+    result = calibrate_critical(6, 1.0, 0.5, tolerance=0.0, trials_per_point=200, seed=0)
+    assert result.alpha_c == calibrate_critical(6, 1.0, 0.5, trials_per_point=200, seed=0).alpha_c
+
+
 def test_calibrate_gives_up_after_repeated_budget_exhaustion(monkeypatch):
     # only the bisection branch searches, so only it has a budget to exhaust
     solves = []
