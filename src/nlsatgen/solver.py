@@ -20,9 +20,9 @@ report ``decisions == 0``.
 The search is one loop over flat lists.  Clause occurrences and literal
 values are each one list indexed by signed literal, so -v wraps around
 the end of a list of 2n+1.  Per clause it counts the literals propagated
-true and those not yet propagated false.  The trail holds the literals made true, in order,
-and a conflict undoes it once, back to the latest decision still to
-flip.
+true and those not yet propagated false.  The trail holds the literals
+made true, in order, and a conflict undoes it once, back to the latest
+decision still to flip.
 
 Validation happens at the boundary: :func:`solve` takes a
 ``CnfFormula``, whose constructors have checked every ``Clause`` and
@@ -179,7 +179,7 @@ def _dpll(n: int, clauses, max_decisions: int) -> SolveResult:
                 return SolveResult(UNSAT, None, SolveStats(decisions, conflicts, propagations))
             lit, base = dstack[-1]
             dstack[-1] = (-lit, base)
-            # undo to the latest untried decision; entries at or past
+            # undo to the latest decision not yet flipped; entries at or past
             # qhead were never propagated, so they have no counter effects
             for u in trail[base:qhead]:
                 for ci in occ[u]:

@@ -203,7 +203,9 @@ WALKER_ONLY = re.compile(r"(?!)")  # a _SURFACE that never matches
 ], ids=["lexicon", "grammar-word-nouns"])
 def test_compiled_match_agrees_with_walker_on_every_short_sentence(lexicon, monkeypatch):
     # every body of up to five words over grammar words, nouns and a
-    # plural, alone and after a sentence that numbers two nouns
+    # plural, alone and after a sentence that numbers two nouns; with
+    # "no" a noun, the match would read "If no then steak." as the noun
+    # "no" where the walker reads a negation with no noun
     words = ("no", "not", "and", "then", "carrot", "carrots", "steak", "apples")
     cases = []
     for s in enumerated_sentences(words, 5):
@@ -225,16 +227,6 @@ def test_compiled_match_reads_every_rendered_sentence(monkeypatch):
         f = CnfFormula.from_ints(3, [(s1 * 1, s2 * 2, s3 * 3), (s1 * 1, s3 * 3)])
         binding = VarBinding({1: "carrot", 2: "steak", 3: "apples"})
         assert parse_grl(render_grl(f, binding).sentences, LEX) == (f, binding)
-
-
-def test_grammar_word_nouns_are_walked():
-    # "no" as a noun: the match would read "If no then steak." as the
-    # antecedent noun "no", where the walker reads a bare negation
-    lexicon = GrammarNounLexicon(("no", "steak"))
-    out = parse_outcome(("If no then steak.",), lexicon)
-    assert out == (1, None, "sentence 1: expected an optionally negated noun")
-    f, binding = grl._parse(("If no no then steak.",), lexicon, True)
-    assert f.clauses == [(1, 2)] and binding.variables == {1: "no", 2: "steak"}
 
 
 def test_lenient_parse_never_uses_the_match(monkeypatch):
