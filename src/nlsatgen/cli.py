@@ -23,6 +23,7 @@ from .pipeline import (
     DatasetConfig,
     DatasetError,
     GenerationStallError,
+    _check_sizes_distinct,
     export_dimacs_files,
     generate_records,
     read_dataset,
@@ -86,8 +87,10 @@ def _load_table(path_arg):
 
 
 def cmd_calibrate(args) -> int:
+    sizes = _parse_sizes(args.n)
+    _check_sizes_distinct(sizes)
     table, path = _load_table(args.cache)
-    for n in _parse_sizes(args.n):
+    for n in sizes:
         result = calibrate_critical(
             n,
             args.p_int,

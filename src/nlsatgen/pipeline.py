@@ -91,6 +91,12 @@ class DatasetError(ValueError):
     """A dataset file that cannot be used as requested."""
 
 
+def _check_sizes_distinct(sizes) -> None:
+    """Refuse a size list that names a size twice; generate and calibrate share it."""
+    if len(set(sizes)) != len(sizes):
+        raise ValueError("sizes repeat")
+
+
 @dataclass(frozen=True)
 class DatasetConfig:
     """Everything that determines a dataset's content."""
@@ -132,8 +138,7 @@ class DatasetConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if not self.sizes:
             raise ValueError("need at least one size")
-        if len(set(self.sizes)) != len(self.sizes):
-            raise ValueError("sizes repeat")
+        _check_sizes_distinct(self.sizes)
         if self.count_per_size < 1:
             raise ValueError("count_per_size must be positive")
         if self.balance_labels and self.count_per_size % 2:

@@ -31,7 +31,11 @@ the ruletaker retrofit read it one clause at a time, so that they can
 stop at the first unsat prefix; the retrofit also redraws its
 tautologies from it.  The loop makes the ``getrandbits`` draws of
 ``random.sample`` and ``randrange`` itself, so the stream and the
-clauses are theirs without their per-call argument checks.  Draws with
+clauses are theirs without their per-call argument checks.  Up to 21
+variables without replacement it then looks the clause up: one table
+maps sample's pick indices to their sorted combination, built once per
+process by running sample's pool rule, and another maps a combination
+and its sign bits to the finished tuple.  Draws with
 replacement are not canonical, so they stay ints until the ruletaker
 retrofit collapses them.  The phase curve and the generators stay on
 the ints through retrofitting, reindexing, the solver and DIMACS.
@@ -50,7 +54,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, combinations, islice, product
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -106,11 +110,43 @@ class SampleSpec:
 
 # random.sample keeps a list of the unpicked items when the population
 # is at most this long, and a set of picks above it; the value is its
-# ``setsize`` for k <= 5, which covers clause widths 2 and 3.
+# ``setsize`` for k <= 5, which covers clause widths 2 and 3.  Up to it,
+# a clause is two lookups into the tables of ``_clause_tables``, whose
+# literals are the int objects of this one list: ``_LITERALS[v] == v``
+# for every v in -21..21, so no table holds its own copy of a negative.
 _SAMPLE_SETSIZE = 21
-# Each clause's pool, for n up to it, is a slice of this one list, so
-# starting a stream builds nothing.
-_POPULATION = list(range(1, _SAMPLE_SETSIZE + 1))
+_LITERALS = [*range(_SAMPLE_SETSIZE + 1), *range(-_SAMPLE_SETSIZE, 0)]
+
+
+@lru_cache(maxsize=None)
+def _clause_tables(n: int, width: int) -> tuple:
+    """The pooled draw's tables for ``width``-literal clauses over n <= 21 variables.
+
+    ``order`` maps sample's pick indices j1 < n, j2 < n - 1 (and j3 <
+    n - 2), flattened as ``j1*(n-1) + j2`` (and ``(...)*(n-2) + j3``), to
+    the id of the sorted combination they pick.  It is built by running
+    sample's pool rule once per index sequence, so that rule is restated
+    here only.  ``signed`` maps ``id << width | bits`` to the clause, where
+    bit ``width - 1 - i`` negates the i-th smallest variable.
+    """
+    combos = list(combinations(_LITERALS[1:n + 1], width))
+    ids = {combo: i for i, combo in enumerate(combos)}
+    order = []
+    for picks in product(*(range(n - i) for i in range(width))):
+        # sample's pool: take pool[j] for j below the unpicked count,
+        # then move the last unpicked item into slot j
+        pool, size, variables = list(range(1, n + 1)), n, []
+        for j in picks:
+            variables.append(pool[j])
+            size -= 1
+            pool[j] = pool[size]
+        order.append(ids[tuple(sorted(variables))])
+    signed = tuple(
+        tuple(_LITERALS[-v if negated else v] for v, negated in zip(combo, signs))
+        for combo in combos
+        for signs in product((False, True), repeat=width)
+    )
+    return tuple(order), signed
 
 
 def _clause_stream(spec: SampleSpec, rng):
@@ -118,15 +154,29 @@ def _clause_stream(spec: SampleSpec, rng):
 
     Every clause draw goes through this loop, so its RNG calls happen in
     one fixed order: one ``random()`` for the width, the variables'
-    ``getrandbits`` draws, then one ``random()`` per literal after the
-    sort.  The loop makes the ``getrandbits`` draws itself, exactly as
-    ``rng.sample(range(1, n + 1), width)`` (without replacement) or
-    ``rng.randrange(1, n + 1)`` per literal (with it) would make them:
-    ``_randbelow``'s rejection loop, and ``sample``'s pool up to
+    ``getrandbits`` draws, then one ``random()`` per literal, smallest
+    variable first.  The loop makes the ``getrandbits`` draws itself,
+    exactly as ``rng.sample(range(1, n + 1), width)`` (without
+    replacement) or ``rng.randrange(1, n + 1)`` per literal (with it)
+    would make them: ``_randbelow``'s rejection loop, with k =
+    size.bit_length() bits for each size, and ``sample``'s pool up to
     ``_SAMPLE_SETSIZE`` variables or its set of picks above.  That
     restates CPython's ``random.Random``, so ``rng`` must be one, which
     is what ``derive_rng`` returns.  Without replacement the variables
     are distinct and sorted, so the clause is canonical.
+
+    Up to ``_SAMPLE_SETSIZE`` variables without replacement, the clause
+    is ``signed[order[i] << width | bits]`` (``_clause_tables``), where
+    i flattens the pick indices and bits holds the negations, smallest
+    variable in the high bit.  The tables are keyed by (n, width), at
+    most 39 pairs, and built once per process, the first time a stream
+    at that n is drawn from; a stream builds only the widths its p_int
+    can give.  A process that drew at every n <= 21 at both widths would
+    hold about 5.2 MB of tables, 0.9 MB of it for n = 21; n = 8 and 10
+    at width 3 hold 0.11 MB.  Equal draws yield the same tuple object.
+    With replacement the literals go straight into a tuple, since a
+    table would need n^3 * 8 entries; above ``_SAMPLE_SETSIZE`` the loop
+    keeps sample's set of picks.
 
     The stream is lazy: a clause's RNG calls are made when it is taken,
     so a reader that stops early, as retrofit does on an unsat prefix,
@@ -134,33 +184,64 @@ def _clause_stream(spec: SampleSpec, rng):
     """
     random, getrandbits = rng.random, rng.getrandbits
     n, p_int, p_neg = spec.n, spec.p_int, spec.p_neg
-    with_replacement, bits = spec.with_replacement, n.bit_length()
-    pooled = n <= _SAMPLE_SETSIZE
-    while True:
-        width = 3 if random() < p_int else 2
-        variables = []
-        if with_replacement:
-            # randrange(1, n + 1) is 1 + _randbelow(n)
-            for _ in range(width):
-                j = getrandbits(bits)
-                while j >= n:
-                    j = getrandbits(bits)
-                variables.append(j + 1)
-        elif pooled:
-            # sample's pool: take pool[j] for j below the unpicked count,
-            # then move the last unpicked item into slot j
-            pool = _POPULATION[:n]
-            size = n
-            for _ in range(width):
-                k = size.bit_length()
-                j = getrandbits(k)
-                while j >= size:
-                    j = getrandbits(k)
-                variables.append(pool[j])
-                size -= 1
-                pool[j] = pool[size]
-            variables.sort()
-        else:
+    bits = n.bit_length()
+    if spec.with_replacement:
+        # randrange(1, n + 1) is 1 + _randbelow(n); the signs come after
+        # every variable, left to right
+        while True:
+            three = random() < p_int
+            a = getrandbits(bits)
+            while a >= n:
+                a = getrandbits(bits)
+            b = getrandbits(bits)
+            while b >= n:
+                b = getrandbits(bits)
+            a += 1
+            b += 1
+            if three:
+                c = getrandbits(bits)
+                while c >= n:
+                    c = getrandbits(bits)
+                c += 1
+                yield (
+                    -a if random() < p_neg else a,
+                    -b if random() < p_neg else b,
+                    -c if random() < p_neg else c,
+                )
+            else:
+                yield (-a if random() < p_neg else a, -b if random() < p_neg else b)
+    elif n <= _SAMPLE_SETSIZE:
+        n1, n2 = n - 1, n - 2
+        k1, k2 = n1.bit_length(), n2.bit_length()
+        if p_int > 0.0:
+            order3, signed3 = _clause_tables(n, 3)
+        if p_int < 1.0:
+            order2, signed2 = _clause_tables(n, 2)
+        while True:
+            three = random() < p_int
+            i = getrandbits(bits)
+            while i >= n:
+                i = getrandbits(bits)
+            j = getrandbits(k1)
+            while j >= n1:
+                j = getrandbits(k1)
+            i = i * n1 + j
+            if three:
+                j = getrandbits(k2)
+                while j >= n2:
+                    j = getrandbits(k2)
+                yield signed3[
+                    order3[i * n2 + j] << 3
+                    | (random() < p_neg) << 2
+                    | (random() < p_neg) << 1
+                    | (random() < p_neg)
+                ]
+            else:
+                yield signed2[order2[i] << 2 | (random() < p_neg) << 1 | (random() < p_neg)]
+    else:
+        while True:
+            width = 3 if random() < p_int else 2
+            variables = []
             # sample's set of picks: redraw j below n while j + 1 is picked
             for _ in range(width):
                 j = getrandbits(bits)
@@ -168,9 +249,9 @@ def _clause_stream(spec: SampleSpec, rng):
                     j = getrandbits(bits)
                 variables.append(j + 1)
             variables.sort()
-        # a list comprehension: every sampled clause pays for it, and it
-        # is cheaper than a generator expression
-        yield tuple([-v if random() < p_neg else v for v in variables])
+            # a list comprehension: every sampled clause pays for it, and
+            # it is cheaper than a generator expression
+            yield tuple([-v if random() < p_neg else v for v in variables])
 
 
 def _draw_clauses(spec: SampleSpec, m: int, rng) -> list:
@@ -431,7 +512,13 @@ def calibrate_critical(
     m_max = math.floor(Fraction(alpha_max) * n)
     spec = SampleSpec(n=n, p_int=p_int, p_neg=p_neg)
     thresholds = _thresholds(spec, m_max, seed, range(trials_per_point), max_decisions)
-    psat = [sum(t > m for t in thresholds) / trials_per_point for m in range(m_max + 1)]
+    # a threshold is at most m_max + 1; P_sat(m) counts those above m,
+    # the suffix sum of their counts from m + 1
+    counts = [0] * (m_max + 2)
+    for t in thresholds:
+        counts[t] += 1
+    above = list(accumulate(reversed(counts[1:])))[::-1]
+    psat = [count / trials_per_point for count in above]
     if psat[m_max] >= 0.5:
         raise CalibrationError(
             f"p_sat({Fraction(m_max, n)}) = {psat[m_max]:.3f} still >= 0.5; raise alpha_max"

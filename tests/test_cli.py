@@ -123,6 +123,19 @@ class TestCalibrate:
         assert "trials_per_point" not in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("sizes", ["8,8", "5-7,6"])
+    def test_repeated_sizes_are_the_usage_error_of_generate(self, sizes, tmp_path, capsys):
+        # one repeat check for both commands, made before any calibration
+        path, out = tmp_path / "calibration.txt", tmp_path / "ds.jsonl"
+        rc = main(["generate", "--fragment", "grl", "--sizes", sizes, "--per-size", "4",
+                   "--strategy", "naive", "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: sizes repeat\n"
+        rc = main(["calibrate", "--n", sizes, "--trials", "20", "--cache", str(path)])
+        assert rc == 2
+        assert capsys.readouterr() == ("", "error: sizes repeat\n")
+        assert not path.exists() and not out.exists()
+
     def test_recalibration_replaces_the_curve(self, tmp_path, capsys):
         path = tmp_path / "calibration.txt"
         for trials in ("100", "40"):

@@ -229,6 +229,16 @@ def test_compiled_match_reads_every_rendered_sentence(monkeypatch):
         assert parse_grl(render_grl(f, binding).sentences, LEX) == (f, binding)
 
 
+def test_grammar_word_nouns_are_walked():
+    # "no" as a noun: the match would read "If no then steak." as the
+    # antecedent noun "no", where the walker reads a bare negation
+    lexicon = GrammarNounLexicon(("no", "steak"))
+    out = parse_outcome(("If no then steak.",), lexicon)
+    assert out == (1, None, "sentence 1: expected an optionally negated noun")
+    f, binding = grl._parse(("If no no then steak.",), lexicon, True)
+    assert f.clauses == [(1, 2)] and binding.variables == {1: "no", 2: "steak"}
+
+
 def test_lenient_parse_never_uses_the_match(monkeypatch):
     monkeypatch.setattr(grl, "_SURFACE", None)
     f, binding = parse_grl(("If carrot and no steak then apples.",), LEX, strict=False)

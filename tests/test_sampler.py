@@ -175,6 +175,89 @@ def test_draw_makes_the_rng_calls_of_sample_and_randrange(n, p_int, with_replace
     assert batch.getstate() == single.getstate() == reference.getstate()
 
 
+class PlannedRng(random.Random):
+    """A random.Random whose getrandbits and random return planned values.
+
+    The plan is one list of (method, value) in call order, so a call the
+    plan does not expect next fails; a getrandbits value must fit its k.
+    """
+
+    def __init__(self, plan):
+        super().__init__(0)
+        self.plan = iter(plan)
+
+    def _next(self, method):
+        planned, value = next(self.plan)
+        assert planned == method
+        return value
+
+    def getrandbits(self, k):
+        value = self._next("getrandbits")
+        assert value < 1 << k
+        return value
+
+    def random(self):
+        return self._next("random")
+
+
+def _pick_plan(size, j):
+    # one rejected draw, the largest that fits size.bit_length() bits,
+    # then the pick index j
+    return [("getrandbits", (1 << size.bit_length()) - 1), ("getrandbits", j)]
+
+
+# every pick-index sequence and every sign pattern of every width the
+# spec allows, up to the last n of random.sample's pool branch
+@pytest.mark.parametrize("n", range(2, sampler._SAMPLE_SETSIZE + 1))
+def test_clause_tables_give_the_clause_of_sample_for_every_plan(n):
+    spec = SampleSpec(n=n, p_int=0.0 if n == 2 else 0.5, p_neg=0.5)
+    plan, draws, distinct = [], 0, 0
+    for width in (2,) if n == 2 else (2, 3):
+        distinct += len(list(combinations(range(n), width))) << width
+        for picks in product(*(range(n - i) for i in range(width))):
+            for signs in product((True, False), repeat=width):
+                plan.append(("random", 0.25 if width == 3 else 0.75))
+                for i, j in enumerate(picks):
+                    plan += _pick_plan(n - i, j)
+                plan += [("random", 0.25 if negated else 0.75) for negated in signs]
+                draws += 1
+    table, reference = PlannedRng(plan), PlannedRng(plan)
+    clauses = list(islice(_clause_stream(spec, table), draws))
+    assert clauses == [_reference_draw(spec, reference) for _ in range(draws)]
+    assert len(set(clauses)) == distinct  # every signed clause of every width
+    assert next(table.plan, None) is None and next(reference.plan, None) is None
+    # every literal is the one int object of its value
+    assert all(lit is sampler._LITERALS[lit] for clause in clauses for lit in clause)
+
+
+@pytest.mark.parametrize("n,p_int,with_replacement,built", [
+    (2, 0.0, False, [(2, 2)]),
+    (8, 0.0, False, [(8, 2)]),
+    (8, 1.0, False, [(8, 3)]),
+    (8, 0.5, False, [(8, 3), (8, 2)]),
+    (sampler._SAMPLE_SETSIZE, 1.0, False, [(sampler._SAMPLE_SETSIZE, 3)]),
+    (sampler._SAMPLE_SETSIZE + 1, 0.5, False, []),
+    (40, 1.0, False, []),
+    (2, 1.0, True, []),
+    (8, 0.5, True, []),
+    (sampler._SAMPLE_SETSIZE, 1.0, True, []),
+])
+def test_a_stream_builds_only_the_tables_it_draws_from(n, p_int, with_replacement, built,
+                                                       monkeypatch):
+    calls, build = [], sampler._clause_tables
+
+    def tables(*key):
+        calls.append(key)
+        return build(*key)
+
+    monkeypatch.setattr(sampler, "_clause_tables", tables)
+    spec = SampleSpec(n=n, p_int=p_int, p_neg=0.5, with_replacement=with_replacement)
+    stream = _clause_stream(spec, derive_rng("tables", n))
+    assert calls == []  # lazy: nothing is built before the first draw
+    list(islice(stream, 50))
+    assert calls == built
+
+
 # n on both sides of random.sample's pool and set branches
 @pytest.mark.parametrize("n", [5, sampler._SAMPLE_SETSIZE, sampler._SAMPLE_SETSIZE + 1, 40])
 @pytest.mark.parametrize("with_replacement", [False, True])
@@ -378,7 +461,9 @@ def test_calibrate_refuses_negative_or_nan_tolerance(tolerance, monkeypatch):
 
 def test_calibrate_accepts_zero_tolerance():
     # the closeness check still has the Wilson half-width to give
-    assert calibrate_critical(6, 1.0, 0.5, tolerance=0.0, trials_per_point=200, seed=0).band
+    result = calibrate_critical(6, 1.0, 0.5, tolerance=0.0, trials_per_point=200, seed=0)
+    assert result.band
+    assert result.alpha_c == calibrate_critical(6, 1.0, 0.5, trials_per_point=200, seed=0).alpha_c
 
 
 def test_calibrate_gives_up_after_repeated_budget_exhaustion(monkeypatch):
