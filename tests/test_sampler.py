@@ -1,6 +1,7 @@
 """Random formula generation, phase curve estimation, calibration, strategies."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, islice, product
@@ -213,7 +214,7 @@ def test_clause_tables_give_the_clause_of_sample_for_every_plan(n):
     spec = SampleSpec(n=n, p_int=0.0 if n == 2 else 0.5, p_neg=0.5)
     plan, draws, distinct = [], 0, 0
     for width in (2,) if n == 2 else (2, 3):
-        distinct += len(list(combinations(range(n), width))) << width
+        distinct += math.comb(n, width) << width
         for picks in product(*(range(n - i) for i in range(width))):
             for signs in product((True, False), repeat=width):
                 plan.append(("random", 0.25 if width == 3 else 0.75))
