@@ -35,6 +35,7 @@ from .sampler import (
     CalibrationError,
     CalibrationTable,
     STRATEGIES,
+    SampleSpec,
     calibrate_critical,
     calibration_cache_path,
 )
@@ -89,6 +90,9 @@ def _load_table(path_arg):
 def cmd_calibrate(args) -> int:
     sizes = _parse_sizes(args.n)
     _check_sizes_distinct(sizes)
+    # every size's distribution is checked before any size is calibrated
+    for n in sizes:
+        SampleSpec(n, args.p_int, args.p_neg)
     table, path = _load_table(args.cache)
     for n in sizes:
         result = calibrate_critical(

@@ -88,9 +88,16 @@ def _span(body: str, first: int, last: int) -> tuple:
 def parse_grl(sentences, lexicon, strict: bool = True):
     """Parse conditional sentences back into a formula and binding.
 
-    Variable ids are assigned by first appearance.  Strict mode admits
-    exactly the renderer's surface; lenient mode also accepts "not" for
-    "no" (and vice versa), lowercase "if", and plural nouns.
+    Variable ids are assigned by first appearance.  Strict mode takes
+    the renderer's words: "If", one or two antecedents joined by "and",
+    "then", "no" only before an antecedent noun, "not" only before the
+    consequent noun, lexicon nouns in the singular as written, and one
+    period, at the end.  It is not yet held to the renderer's exact
+    sentence: any run of whitespace may come before the first word,
+    between words and before the period, and the written literals may
+    come in any order, since the clause is their canonical sort, so one
+    clause has several strict sentences.  Lenient mode also accepts
+    "not" for "no" (and vice versa), lowercase "if", and plural nouns.
     """
     f, binding = _parse(sentences, lexicon, strict)
     return _as_formula(f), binding

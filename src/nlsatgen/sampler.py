@@ -26,10 +26,10 @@ There is one sampling path: ``draw_m`` picks m from a strategy and a
 band, then clauses are drawn from the ``SampleSpec`` distribution as
 signed-int tuples (+v / -v) by one private loop, the endless generator
 ``_clause_stream``.  ``_draw_clauses`` takes its first m clauses,
-``sample_clause`` wraps its first in a ``Clause``, and calibration and
-the ruletaker retrofit read it one clause at a time, so that they can
-stop at the first unsat prefix; the retrofit also redraws its
-tautologies from it.  The loop makes the ``getrandbits`` draws of
+``sample_clause`` takes the next clause of a stream it keeps and wraps
+it in a ``Clause``, and calibration and the ruletaker retrofit read it
+one clause at a time, so that they can stop at the first unsat prefix;
+the retrofit also redraws its tautologies from it.  The loop makes the ``getrandbits`` draws of
 ``random.sample`` and ``randrange`` itself, so the stream and the
 clauses are theirs without their per-call argument checks.  Up to 21
 variables without replacement it then looks the clause up: one table
@@ -41,7 +41,12 @@ retrofit collapses them.  The phase curve and the generators stay on
 the ints through retrofitting, reindexing, the solver and DIMACS.
 
 ``sample_clause`` is the one path that builds objects, one clause per
-call.  Equal draws there share one ``Clause``, validated the first time
+call.  Consecutive calls continue one stream, kept per spec object, RNG
+object and thread, so they do not pay a new generator's setup each.
+Since a stream keeps no RNG state of its own, the clauses and RNG calls
+are those of fresh draws.  The module holds one such slot, which pins
+one RNG, one spec and one suspended generator; a draw that raises drops
+it.  Equal draws there share one ``Clause``, validated the first time
 it was drawn, from a memo of 4,096 entries.  The memo is bounded
 because the number of distinct clauses grows as n^3, and it is skipped
 above ``_CLAUSE_MEMO_MAX_VARS`` variables, where most draws would miss.
@@ -56,6 +61,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, islice, product
 from pathlib import Path
+from threading import get_ident
 from typing import Optional, Sequence
 
 from .cnf import Clause, _as_clause
@@ -260,7 +266,8 @@ def _draw_clauses(spec: SampleSpec, m: int, rng) -> list:
 
 
 def _draw_clause(spec: SampleSpec, rng) -> tuple:
-    """Draw one signed-int clause: the first of ``_clause_stream``."""
+    """Draw one signed-int clause: the first clause of a fresh
+    ``_clause_stream``, built and dropped on every call."""
     return next(_clause_stream(spec, rng))
 
 
@@ -272,19 +279,50 @@ def _draw_clause(spec: SampleSpec, rng) -> tuple:
 _CLAUSE_MEMO_MAX_VARS = 21
 _sampled_clause = lru_cache(maxsize=4096)(_as_clause)
 
+# sample_clause's live stream: (spec, rng, thread ident, the stream's
+# __next__, the converter), replaced as one tuple, so a thread that reads
+# it mid-replacement sees either the old slot or the new one.  No lock:
+# a thread resumes only a stream built under its own ident, which no
+# other live thread can be running, so a race costs a rebuild, never a
+# clause.  The slot holds its spec and RNG, so an identity match is never
+# a new object at a recycled address.
+_NO_STREAM = (None, None, None, None, None)
+_stream = _NO_STREAM
+
 
 def sample_clause(spec: SampleSpec, rng) -> Clause:
     """Draw one canonical clause from a spec that samples without replacement.
 
+    Consecutive calls continue one lazy ``_clause_stream``, so they skip
+    a new stream's setup.  The stream is kept per spec object, RNG object
+    and thread; any other call starts a new one.  A stream holds no RNG
+    state of its own, so its next clause makes the RNG calls of a fresh
+    stream's first, whatever was done with ``rng`` in between, and the
+    clauses and RNG calls are those of ``_draw_clause`` either way.  The
+    module keeps one such stream, which holds on to its RNG, its spec and
+    the suspended generator until the next call with another key; a draw
+    that raises drops it.
+
     Up to ``_CLAUSE_MEMO_MAX_VARS`` variables, equal draws share one
     ``Clause``, validated when it was first drawn, from a memo that is
-    bounded because the number of distinct clauses grows as n^3.  The
-    RNG calls are those of ``_draw_clause`` either way.
+    bounded because the number of distinct clauses grows as n^3.
     """
-    if spec.with_replacement:
-        raise ValueError("sample_clause draws without replacement; retrofit draws with it")
-    ints = _draw_clause(spec, rng)
-    return _sampled_clause(ints) if spec.n <= _CLAUSE_MEMO_MAX_VARS else _as_clause(ints)
+    global _stream
+    held_spec, held_rng, thread, take, convert = _stream
+    ident = get_ident()
+    if held_spec is not spec or held_rng is not rng or thread != ident:
+        # identity, not equality: SampleSpec.__eq__ runs in Python
+        if spec.with_replacement:
+            raise ValueError("sample_clause draws without replacement; retrofit draws with it")
+        take = _clause_stream(spec, rng).__next__
+        convert = _sampled_clause if spec.n <= _CLAUSE_MEMO_MAX_VARS else _as_clause
+        _stream = (spec, rng, ident, take, convert)
+    try:
+        return convert(take())
+    except BaseException:
+        # a generator that raised is finished; the next call starts anew
+        _stream = _NO_STREAM
+        raise
 
 
 def admissible_m(n: int, alpha_min: Fraction, alpha_max: Fraction) -> range:

@@ -136,6 +136,15 @@ class TestCalibrate:
         assert capsys.readouterr() == ("", "error: sizes repeat\n")
         assert not path.exists() and not out.exists()
 
+    def test_a_size_the_spec_refuses_stops_calibrate_before_any_size(self, tmp_path, capsys):
+        # n = 8 comes first and is valid, but nothing is calibrated or saved
+        path = tmp_path / "calibration.txt"
+        rc = main(["calibrate", "--n", "8,2", "--trials", "20", "--cache", str(path)])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", "error: three-literal clauses need n >= 3 without replacement\n")
+        assert not path.exists()
+
     def test_recalibration_replaces_the_curve(self, tmp_path, capsys):
         path = tmp_path / "calibration.txt"
         for trials in ("100", "40"):

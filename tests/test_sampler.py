@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import threading
 from fractions import Fraction
 from itertools import combinations, islice, product
 
@@ -303,6 +304,152 @@ def test_sample_clause_is_the_clause_of_its_draw_whatever_the_memo_holds(n):
         assert memo.cache_info().misses > misses
     else:
         assert memo.cache_info().misses == misses
+
+
+def _fresh_clause(spec, rng):
+    # the reference: every clause from a stream of its own
+    return _as_clause(_draw_clause(spec, rng))
+
+
+# sample_clause continues one live stream per (spec, rng, thread); every
+# step below runs on twin RNGs, once through it and once through fresh
+# streams, and must give the same clauses and leave the same RNG states
+@pytest.mark.parametrize("between", [
+    "nothing", "other spec", "other rng", "other spec and rng", "equal spec",
+    "randrange", "seed", "setstate", "batch",
+])
+def test_sample_clause_draws_as_fresh_streams_whatever_happens_between(between):
+    spec = SampleSpec(n=8, p_int=0.7, p_neg=0.5)
+    other = SampleSpec(n=12, p_int=1.0, p_neg=0.3)
+    twin = SampleSpec(n=8, p_int=0.7, p_neg=0.5)
+    assert twin == spec and twin is not spec
+    saved = derive_rng("saved").getstate()
+
+    def run(draw, rng, rng2):
+        clauses = []
+        for i in range(300):
+            clauses.append(draw(spec, rng))
+            if between == "other spec":
+                clauses.append(draw(other, rng))
+            elif between == "other rng":
+                clauses.append(draw(spec, rng2))
+            elif between == "other spec and rng":
+                clauses.append(draw(other, rng2))
+            elif between == "equal spec":
+                clauses.append(draw(twin, rng))
+            elif between == "randrange":
+                rng.randrange(1, 100)
+            elif between == "seed" and i % 7 == 0:
+                rng.seed(i)
+            elif between == "setstate" and i % 7 == 0:
+                rng.setstate(saved)
+            elif between == "batch":
+                clauses.extend(map(_as_clause, _draw_clauses(spec, 2, rng)))
+        return clauses
+
+    live = derive_rng("live", between), derive_rng("live-2", between)
+    fresh = derive_rng("live", between), derive_rng("live-2", between)
+    assert run(sample_clause, *live) == run(_fresh_clause, *fresh)
+    assert [rng.getstate() for rng in live] == [rng.getstate() for rng in fresh]
+
+
+def test_consecutive_sample_clause_calls_share_one_stream(monkeypatch):
+    built, stream = [], sampler._clause_stream
+
+    def counted(*args):
+        built.append(args)
+        return stream(*args)
+
+    monkeypatch.setattr(sampler, "_clause_stream", counted)
+    monkeypatch.setattr(sampler, "_stream", sampler._NO_STREAM)
+    spec, twin = SampleSpec(n=8), SampleSpec(n=8)
+    a, b = derive_rng("share", 1), derive_rng("share", 2)
+    for _ in range(50):
+        sample_clause(spec, a)
+    assert built == [(spec, a)]
+    # each switch of spec object or RNG object starts a new stream
+    keys = [(twin, a), (spec, a), (spec, b), (spec, a)]
+    for key in keys:
+        sample_clause(*key)
+    assert [tuple(map(id, args)) for args in built[1:]] == [tuple(map(id, key)) for key in keys]
+
+
+class FailingRng(random.Random):
+    """A random.Random whose getrandbits raises on one planned call."""
+
+    def __init__(self, seed, fail_at):
+        super().__init__(seed)
+        self.calls, self.fail_at = 0, fail_at
+
+    def getrandbits(self, k):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise RuntimeError("planned failure")
+        return super().getrandbits(k)
+
+
+# a generator that raised is finished: the live stream must be dropped,
+# or every later call would end in StopIteration
+def test_a_draw_that_raises_starts_the_next_call_on_a_new_stream():
+    spec = SampleSpec(n=8, p_int=0.7, p_neg=0.5)
+
+    def run(draw, rng):
+        out = []
+        for _ in range(40):
+            try:
+                out.append(draw(spec, rng))
+            except RuntimeError as exc:
+                out.append(str(exc))
+        return out
+
+    live, fresh = FailingRng(5, fail_at=30), FailingRng(5, fail_at=30)
+    clauses = run(sample_clause, live)
+    assert clauses.count("planned failure") == 1 and clauses[-1] != "planned failure"
+    assert clauses == run(_fresh_clause, fresh)
+    assert live.getstate() == fresh.getstate()
+
+
+class BlockingRng(random.Random):
+    """A random.Random whose getrandbits, called from ``thread``, waits once
+    for ``release`` after setting ``entered``."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.thread, self.entered, self.release = None, threading.Event(), threading.Event()
+
+    def getrandbits(self, k):
+        if threading.current_thread() is self.thread:
+            self.thread = None
+            self.entered.set()
+            assert self.release.wait(timeout=30)
+        return super().getrandbits(k)
+
+
+# two threads drawing from one (spec, rng): thread A is held inside a
+# draw, with its stream running, while the main thread draws; the main
+# thread must start its own stream, not resume A's
+def test_another_thread_does_not_take_a_running_stream():
+    spec = SampleSpec(n=8, p_int=0.7, p_neg=0.5)
+
+    def run(draw):
+        rng, held = BlockingRng(11), {}
+
+        def draw_held():
+            held["clause"] = draw(spec, rng)
+
+        thread = threading.Thread(target=draw_held)
+        rng.thread = thread
+        thread.start()
+        try:
+            assert rng.entered.wait(timeout=30)
+            clauses = [draw(spec, rng) for _ in range(3)]
+        finally:
+            rng.release.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        return held["clause"], clauses, draw(spec, rng), rng.getstate()
+
+    assert run(sample_clause) == run(_fresh_clause)
 
 
 # the public path of a band check: one sample_clause per clause into a
