@@ -361,3 +361,41 @@ def test_dpll_results_are_pinned():
         digest.update(json.dumps(out).encode() + b"\n")
     assert outcomes == {SAT, UNSAT, "budget"}
     assert digest.hexdigest() == "b903e94f8eec9a60e0da45cd1b82c74d76463fbf28c0a3df4de81bec2aff126a"
+
+
+def _dpll_wide_pin_cases():
+    """About 1,000 seeded formulas over n = 13..40 near alpha 4.3, with
+    unit and two-literal clauses, each with a budget of 0, 1, 3 or 10^7
+    decisions; every n meets every budget.  From n = 30 on a variable's
+    bit no longer fits one 30-bit digit of a Python int."""
+    rng = random.Random(4330)
+    budgets = (0, 1, 3, 10**7)
+    for i in range(1008):
+        n = 13 + i % 28
+        clauses = []
+        for _ in range(round(rng.uniform(3.9, 4.7) * n)):
+            width = 1 if rng.random() < 0.005 else 2 if rng.random() < 0.05 else 3
+            variables = sorted(rng.sample(range(1, n + 1), width))
+            clauses.append(tuple(v if rng.random() < 0.5 else -v for v in variables))
+        yield n, clauses, budgets[(i // 28) % 4]
+
+
+def test_dpll_results_past_twelve_variables_are_pinned():
+    # the same digest as above over wider formulas, each solved once from
+    # tuples and once from lists, which must give the same outcome
+    digest = hashlib.sha256()
+    outcomes = set()
+    for n, clauses, budget in _dpll_wide_pin_cases():
+        outs = []
+        for shaped in (clauses, [list(cl) for cl in clauses]):
+            try:
+                r = _dpll(n, shaped, budget)
+                model = sorted(r.model.items()) if r.model else None
+                outs.append([r.label, model, r.stats.as_dict()])
+            except BudgetExhaustedError as exc:
+                outs.append(["budget", str(exc)])
+        assert outs[0] == outs[1]
+        outcomes.add(outs[0][0])
+        digest.update(json.dumps(outs[0]).encode() + b"\n")
+    assert outcomes == {SAT, UNSAT, "budget"}
+    assert digest.hexdigest() == "62a056b68d8a0e704f874d0068034c8a036bdaa627e6c9256e632655fd52fd5e"
