@@ -17,9 +17,10 @@ Validation happens at the boundary: ``Literal``, ``Clause`` and
 that boundary on ``_IntCnf``, a formula as a variable count and
 canonical signed-int clause tuples.  The DIMACS writer ``_dimacs`` is
 the one serializer: :func:`to_dimacs` converts a formula once and
-calls it.  It checks every clause it writes with plain code
-(``_check_int_clause``), so a formula that skipped the object
-constructors still cannot emit a clause that is not canonical.
+calls it.  It checks every clause it writes with plain code (a
+three-literal clause in place, any other with ``_check_int_clause``),
+so a formula that skipped the object constructors still cannot emit a
+clause that is not canonical.
 """
 
 from __future__ import annotations
@@ -209,10 +210,20 @@ def to_dimacs(f: CnfFormula) -> str:
 
 
 def _dimacs(f: _IntCnf) -> str:
-    """The DIMACS core: checks each clause as it writes it."""
+    """The DIMACS core: checks each clause as it writes it.
+
+    A three-literal clause whose variables increase within 1..n_vars is
+    written straight away; every other clause is written only after
+    ``_check_int_clause``, which words any refusal, has passed it.
+    """
     n_vars = f.n_vars
     lines = [f"p cnf {n_vars} {len(f.clauses)}"]
     for cl in f.clauses:
+        if len(cl) == 3:
+            a, b, c = cl
+            if 0 < abs(a) < abs(b) < abs(c) <= n_vars:
+                lines.append(f"{a} {b} {c} 0")
+                continue
         _check_int_clause(cl, n_vars)
         lines.append(" ".join(map(str, cl)) + " 0")
     return "\n".join(lines) + "\n"

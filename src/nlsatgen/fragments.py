@@ -166,8 +166,38 @@ def check_all_mentioned(mapping: dict, n: int, what: str = "variables") -> None:
         raise FragmentError(f"{what} never mentioned: {missing}")
 
 
+def _in_var_order(a: int, b: int, c: int):
+    """Three signed-int literals as a tuple in increasing variable order,
+    or None when two of them share a variable."""
+    x, y, z = abs(a), abs(b), abs(c)
+    if x < y:
+        if y < z:
+            return a, b, c
+        if x < z < y:
+            return a, c, b
+        if z < x:
+            return c, a, b
+    elif y < x:
+        if x < z:
+            return b, a, c
+        if y < z < x:
+            return b, c, a
+        if z < y:
+            return c, b, a
+    return None
+
+
 def _remap(cl, mapping: dict) -> tuple:
     """Renumber a signed-int clause, restoring increasing-variable order."""
+    if len(cl) == 3:
+        a, b, c = cl
+        clause = _in_var_order(
+            mapping[a] if a > 0 else -mapping[-a],
+            mapping[b] if b > 0 else -mapping[-b],
+            mapping[c] if c > 0 else -mapping[-c],
+        )
+        if clause is not None:
+            return clause
     return tuple(sorted([mapping[v] if v > 0 else -mapping[-v] for v in cl], key=abs))
 
 
@@ -203,6 +233,10 @@ def _noun_of(word: str, idx: int, span_of, lexicon, strict: bool) -> str:
 def _clause_of(literals, idx: int, repeat: str = "a noun repeats within the sentence") -> tuple:
     """The canonical signed-int clause of one sentence's signed-int literals;
     ``repeat`` reports a repeated variable."""
+    if len(literals) == 3:
+        clause = _in_var_order(*literals)
+        if clause is not None:
+            return clause
     if len({abs(v) for v in literals}) != len(literals):
         raise ParseError(idx, None, repeat)
     return tuple(sorted(literals, key=abs))

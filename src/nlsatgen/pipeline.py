@@ -62,6 +62,7 @@ from .solver import (
     ENTAILED,
     SAT,
     UNSAT,
+    BudgetExhaustedError,
     DegenerateTheoryError,
     _dpll,
     _entailment,
@@ -670,7 +671,9 @@ def verify_dataset(path, max_decisions: int = DEFAULT_MAX_DECISIONS) -> list:
     the header's, and only a hard record may be a diversity draw.
     Per-size label balance is checked dataset-wide.  Parsing, solving
     and the DIMACS comparison run on the signed-int cores and build no
-    clause objects.
+    clause objects.  A solve that needs more than ``max_decisions``
+    decisions stops the check with a ``BudgetExhaustedError`` that names
+    the record.
     """
     if max_decisions < 0:
         raise ValueError(f"max_decisions must be non-negative, got {max_decisions}")
@@ -693,7 +696,10 @@ def verify_dataset(path, max_decisions: int = DEFAULT_MAX_DECISIONS) -> list:
             continue
         if rec.get("split") not in SPLIT_NAMES:
             issues.append(VerifyIssue(rid, "field", f"bad split {rec.get('split')!r}"))
-        issues.extend(_verify_record(rec, vocab, max_decisions))
+        try:
+            issues.extend(_verify_record(rec, vocab, max_decisions))
+        except BudgetExhaustedError as exc:
+            raise BudgetExhaustedError(f"record {rid}: {exc}") from None
         size = rec.get("size")
         if _is_int(size):
             by_size.setdefault(size, []).append(rec.get("label"))

@@ -17,12 +17,22 @@ Once every clause is satisfied the remaining variables are filled in as
 False without branching, so formulas decided by propagation alone
 report ``decisions == 0``.
 
-The search is one loop over flat lists.  Clause occurrences and literal
-values are each one list indexed by signed literal, so -v wraps around
-the end of a list of 2n+1.  Per clause it counts the literals propagated
-true and those not yet propagated false.  The trail holds the literals
-made true, in order, and a conflict undoes it once, back to the latest
-decision still to flip.
+The search is one loop over variable bitmasks, with variable v at bit
+v.  One pair of masks holds the variables assigned true and false; a
+second pair holds the same for the part of the trail already
+propagated.  Each clause is a positive and a negative variable mask,
+listed under each of its literals in one list indexed by signed literal,
+so -v wraps around the end of a list of 2n+1.  Propagating a literal
+looks only at those clauses of its negation in which all literals but
+one have been propagated false, counted on the propagated masks, and
+then reads the assigned masks for the clause's one free literal or the
+conflict.  Counting on the propagated masks keeps the order in which
+units are found, and so ``propagations``, that of an engine counting
+each clause's literals as they are propagated.  The trail holds the
+literals made true, in order.  A decision pushes its literal and the
+assigned masks onto the decision stack, whose literals are the decision
+path, and a conflict restores the masks of the latest decision still to
+flip in one step.
 
 Validation happens at the boundary: :func:`solve` takes a
 ``CnfFormula``, whose constructors have checked every ``Clause`` and
@@ -113,108 +123,112 @@ def _dpll(n: int, clauses, max_decisions: int) -> SolveResult:
     if m == 0:
         return SolveResult(SAT, {v: False for v in range(1, n + 1)}, SolveStats())
 
-    # occ and val are indexed by signed literal: -v wraps around to 2n+1-v
-    occ = [[] for _ in range(2 * n + 1)]  # clause indices containing each literal
-    for ci, cl in enumerate(clauses):
+    # Variable v is bit v of every mask.  occ is indexed by signed
+    # literal (-v wraps around to 2n+1-v) and lists, per clause holding
+    # that literal, the clause's positive and negative variable masks
+    # and its width - 1.
+    occ = [[] for _ in range(2 * n + 1)]
+    masks = []
+    for cl in clauses:
+        pos = neg = 0
         for lit in cl:
-            occ[lit].append(ci)
-    val = [0] * (2 * n + 1)               # per literal: 1 true, -1 false, 0 unknown
-    sat_count = [0] * m                   # true literals per clause
-    unk_count = [len(cl) for cl in clauses]
-    satisfied = 0                         # clauses with sat_count > 0
+            if lit > 0:
+                pos |= 1 << lit
+            else:
+                neg |= 1 << -lit
+        entry = (pos, neg, len(cl) - 1)
+        masks.append(entry)
+        for lit in cl:
+            occ[lit].append(entry)
+    every_var = (2 << n) - 2              # bits 1..n
+    at = af = 0                           # variables assigned true / false
+    pt = pf = 0                           # the same for trail[:qhead], the propagated part
     trail = []                            # literals made true, in assignment order
     qhead = 0                             # next trail position to propagate
-    dstack = []                           # (decision literal, trail base); -v, +v once flipped
+    first_open = 0                        # clauses before it are satisfied
+    dstack = []                           # (decision literal, at, af, trail base, first_open)
     decisions = conflicts = propagations = 0
 
     # level-0 units seed the first propagation
     for cl in clauses:
         if len(cl) == 1:
             lit = cl[0]
-            if not val[lit]:
+            bit = 1 << (lit if lit > 0 else -lit)
+            if not (at | af) & bit:
                 propagations += 1
-                val[lit] = 1
-                val[-lit] = -1
+                if lit > 0:
+                    at |= bit
+                else:
+                    af |= bit
                 trail.append(lit)
 
     while True:
         # propagate the trail to fixpoint or to the first falsified clause
         conflict = False
-        while qhead < len(trail) and not conflict:
+        while qhead < len(trail):
             lit = trail[qhead]
             qhead += 1
-            for ci in occ[lit]:
-                if not sat_count[ci]:
-                    satisfied += 1
-                sat_count[ci] += 1
-            # A conflict must not abort this loop: once qhead is past an
-            # entry, backtracking reverses ALL its counter effects, so
-            # every decrement has to happen even after a falsified clause.
-            for ci in occ[-lit]:
-                unk_count[ci] -= 1
-                if conflict or sat_count[ci] or unk_count[ci] > 1:
+            if lit > 0:
+                pt |= 1 << lit
+            else:
+                pf |= 1 << -lit
+            for pos, neg, rest in occ[-lit]:
+                # look only at a clause with all literals but one
+                # propagated false, as counting them would; the assigned
+                # masks, queued literals included, then skip it as
+                # satisfied or give its free literal or the conflict
+                if ((pos & pf) | (neg & pt)).bit_count() < rest or (pos & at) | (neg & af):
                     continue
-                # inspect actual values: queued-but-unpropagated entries
-                # are visible in val[] though the counters lag
-                unit = 0
-                for u in clauses[ci]:
-                    a = val[u]
-                    if not a:
-                        unit = u
-                    elif a > 0:
-                        break
+                free = (pos | neg) & ~(at | af)
+                if not free:
+                    conflict = True
+                    break
+                propagations += 1
+                if free & pos:
+                    at |= free
+                    trail.append(free.bit_length() - 1)
                 else:
-                    if unit:
-                        propagations += 1
-                        val[unit] = 1
-                        val[-unit] = -1
-                        trail.append(unit)
-                    else:
-                        conflict = True
+                    af |= free
+                    trail.append(1 - free.bit_length())
+            if conflict:
+                break
         if conflict:
             conflicts += 1
             while dstack and dstack[-1][0] > 0:
                 dstack.pop()  # both branches tried
             if not dstack:
                 return SolveResult(UNSAT, None, SolveStats(decisions, conflicts, propagations))
-            lit, base = dstack[-1]
-            dstack[-1] = (-lit, base)
-            # undo to the latest decision not yet flipped; entries at or past
-            # qhead were never propagated, so they have no counter effects
-            for u in trail[base:qhead]:
-                for ci in occ[u]:
-                    sat_count[ci] -= 1
-                    if not sat_count[ci]:
-                        satisfied -= 1
-                for ci in occ[-u]:
-                    unk_count[ci] += 1
-            for u in trail[base:]:
-                val[u] = val[-u] = 0
-            del trail[base:]
-            qhead = min(qhead, base)
-            val[-lit] = 1  # second branch: True
-            val[lit] = -1
+            # back to the latest decision not yet flipped: the masks as
+            # they were then, when every trail entry had been propagated
+            lit, at, af, qhead, first_open = dstack[-1]
+            dstack[-1] = (-lit, at, af, qhead, first_open)
+            pt, pf = at, af
+            del trail[qhead:]
+            at |= 1 << -lit  # second branch: True
             trail.append(-lit)
             continue
         var = 0  # stays 0 when every clause is satisfied or no variable is unset
-        if satisfied < m:
-            try:
-                var = val.index(0, 1, n + 1)
-            except ValueError:
-                pass
+        while first_open < m:
+            pos, neg, _ = masks[first_open]
+            if not (pos & at) | (neg & af):
+                free = every_var & ~(at | af)
+                if free:
+                    var = (free & -free).bit_length() - 1
+                break
+            first_open += 1
         if not var:
-            model = {v: val[v] > 0 for v in range(1, n + 1)}
+            model = {v: (at >> v) & 1 == 1 for v in range(1, n + 1)}
             if __debug__:
-                assert all(any(model[abs(l)] != (l < 0) for l in cl) for cl in clauses)
+                true = {v if model[v] else -v for v in model}
+                assert not any(map(true.isdisjoint, clauses))
             return SolveResult(SAT, model, SolveStats(decisions, conflicts, propagations))
         if decisions >= max_decisions:
             raise BudgetExhaustedError(
                 f"budget exhausted: more than {max_decisions} decisions needed"
             )
         decisions += 1
-        dstack.append((-var, len(trail)))
-        val[-var] = 1  # first branch: False
-        val[var] = -1
+        dstack.append((-var, at, af, len(trail), first_open))
+        af |= 1 << var  # first branch: False
         trail.append(-var)
 
 

@@ -503,6 +503,25 @@ class TestVerify:
         assert main(["verify", str(small_dataset), "--max-decisions", "-1"]) == 2
         assert "max_decisions must be non-negative, got -1" in capsys.readouterr().err
 
+    def test_exhausted_budget_names_the_record(self, tmp_path, capsys):
+        path = tmp_path / "g.jsonl"
+        assert main([
+            "generate", "--fragment", "grl", "--sizes", "10", "--per-size", "6",
+            "--seed", "1", "--strategy", "naive", "--jobs", "1", "--out", str(path),
+        ]) == 0
+        records = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+        capsys.readouterr()
+        most = max(rec["stats"]["decisions"] for rec in records)
+        for budget in sorted({0, most - 1}):
+            # the first record whose stored solve took more decisions
+            rid = next(rec["id"] for rec in records if rec["stats"]["decisions"] > budget)
+            assert main(["verify", str(path), "--max-decisions", str(budget)]) == 3
+            assert capsys.readouterr() == (
+                "",
+                f"error: record {rid}: budget exhausted: more than {budget} decisions needed\n",
+            )
+        assert main(["verify", str(path), "--max-decisions", str(most)]) == 0
+
     def test_missing_dataset_is_a_usage_error(self, tmp_path, capsys):
         assert main(["verify", str(tmp_path / "nope.jsonl")]) == 2
         assert "cannot read" in capsys.readouterr().err
