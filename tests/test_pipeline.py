@@ -11,7 +11,14 @@ import pytest
 
 from nlsatgen import grl, pipeline, ruletaker
 from nlsatgen.cnf import Clause, CnfFormula, Literal, to_dimacs
-from nlsatgen.fragments import GRL, ParseError, _packaged_vocab, reindex_formula, split_sentences
+from nlsatgen.fragments import (
+    GRL,
+    ParseError,
+    _packaged_vocab,
+    _parse_formula,
+    reindex_formula,
+    split_sentences,
+)
 from nlsatgen.pipeline import (
     DatasetConfig,
     DatasetError,
@@ -1067,6 +1074,131 @@ def test_grl_compiled_match_agrees_with_walker_on_golden_texts(
     assert [_grl_outcome(t, lexicon) for t in texts] == with_match
     errors = [out for out in with_match if isinstance(out[0], int)]
     assert len(records) < len(errors) < len(texts) - len(records)
+
+
+def _swap_article(s: str) -> str:
+    """The first article swapped: rcl's "a" and "an", ruletaker's "the" for "a"."""
+    swap = {"a": "an", "an": "a", "the": "a", "The": "A"}
+    return re.sub(r"\b(an?|the|The)\b", lambda m: swap[m.group(1)], s, count=1)
+
+
+def _content_words(s: str, vocab) -> list:
+    """The positions in ``s.split()`` of the sentence's lexicon words."""
+    known = set(vocab.attributes if hasattr(vocab, "attributes") else vocab.count_nouns)
+    return [i for i, w in enumerate(s[:-1].split()) if w in known]
+
+
+def _changed_entity(s: str, vocab) -> str:
+    """The first entity word made the next one in the vocabulary: the
+    entity (ruletaker), the name of a ground sentence or the first noun
+    of a universal one (rcl)."""
+    words = s[:-1].split(" ")
+    if hasattr(vocab, "entities"):
+        pool = vocab.entities
+    elif words[0] in vocab.proper_nouns:
+        pool = vocab.proper_nouns
+    else:
+        pool = vocab.count_nouns
+    at = next((i for i, w in enumerate(words) if w in pool), None)
+    if at is not None:
+        words[at] = pool[(pool.index(words[at]) + 1) % len(pool)]
+    return " ".join(words) + "."
+
+
+def _repeated_word(s: str, vocab) -> str:
+    """The last lexicon word made the first one; a sentence with one says it twice."""
+    words = s[:-1].split(" ")
+    at = _content_words(s, vocab)
+    if len(at) > 1:
+        words[at[-1]] = words[at[0]]
+    elif at:
+        words.insert(at[0], words[at[0]])
+    return " ".join(words) + "."
+
+
+def _at(mutate):
+    """The text edit that applies a one-sentence edit to sentence k."""
+    return lambda sentences, k, vocab: (
+        sentences[:k] + [mutate(sentences[k], vocab)] + sentences[k + 1 :]
+    )
+
+
+def _moved_last(sentences, k, vocab):
+    """The last sentence (a ground sentence or a fact, when there is one) moved to k."""
+    return sentences[:k] + sentences[-1:] + sentences[k:-1]
+
+
+# Edits of an rcl or ruletaker text at sentence k.  Each maps
+# (sentences, k, vocab) to the edited sentence list.
+SENTENCE_MUTATIONS = (
+    _at(lambda s, v: s.replace(" ", "  ", 1)),                         # doubled space
+    _at(lambda s, v: s + " "),                                         # trailing space
+    _at(lambda s, v: s[:-1] + " ."),                                   # space before the period
+    _at(lambda s, v: s.replace(" ", "\t", 1)),                         # tab
+    _at(lambda s, v: _swap_article(s)),                                # swapped article
+    _at(lambda s, v: s[:-1].rsplit(" ", 1)[0] + " zzgrobble."),        # unknown word
+    _at(lambda s, v: s[0].lower() + s[1:]),                            # lowercase "if"
+    _at(_changed_entity),                                              # changed entity
+    _at(_repeated_word),                                               # repeated attribute
+    _moved_last,                                                       # fact before a rule
+    lambda sentences, k, vocab: sentences + sentences[-1:],            # last sentence twice
+)
+
+# The golden configs of each fragment, with a sha256 of what
+# ``_parse_formula`` gives on every record text and every mutated text
+# (see ``_formula_outcomes``).  Any change to what strict parsing accepts,
+# returns or words as an error moves these.
+FORMULA_OUTCOME_DIGESTS = {
+    ("rcl", (10, 12), "hard", ()):
+        "3b2edaaef2721ad6b3a509de97b8da5e18900ee4d2fa9db04a502ccfd3806d2a",
+    ("ruletaker", (6, 8), "hard", ()):
+        "0970163ea038802087490f512740593c23ac88bf3909d1778c50de9704207945",
+    ("ruletaker", (6, 8), "hard", (("balance_labels", False), ("count_per_size", 41))):
+        "783c89a90d897771d709868bb32bae988d4882cc9eb90acbd17be429ed7ad809",
+    ("ruletaker", (6, 8), "biased", ()):
+        "7dadc2e5fce3fe811a84eb0922ff5792407e2deb43ae0caef6b377f641b91fb7",
+    ("ruletaker", (6, 8), "naive", (("p_int", 0.5),)):
+        "3b5e636ec6c8461a4a9f430fbb5504c8b0fa6f63654d2c3545f12bcd644dcec0",
+    ("ruletaker", (17, 18), "naive", ()):
+        "670bf84f7b1e1eeca7f3fde223039aa6103cfb486cfd712de69ff20b7edb641d",
+}
+
+
+def _formula_outcome(text: str, fragment: str, vocab):
+    """``_parse_formula``'s result, or (sentence index, span, message)."""
+    try:
+        return _parse_formula(text, fragment, vocab, strict=True)
+    except ParseError as exc:
+        return exc.sentence_index, exc.span, str(exc)
+    except ValueError as exc:
+        return None, None, str(exc)
+
+
+def _formula_outcomes(fragment, sizes, strategy, settings) -> tuple:
+    """(outcomes, record count): the outcome of every golden record text,
+    then of one edit per record and mutation, each text joined as the
+    renderer joins it."""
+    _, records = _golden_config(fragment, sizes, strategy, **dict(settings))
+    vocab = _packaged_vocab(fragment)
+    texts = []
+    for i, rec in enumerate(records):
+        texts.append(rec["text"])
+        sentences = split_sentences(rec["text"])
+        for j, mutate in enumerate(SENTENCE_MUTATIONS):
+            k = (i + j) % len(sentences)
+            texts.append(" ".join(mutate(sentences, k, vocab)))
+    return [_formula_outcome(t, fragment, vocab) for t in texts], len(records)
+
+
+@pytest.mark.parametrize("fragment,sizes,strategy,settings", sorted(FORMULA_OUTCOME_DIGESTS))
+def test_strict_formula_outcomes_are_pinned(fragment, sizes, strategy, settings):
+    # every rcl and ruletaker golden text, and each with one sentence
+    # mutated, parses to the same formula or the same error
+    outcomes, n_records = _formula_outcomes(fragment, sizes, strategy, settings)
+    errors = [out for out in outcomes if out[0] is None or isinstance(out[0], int)]
+    assert n_records < len(errors) < len(outcomes) - n_records
+    digest = hashlib.sha256("\n".join(map(repr, outcomes)).encode()).hexdigest()
+    assert digest == FORMULA_OUTCOME_DIGESTS[(fragment, sizes, strategy, settings)]
 
 
 @pytest.mark.parametrize("fragment,sizes", [("grl", (8, 10)), ("ruletaker", (6, 8))])
