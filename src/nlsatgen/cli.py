@@ -164,7 +164,13 @@ def cmd_stats(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    issues = verify_dataset(args.dataset, max_decisions=args.max_decisions)
+    try:
+        issues = verify_dataset(args.dataset, max_decisions=args.max_decisions)
+    except BudgetExhaustedError as exc:
+        # the issues found before the budget ran out, then main's error line
+        for issue in exc.issues:
+            print(issue, file=sys.stderr)
+        raise
     if issues:
         for issue in issues:
             print(issue, file=sys.stderr)

@@ -26,7 +26,8 @@ Parsing has the same split.  Each parser is a private core
 canonical signed-int clauses with ``_clause_of``, under a public name
 that returns the validated objects; :func:`parse_theory` calls the
 public names and ``_parse_formula`` the cores, so ``verify`` and the
-``parse`` command build no clause objects.
+``parse`` command build no clause objects.  ``_parse_formula`` tries
+each fragment's whole-text scan (``_scan``) before the core.
 """
 
 from __future__ import annotations
@@ -187,6 +188,17 @@ def _in_var_order(a: int, b: int, c: int):
     return None
 
 
+def _pair_in_var_order(a: int, b: int):
+    """Two signed-int literals as a tuple in increasing variable order,
+    or None when they share a variable."""
+    x, y = abs(a), abs(b)
+    if x < y:
+        return a, b
+    if y < x:
+        return b, a
+    return None
+
+
 def _remap(cl, mapping: dict) -> tuple:
     """Renumber a signed-int clause, restoring increasing-variable order."""
     if len(cl) == 3:
@@ -216,6 +228,24 @@ def _reindex(f: _IntCnf) -> tuple:
     mapping = appearance_map(abs(v) for cl in f.clauses for v in cl)
     check_all_mentioned(mapping, f.n_vars)
     return _IntCnf(f.n_vars, [_remap(cl, mapping) for cl in f.clauses]), mapping
+
+
+class _Refused(Exception):
+    """Raised inside a scan (``grl._scan``, ``rcl._scan``,
+    ``ruletaker._scan``) at a word it does not read as written."""
+
+
+class _Memo(dict):
+    """A dict that computes each missing value once, with ``read(key)``;
+    the scans keep ids by first appearance and atoms by their text in it."""
+
+    def __init__(self, read):
+        super().__init__()
+        self.read = read
+
+    def __missing__(self, key):
+        value = self[key] = self.read(key)
+        return value
 
 
 def _noun_of(word: str, idx: int, span_of, lexicon, strict: bool) -> str:
@@ -287,11 +317,24 @@ def _parse_formula(text, fragment: str, lexicon=None, strict: bool = True) -> tu
     Returns (the ``_IntCnf`` the text denotes, what the core returned):
     a grl formula, a grounded rcl problem, or a ruletaker theory as rules
     then one unit clause per fact.  No clause object is built.
+
+    A strict text given as one string is first read by the fragment's
+    whole-text scan (``grl._scan``, ``rcl._scan``, ``ruletaker._scan``),
+    which returns what the core would or None.  On None the text is
+    split into sentences and the core parses them as it always has; it
+    alone words a ``ParseError``, so the scan changes no result and no
+    error.
     """
     from . import grl, rcl, ruletaker
 
     parsers = {GRL: grl._parse, RCL: rcl._parse, RULETAKER: ruletaker._parse}
-    parsed = _parse_with(parsers, text, fragment, lexicon, strict)
+    parsed = None
+    if strict and isinstance(text, str) and fragment in parsers:
+        lexicon = lexicon if lexicon is not None else _packaged_vocab(fragment)
+        scans = {GRL: grl._scan, RCL: rcl._scan, RULETAKER: ruletaker._scan}
+        parsed = scans[fragment](text, lexicon)
+    if parsed is None:
+        parsed = _parse_with(parsers, text, fragment, lexicon, strict)
     if fragment == RCL:
         return rcl._ground(parsed[0]), parsed
     return parsed[0], parsed

@@ -25,6 +25,13 @@ renderer's surface (``_SURFACE``) and looks the captured words up in the
 lexicon.  A sentence the match refuses, or whose words are not lexicon
 nouns as written, goes to the token walker ``_walk``, which also reads
 every lenient sentence and is the only code that words a parse error.
+
+``verify`` reads a whole text before that: ``_scan`` runs one compiled
+pattern of the renderer's sentences (``_SENTENCE``) over it, requires
+the matches to cover it end to end, and returns what ``_parse`` would,
+or None for any text it does not read exactly.  On None,
+``fragments._parse_formula`` splits the text and runs ``_parse``, so
+every accepted text and every error is the same as without the scan.
 """
 
 from __future__ import annotations
@@ -39,7 +46,11 @@ from .fragments import (
     ParseError,
     VarBinding,
     _clause_of,
+    _in_var_order,
+    _Memo,
+    _pair_in_var_order,
     _noun_of,
+    _Refused,
     check_token_budget,
 )
 
@@ -47,6 +58,12 @@ _TOKEN = re.compile(r"\S+")
 # The renderer's sentence body: the antecedents' "no" and nouns, then the
 # consequent's "not" and noun.  "\S" and ``str.split`` agree on whitespace.
 _SURFACE = re.compile(r"If (no )?(\S+)(?: and (no )?(\S+))? then (not )?(\S+)")
+# The same surface over a whole text, for ``_scan``: each sentence with
+# its atoms (an optionally negated noun of lowercase letters), its
+# period, and a space or the end of the text.
+_SENTENCE = re.compile(
+    r"(If ((?:no )?[a-z]+)(?: and ((?:no )?[a-z]+))? then ((?:not )?[a-z]+)\.(?: |\Z))"
+)
 # words the match can capture as nouns where the walker reads them as grammar
 _GRAMMAR_WORDS = ("no", "not", "and", "then")
 
@@ -146,6 +163,59 @@ def _parse(sentences, lexicon, strict: bool) -> tuple:
                 continue
         clauses.append(_clause_of(_walk(body, idx, lexicon, strict, noun_to_var), idx))
 
+    binding = VarBinding({v: noun for noun, v in noun_to_var.items()})
+    return _IntCnf(len(noun_to_var), clauses), binding
+
+
+def _scan(text: str, lexicon):
+    """What ``_parse`` returns for a strict text that is exactly the
+    renderer's surface, or None.
+
+    One compiled pattern, ``_SENTENCE``, runs over the whole text, and
+    its matches must cover it end to end.  A noun is looked up in the
+    lexicon on its first appearance, and an atom ("no carrot") is read
+    on its first.  None comes back as soon as anything is off (a gap
+    between sentences, a word that is not a lexicon noun as written, a
+    repeated noun), and for a lexicon that holds a grammar word; the
+    caller then runs ``_parse``, whose walker words the error.  The scan
+    accepts a subset of what ``_parse`` accepts and returns the same
+    formula.
+    """
+    singular_of = lexicon.singular_of
+    if not text.endswith(".") or any(singular_of(w) == w for w in _GRAMMAR_WORDS):
+        return None
+
+    def new_var(noun: str) -> int:
+        if singular_of(noun) != noun:
+            raise _Refused(noun)
+        return len(noun_to_var) + 1
+
+    def read_atom(atom: str) -> int:
+        """The signed id an atom states: "carrot" +, "no carrot" and "not carrot" -."""
+        negation, _, noun = atom.rpartition(" ")
+        return -noun_to_var[noun] if negation else noun_to_var[noun]
+
+    noun_to_var = _Memo(new_var)
+    stated = _Memo(read_atom)
+    clauses = []
+    at = 0
+    try:
+        for sentence, ante1, ante2, cons in _SENTENCE.findall(text):
+            at += len(sentence)
+            # an antecedent states the negation of its clause literal
+            a = -stated[ante1]
+            if ante2:
+                clause = _in_var_order(a, -stated[ante2], stated[cons])
+            else:
+                clause = _pair_in_var_order(a, stated[cons])
+            if clause is None:
+                return None
+            clauses.append(clause)
+    except _Refused:
+        return None
+    # matches never overlap, so lengths that sum to the text's cover it
+    if at != len(text):
+        return None
     binding = VarBinding({v: noun for noun, v in noun_to_var.items()})
     return _IntCnf(len(noun_to_var), clauses), binding
 

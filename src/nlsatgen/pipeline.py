@@ -575,8 +575,8 @@ class VerifyIssue:
         return f"{self.record_id}: {self.kind}: {self.message}"
 
 
-def _verify_record(rec: dict, vocab, max_decisions: int) -> list:
-    issues = []
+def _verify_record(rec: dict, vocab, max_decisions: int, issues: list) -> None:
+    """Append the record's issues to ``issues``, as they are found."""
     rid = rec.get("id", "<missing id>")
     fragment = rec.get("fragment")
 
@@ -590,16 +590,16 @@ def _verify_record(rec: dict, vocab, max_decisions: int) -> list:
     for key in ("text", "label", "dimacs", "n_vars", "n_clauses"):
         if key not in rec:
             bad("field", f"missing {key}")
-            return issues
+            return
     for key in ("text", "label", "conjecture_text"):
         if key in rec and not isinstance(rec[key], str):
             bad("field", f"bad {key} {rec[key]!r}")
-            return issues
+            return
     try:
         formula, parsed = _parse_formula(rec["text"], fragment, vocab, strict=True)
     except (ParseError, FragmentError, ValueError) as exc:
         bad("parse", str(exc))
-        return issues
+        return
     n_vars, clauses = formula
     expected_n_vars = n_vars
     if fragment == RCL:
@@ -614,17 +614,17 @@ def _verify_record(rec: dict, vocab, max_decisions: int) -> list:
     if fragment == RULETAKER:
         if "conjecture_text" not in rec:
             bad("field", "missing conjecture_text")
-            return issues
+            return
         try:
             conjecture = ruletaker._parse_conjecture(rec["conjecture_text"], vocab, parsed[1])
         except (ParseError, ValueError) as exc:
             bad("parse", f"conjecture: {exc}")
-            return issues
+            return
         try:
             status, stats = _entailment(n_vars, clauses, conjecture, max_decisions)
         except DegenerateTheoryError as exc:
             bad("label", f"{exc}; record says {rec['label']!r}")
-            return issues
+            return
         expected = {
             ruletaker.LABEL_TRUE: ENTAILED,
             ruletaker.LABEL_FALSE: CONTRADICTED,
@@ -656,7 +656,6 @@ def _verify_record(rec: dict, vocab, max_decisions: int) -> list:
         rec.get("stats") != stats.as_dict() or not all(map(_is_int, rec["stats"].values()))
     ):
         bad("field", f"stats {rec.get('stats')!r} != {stats.as_dict()!r}")
-    return issues
 
 
 def verify_dataset(path, max_decisions: int = DEFAULT_MAX_DECISIONS) -> list:
@@ -673,7 +672,7 @@ def verify_dataset(path, max_decisions: int = DEFAULT_MAX_DECISIONS) -> list:
     and the DIMACS comparison run on the signed-int cores and build no
     clause objects.  A solve that needs more than ``max_decisions``
     decisions stops the check with a ``BudgetExhaustedError`` that names
-    the record.
+    the record and holds, as ``issues``, every issue found before it.
     """
     if max_decisions < 0:
         raise ValueError(f"max_decisions must be non-negative, got {max_decisions}")
@@ -697,9 +696,11 @@ def verify_dataset(path, max_decisions: int = DEFAULT_MAX_DECISIONS) -> list:
         if rec.get("split") not in SPLIT_NAMES:
             issues.append(VerifyIssue(rid, "field", f"bad split {rec.get('split')!r}"))
         try:
-            issues.extend(_verify_record(rec, vocab, max_decisions))
+            _verify_record(rec, vocab, max_decisions, issues)
         except BudgetExhaustedError as exc:
-            raise BudgetExhaustedError(f"record {rid}: {exc}") from None
+            error = BudgetExhaustedError(f"record {rid}: {exc}")
+            error.issues = issues
+            raise error from None
         size = rec.get("size")
         if _is_int(size):
             by_size.setdefault(size, []).append(rec.get("label"))

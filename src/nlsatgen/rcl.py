@@ -31,6 +31,13 @@ problem with signed-int clause tuples; the rcl generator draws with
 ``_draw``, chains those cores and builds no clause objects, and the
 grounded clauses are checked when DIMACS writes them.  ``verify``
 grounds what ``_parse`` returns with ``_ground`` and builds none either.
+
+``verify`` parses a whole text with ``_scan`` first: one compiled
+pattern of the four sentence forms (``_SENTENCE``) runs over it, the
+matches must cover it end to end, and the words are looked up on their
+first appearance.  It returns what ``_parse`` would, or None for any
+text it does not read exactly; on None, ``fragments._parse_formula``
+splits the text and runs ``_parse``, which alone words a parse error.
 """
 
 from __future__ import annotations
@@ -47,7 +54,10 @@ from .fragments import (
     ParseError,
     VarBinding,
     _clause_of,
+    _in_var_order,
+    _Memo,
     _noun_of,
+    _Refused,
     _remap,
     appearance_map,
     check_all_mentioned,
@@ -404,6 +414,96 @@ class _RclParser:
             self.grounds.append((cid, _clause_of(lits, idx)))
             return
         raise ParseError(idx, None, f"sentence does not match the fragment grammar: {s!r}")
+
+
+# The renderer's surface for one sentence, for ``_scan``, and what
+# follows it: a space, or the end of the text.  The branches are the
+# Every, No, Everyone and ground forms, in the order
+# ``_RclParser.sentence`` tries them; an atom ("not a baker") is one group.
+_SENTENCE = re.compile(
+    r"((?:Every ([a-z]+) who is ((?:not )?an? [a-z]+) is ((?:not )?an? [a-z]+)"
+    r"|No ([a-z]+) who is ((?:not )?an? [a-z]+) is (an? [a-z]+)"
+    r"|Everyone who is (not an? [a-z]+) and (not an? [a-z]+) is (an? [a-z]+)"
+    r"|([A-Z][a-zA-Z]*) is ((?:not )?an? [a-z]+) or ((?:not )?an? [a-z]+)"
+    r" or ((?:not )?an? [a-z]+))\.(?: |\Z))"
+)
+
+
+def _scan(text: str, lexicon):
+    """What ``_parse`` returns for a strict text that is exactly the
+    renderer's surface, or None.
+
+    One compiled pattern, ``_SENTENCE``, runs over the whole text, and
+    its matches must cover it end to end.  A noun or name is looked up
+    in the lexicon on its first appearance, and an atom has its article
+    checked on its first, as ``_RclParser.atom`` does.  None comes back
+    as soon as anything is off (a gap between sentences, an unknown noun
+    or name, a wrong article, a repeated noun, no ground sentence), and
+    the caller then runs ``_parse``, which words the error.  The scan
+    accepts a subset of what ``_parse`` accepts and returns the same
+    problem.
+    """
+    if not text.endswith("."):
+        return None
+    singular_of, article, names = lexicon.singular_of, lexicon.article, lexicon.proper_nouns
+
+    def new_pred(noun: str) -> int:
+        if singular_of(noun) != noun:
+            raise _Refused(noun)
+        return len(pred_ids) + 1
+
+    def new_const(name: str) -> int:
+        if name not in names:
+            raise _Refused(name)
+        return len(const_ids) + 1
+
+    def read_atom(atom: str) -> int:
+        """The signed predicate id of an atom such as "not a baker"."""
+        negated = atom.startswith("not ")
+        art, _, noun = (atom[4:] if negated else atom).partition(" ")
+        pred = pred_ids[noun]
+        if art != article(noun):
+            raise _Refused(atom)
+        return -pred if negated else pred
+
+    pred_ids = _Memo(new_pred)
+    const_ids = _Memo(new_const)
+    atoms = _Memo(read_atom)
+    universals = []
+    grounds = []
+    at = 0
+    try:
+        for (
+            sentence, every, who, cons, no, no_who, no_cons, one, two, three, name, *lits
+        ) in _SENTENCE.findall(text):
+            at += len(sentence)
+            if every:
+                clause = _in_var_order(-pred_ids[every], -atoms[who], atoms[cons])
+            elif no:
+                clause = _in_var_order(-pred_ids[no], -atoms[no_who], -atoms[no_cons])
+            elif one:
+                clause = _in_var_order(-atoms[one], -atoms[two], atoms[three])
+            else:
+                cid = const_ids[name]
+                clause = _in_var_order(atoms[lits[0]], atoms[lits[1]], atoms[lits[2]])
+                if clause is None:
+                    return None
+                grounds.append((cid, clause))
+                continue
+            if clause is None:
+                return None
+            universals.append(clause)
+    except _Refused:
+        return None
+    # matches never overlap, so lengths that sum to the text's cover it
+    if at != len(text) or not grounds:
+        return None
+    problem = _IntProblem(len(pred_ids), len(const_ids), universals, grounds)
+    binding = VarBinding(
+        {v: noun for noun, v in pred_ids.items()},
+        {c: name for name, c in const_ids.items()},
+    )
+    return problem, binding
 
 
 def parse_rcl(sentences, lexicon, strict: bool = True):

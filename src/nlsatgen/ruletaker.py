@@ -45,10 +45,19 @@ ruletaker generator chains them and builds no clause objects, and
 the theory's clauses are checked when DIMACS writes them.  ``verify``
 decides a parsed conjecture with ``solver._entailment`` and builds none
 either.
+
+``verify`` parses a whole text with ``_scan`` first: one compiled
+pattern of the rule and fact sentences (``_SENTENCE``) runs over it, the
+matches must cover it end to end, and the words are looked up in the
+vocabulary's sets, which ``RetrofitVocab`` builds once.  It returns what
+``_parse`` would, or None for any text it does not read exactly; on
+None, ``fragments._parse_formula`` splits the text and runs ``_parse``,
+which alone words a parse error.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -61,6 +70,10 @@ from .fragments import (
     ParseError,
     VarBinding,
     _clause_of,
+    _in_var_order,
+    _Memo,
+    _pair_in_var_order,
+    _Refused,
     _reindex,
     check_token_budget,
 )
@@ -89,6 +102,9 @@ class RetrofitVocab:
                     raise ValueError(f"{label} words must be lowercase alphabetic, got {w!r}")
         if not self.attributes or not self.entities:
             raise ValueError("vocabulary needs at least one attribute and one entity")
+        # the parsers look words up in these
+        object.__setattr__(self, "_attribute_set", frozenset(self.attributes))
+        object.__setattr__(self, "_entity_set", frozenset(self.entities))
 
 
 @dataclass(frozen=True)
@@ -362,7 +378,7 @@ class _RtParser:
         self.facts = []
 
     def attr(self, word: str, idx: int) -> int:
-        if word not in self.vocab.attributes:
+        if word not in self.vocab._attribute_set:
             raise ParseError(idx, None, f"unknown attribute {word!r}")
         return self.var_ids.setdefault(word, len(self.var_ids) + 1)
 
@@ -371,7 +387,7 @@ class _RtParser:
         if len(words) < 4 or words[0] != "the":
             raise ParseError(idx, None, f"expected 'the <entity> is ...', got {text!r}")
         entity = words[1]
-        if entity not in self.vocab.entities:
+        if entity not in self.vocab._entity_set:
             raise ParseError(idx, None, f"unknown entity {entity!r}")
         if self.entity is None:
             self.entity = entity
@@ -450,6 +466,84 @@ def _parse(sentences, vocab: RetrofitVocab, strict: bool) -> tuple:
         {v: w for w, v in parser.var_ids.items()}, {1: parser.entity}
     )
     return theory, binding, parser.entity
+
+
+# The renderer's surface for one sentence, for ``_scan``: a rule, whose
+# atoms all name the entity its first one names, or a fact; then the
+# period, and a space or the end of the text.  An atom's attribute
+# ("not loud") is one group.
+_SENTENCE = re.compile(
+    r"((?:If the ([a-z]+) is ((?:not )?[a-z]+)(?: and the \2 is ((?:not )?[a-z]+))?"
+    r" then the \2 is ((?:not )?[a-z]+)"
+    r"|The ([a-z]+) is ((?:not )?[a-z]+))\.(?: |\Z))"
+)
+# words the walker splits a rule or negates an attribute on: a vocabulary
+# that holds one is left to the walker
+_GRAMMAR_WORDS = ("not", "and", "then")
+
+
+def _scan(text: str, vocab: RetrofitVocab):
+    """What ``_parse`` returns for a strict text that is exactly the
+    renderer's surface, or None.
+
+    One compiled pattern, ``_SENTENCE``, runs over the whole text, and
+    its matches must cover it end to end.  An attribute is looked up in
+    the vocabulary's set on its first appearance, and an atom ("not
+    loud") is read on its first.  None comes back as soon as anything is
+    off (a gap between sentences, an unknown word, another entity, a
+    repeated attribute, a rule after a fact, a fact stated twice), and
+    for a vocabulary that holds a grammar word; the caller then runs
+    ``_parse``, which words the error.  The scan accepts a subset of
+    what ``_parse`` accepts and returns the same theory.
+    """
+    attributes, entities = vocab._attribute_set, vocab._entity_set
+    if not text.endswith(".") or any(w in attributes or w in entities for w in _GRAMMAR_WORDS):
+        return None
+
+    def new_var(word: str) -> int:
+        if word not in attributes:
+            raise _Refused(word)
+        return len(var_ids) + 1
+
+    def read_atom(atom: str) -> int:
+        """The signed id an atom states: "loud" +, "not loud" -."""
+        negation, _, word = atom.rpartition(" ")
+        return -var_ids[word] if negation else var_ids[word]
+
+    var_ids = _Memo(new_var)
+    stated = _Memo(read_atom)
+    entity = None
+    rules = []
+    facts = []
+    at = 0
+    try:
+        for sentence, rule_entity, ante1, ante2, cons, fact_entity, fact in _SENTENCE.findall(text):
+            at += len(sentence)
+            if entity is None:
+                entity = rule_entity or fact_entity
+            if fact:
+                if fact_entity != entity:
+                    return None
+                facts.append(stated[fact])
+                continue
+            if facts or rule_entity != entity:
+                return None
+            # an antecedent states the negation of its clause literal
+            a = -stated[ante1]
+            if ante2:
+                clause = _in_var_order(a, -stated[ante2], stated[cons])
+            else:
+                clause = _pair_in_var_order(a, stated[cons])
+            if clause is None:
+                return None
+            rules.append(clause)
+    except _Refused:
+        return None
+    # matches never overlap, so lengths that sum to the text's cover it
+    if at != len(text) or entity not in entities or len({abs(v) for v in facts}) != len(facts):
+        return None
+    theory = _IntCnf(len(var_ids), rules + [(v,) for v in facts])
+    return theory, VarBinding({v: w for w, v in var_ids.items()}, {1: entity}), entity
 
 
 def parse_conjecture(sentence: str, vocab: RetrofitVocab, binding: VarBinding, strict: bool = True) -> Literal:

@@ -522,6 +522,26 @@ class TestVerify:
             )
         assert main(["verify", str(path), "--max-decisions", str(most)]) == 0
 
+    def test_exhausted_budget_keeps_the_issues_found_before_it(self, tmp_path, capsys):
+        path = tmp_path / "g.jsonl"
+        assert main([
+            "generate", "--fragment", "grl", "--sizes", "10", "--per-size", "6",
+            "--seed", "1", "--strategy", "naive", "--jobs", "1", "--out", str(path),
+        ]) == 0
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        assert rec["id"] == "grl-n10-000001"
+        flipped = {"sat": "unsat", "unsat": "sat"}[rec["label"]]
+        lines[2] = json.dumps({**rec, "label": flipped}, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", str(path), "--max-decisions", "6"]) == 3
+        assert capsys.readouterr() == (
+            "",
+            f"grl-n10-000001: label: formula is {rec['label']}, record says {flipped!r}\n"
+            "error: record grl-n10-000007: budget exhausted: more than 6 decisions needed\n",
+        )
+
     def test_missing_dataset_is_a_usage_error(self, tmp_path, capsys):
         assert main(["verify", str(tmp_path / "nope.jsonl")]) == 2
         assert "cannot read" in capsys.readouterr().err

@@ -17,6 +17,7 @@ from nlsatgen.fragments import (
     bind_vocabulary,
     parse_theory,
     reindex_formula,
+    split_sentences,
 )
 from nlsatgen import grl
 from nlsatgen.grl import parse_grl, render_grl
@@ -215,6 +216,28 @@ def test_compiled_match_agrees_with_walker_on_every_short_sentence(lexicon, monk
     assert [parse_outcome(c, lexicon) for c in cases] == with_match
     accepted = sum(not isinstance(out[0], int) for out in with_match)
     assert accepted >= 60
+
+
+@pytest.mark.parametrize("lexicon", [
+    LEX,
+    GrammarNounLexicon(("and", "then", "no", "not", "carrot", "steak", "apples")),
+], ids=["lexicon", "grammar-word-nouns"])
+def test_scan_never_reads_a_text_otherwise(lexicon):
+    # each enumerated sentence, alone, after a sentence, and with a
+    # stray space or period: the whole-text scan gives what the core
+    # gives on the split text, or None; a grammar-word lexicon is never
+    # scanned
+    words = ("no", "not", "and", "then", "carrot", "carrots", "steak", "apples")
+    texts = []
+    for s in enumerated_sentences(words, 5):
+        texts += [s, "If steak then not apples. " + s, s + " ", s + ".", s[:-1] + " ."]
+    scanned = 0
+    for text in texts:
+        got = grl._scan(text, lexicon)
+        if got is not None:
+            scanned += 1
+            assert got == parse_outcome(split_sentences(text), lexicon)
+    assert scanned == (0 if lexicon.singular_of("no") else 60)
 
 
 def test_compiled_match_reads_every_rendered_sentence(monkeypatch):

@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 
-from nlsatgen import grl, pipeline, ruletaker
+from nlsatgen import grl, pipeline, rcl, ruletaker
 from nlsatgen.cnf import Clause, CnfFormula, Literal, to_dimacs
 from nlsatgen.fragments import (
     GRL,
@@ -43,7 +43,7 @@ from nlsatgen.sampler import (
     draw_m,
     sample_clause,
 )
-from nlsatgen.solver import _MASK_SCAN_MAX_VARS
+from nlsatgen.solver import _MASK_SCAN_MAX_VARS, BudgetExhaustedError
 
 SPLITS = ("train", "dev", "test")
 
@@ -412,6 +412,26 @@ class TestVerifyDataset:
         _, _, path = grl_dataset
         with pytest.raises(ValueError, match="^max_decisions must be non-negative, got -1$"):
             verify_dataset(path, max_decisions=-1)
+
+    def test_budget_error_holds_the_issues_found_before_it(self, tmp_path):
+        # a flipped label in an earlier record, and a stored formula that
+        # differs in the record whose solve runs out, found before its solve
+        config = naive_config(sizes=(10,), count_per_size=6, seed=1)
+        bad = [dict(r) for r in generate_records(config)]
+        budget = 6
+        at = next(i for i, rec in enumerate(bad) if rec["stats"]["decisions"] > budget)
+        assert at > 0
+        bad[0]["label"] = "unsat" if bad[0]["label"] == "sat" else "sat"
+        bad[at]["dimacs"] += "c\n"
+        path = rewrite(tmp_path / "budget.jsonl", config, bad)
+        with pytest.raises(BudgetExhaustedError) as exc:
+            verify_dataset(path, max_decisions=budget)
+        assert str(exc.value) == (
+            f"record {bad[at]['id']}: budget exhausted: more than {budget} decisions needed"
+        )
+        assert [(i.record_id, i.kind) for i in exc.value.issues] == [
+            (bad[0]["id"], "label"), (bad[at]["id"], "dimacs"),
+        ]
 
     def test_flipped_label_is_caught(self, tmp_path, grl_dataset):
         config, records, _ = grl_dataset
@@ -1199,6 +1219,62 @@ def test_strict_formula_outcomes_are_pinned(fragment, sizes, strategy, settings)
     assert n_records < len(errors) < len(outcomes) - n_records
     digest = hashlib.sha256("\n".join(map(repr, outcomes)).encode()).hexdigest()
     assert digest == FORMULA_OUTCOME_DIGESTS[(fragment, sizes, strategy, settings)]
+
+
+# The bench's datasets (bench/run.py, seed 108; GOLDEN_BANDS are the
+# bench calibration's bands), then every golden digest's dataset.
+SCAN_CONFIGS = {
+    "grl": [((10, 12), "hard", {"count_per_size": 150})]
+    + [(sizes, strategy, settings) for _, sizes, strategy, settings in GRL_GOLDEN_CONFIGS],
+    "rcl": [((10, 12), "hard", {"count_per_size": 150}), ((10, 12), "hard", {})],
+    "ruletaker": [
+        ((6, 8), "hard", {"count_per_size": 60}),
+        ((6, 8), "hard", {}),
+        ((6, 8), "hard", {"count_per_size": 41, "balance_labels": False}),
+    ]
+    + [(sizes, strategy, {"p_int": p_int}) for sizes, strategy, p_int in sorted(RT_PATH_DIGESTS)],
+}
+
+
+def _sentence_form(fragment: str, sentence: str) -> str:
+    if fragment == "grl":
+        return "3 literals" if " and " in sentence else "2 literals"
+    if fragment == "rcl":
+        first = sentence.split(" ", 1)[0]
+        return first if first in ("Every", "No", "Everyone") else "ground"
+    if sentence.startswith("The "):
+        return "fact"
+    return "2 antecedents" if " and " in sentence else "1 antecedent"
+
+
+SENTENCE_FORMS = {
+    "grl": {"2 literals", "3 literals"},
+    "rcl": {"Every", "No", "Everyone", "ground"},
+    "ruletaker": {"1 antecedent", "2 antecedents", "fact"},
+}
+
+
+@pytest.mark.parametrize("fragment", sorted(SCAN_CONFIGS))
+def test_scan_reads_every_bench_and_golden_text(tmp_path, monkeypatch, fragment):
+    # with the per-sentence core unusable, verify still passes every
+    # record: the whole-text scan reads each form the renderer writes
+    datasets = [
+        _golden_config(fragment, sizes, strategy, **settings)
+        for sizes, strategy, settings in SCAN_CONFIGS[fragment]
+    ]
+
+    def no_core(*args):
+        raise AssertionError("a rendered text fell back to the per-sentence core")
+
+    for module in (grl, rcl, ruletaker):
+        monkeypatch.setattr(module, "_parse", no_core)
+    forms = set()
+    for i, (config, records) in enumerate(datasets):
+        assert verify_dataset(rewrite(tmp_path / f"{i}.jsonl", config, records)) == []
+        forms.update(
+            _sentence_form(fragment, s) for rec in records for s in split_sentences(rec["text"])
+        )
+    assert forms == SENTENCE_FORMS[fragment]
 
 
 @pytest.mark.parametrize("fragment,sizes", [("grl", (8, 10)), ("ruletaker", (6, 8))])

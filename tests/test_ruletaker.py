@@ -1,6 +1,7 @@
 """Tests for single-entity attribute theories: retrofit, conjectures, surfaces."""
 
 import random
+from itertools import product
 from unittest import mock
 
 import pytest
@@ -8,7 +9,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nlsatgen import ruletaker, solver
 from nlsatgen.cnf import Clause, CnfFormula, Literal, _normalize_ints, to_dimacs
-from nlsatgen.fragments import RULETAKER, FragmentError, ParseError, VarBinding, parse_theory
+from nlsatgen.fragments import (
+    RULETAKER,
+    FragmentError,
+    ParseError,
+    VarBinding,
+    parse_theory,
+    split_sentences,
+)
 from nlsatgen.lexicon import default_attributes, default_entities
 from nlsatgen.ruletaker import (
     LABEL_FALSE,
@@ -642,6 +650,30 @@ class TestParseRuletaker:
             parse_ruletaker(sentences, VOCAB)
         assert info.value.sentence_index == 2
         assert str(info.value).startswith("sentence 2:")
+
+    @pytest.mark.parametrize("grammar", [False, True], ids=["vocab", "grammar-word-vocab"])
+    def test_scan_never_reads_a_text_otherwise(self, grammar):
+        # rules of one or two antecedents and facts over a few entity and
+        # attribute words, alone, after a rule and before it: the whole-text
+        # scan gives what the core gives on the split text, or None; a
+        # vocabulary holding a grammar word is never scanned
+        words = ("red", "blue", "green", "not", "and", "then")
+        vocab = RetrofitVocab(
+            words if grammar else words[:3], ("lion", "and") if grammar else ("lion",)
+        )
+        atoms = [f"the {e} is {neg}{w}" for e in ("lion", "and") for neg in ("", "not ") for w in words]
+        sentences = ["The" + a[3:] + "." for a in atoms]
+        sentences += [f"If {a} then {c}." for a, c in product(atoms, repeat=2)]
+        sentences += [f"If {a} and {b} then the lion is red." for a, b in product(atoms, repeat=2)]
+        rule = "If the lion is red then the lion is not blue."
+        scanned = 0
+        for s in sentences:
+            for text in (s, f"{rule} {s}", f"{s} {rule}"):
+                got = ruletaker._scan(text, vocab)
+                if got is not None:
+                    scanned += 1
+                    assert got == ruletaker._parse(split_sentences(text), vocab, True)
+        assert scanned == (0 if grammar else 108)
 
 
 class TestParseConjecture:
