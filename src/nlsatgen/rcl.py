@@ -474,7 +474,7 @@ def _scan(text: str, lexicon):
     at = 0
     try:
         for (
-            sentence, every, who, cons, no, no_who, no_cons, one, two, three, name, *lits
+            sentence, every, who, cons, no, no_who, no_cons, one, two, three, name, g1, g2, g3
         ) in _SENTENCE.findall(text):
             at += len(sentence)
             if every:
@@ -484,15 +484,13 @@ def _scan(text: str, lexicon):
             elif one:
                 clause = _in_var_order(-atoms[one], -atoms[two], atoms[three])
             else:
-                cid = const_ids[name]
-                clause = _in_var_order(atoms[lits[0]], atoms[lits[1]], atoms[lits[2]])
-                if clause is None:
-                    return None
-                grounds.append((cid, clause))
-                continue
+                clause = _in_var_order(atoms[g1], atoms[g2], atoms[g3])
             if clause is None:
                 return None
-            universals.append(clause)
+            if name:
+                grounds.append((const_ids[name], clause))
+            else:
+                universals.append(clause)
     except _Refused:
         return None
     # matches never overlap, so lengths that sum to the text's cover it
