@@ -661,7 +661,9 @@ class TestParseRuletaker:
         vocab = RetrofitVocab(
             words if grammar else words[:3], ("lion", "and") if grammar else ("lion",)
         )
-        atoms = [f"the {e} is {neg}{w}" for e in ("lion", "and") for neg in ("", "not ") for w in words]
+        atoms = [
+            f"the {e} is {neg}{w}" for e in ("lion", "and") for neg in ("", "not ") for w in words
+        ]
         sentences = ["The" + a[3:] + "." for a in atoms]
         sentences += [f"If {a} then {c}." for a, c in product(atoms, repeat=2)]
         sentences += [f"If {a} and {b} then the lion is red." for a, b in product(atoms, repeat=2)]
