@@ -17,16 +17,21 @@ Validation happens at the boundary: ``Literal``, ``Clause`` and
 that boundary on ``_IntCnf``, a formula as a variable count and
 canonical signed-int clause tuples.  The DIMACS writer ``_dimacs`` is
 the one serializer: :func:`to_dimacs` converts a formula once and
-calls it.  It checks every clause it writes with plain code (a
-three-literal clause in place, any other with ``_check_int_clause``),
-so a formula that skipped the object constructors still cannot emit a
-clause that is not canonical.
+calls it, and so does ``verify`` to compare a parsed text with its
+record.  It checks every clause it writes, so a formula that skipped
+the object constructors still cannot emit a clause that is not
+canonical: up to 21 variables a canonical three-literal tuple is looked
+up in a table of DIMACS lines built once per process per variable count
+(``_dimacs_lines``), which holds exactly those clauses, and any other
+clause passes ``_check_int_clause`` before it is written.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 
@@ -209,23 +214,47 @@ def to_dimacs(f: CnfFormula) -> str:
     return _dimacs(_IntCnf(f.n_vars, [cl.to_ints() for cl in f.clauses]))
 
 
+# ``_dimacs`` reads canonical three-literal clauses from a table per
+# variable count up to this many variables: C(21, 3) * 8 = 10,640 lines
+# at most, as for the sampler's clause tables.
+_DIMACS_TABLE_MAX_VARS = 21
+
+
+@lru_cache(maxsize=None)
+def _dimacs_lines(n_vars: int) -> dict:
+    """Every canonical three-literal clause over 1..n_vars, as a tuple,
+    mapped to its DIMACS line "a b c 0"."""
+    lines = {}
+    for a, b, c in combinations(range(1, n_vars + 1), 3):
+        for x in (a, -a):
+            for y in (b, -b):
+                for z in (c, -c):
+                    lines[x, y, z] = f"{x} {y} {z} 0"
+    return lines
+
+
 def _dimacs(f: _IntCnf) -> str:
     """The DIMACS core: checks each clause as it writes it.
 
-    A three-literal clause whose variables increase within 1..n_vars is
-    written straight away; every other clause is written only after
-    ``_check_int_clause``, which words any refusal, has passed it.
+    Up to ``_DIMACS_TABLE_MAX_VARS`` variables a three-literal tuple whose
+    variables increase within 1..n_vars is a key of ``_dimacs_lines``,
+    built once per process per variable count, so looking its line up is
+    its check.  Every other clause (a list, another width, any order or
+    variable out of range, or any clause above that many variables) is
+    written only after ``_check_int_clause``, which words any refusal,
+    has passed it.
     """
     n_vars = f.n_vars
+    table = {}
+    if type(n_vars) is int and n_vars <= _DIMACS_TABLE_MAX_VARS:
+        table = _dimacs_lines(n_vars)
     lines = [f"p cnf {n_vars} {len(f.clauses)}"]
     for cl in f.clauses:
-        if len(cl) == 3:
-            a, b, c = cl
-            if 0 < abs(a) < abs(b) < abs(c) <= n_vars:
-                lines.append(f"{a} {b} {c} 0")
-                continue
-        _check_int_clause(cl, n_vars)
-        lines.append(" ".join(map(str, cl)) + " 0")
+        line = table.get(cl) if type(cl) is tuple else None
+        if line is None:
+            _check_int_clause(cl, n_vars)
+            line = " ".join(map(str, cl)) + " 0"
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

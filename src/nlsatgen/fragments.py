@@ -118,6 +118,19 @@ def check_token_budget(sentence: str, budget: int) -> None:
         )
 
 
+def _fits_budget(words, longest: int, budget: int) -> bool:
+    """Whether every sentence a renderer's tables can form fits ``budget``
+    tokens, so that none need be split to check it.
+
+    ``longest`` is the token count of the fragment's longest sentence
+    when each word is one token with no whitespace, which lexicon and
+    vocabulary words always are, being alphabetic.  A hand-built
+    binding's word may not be; then the answer is False and the renderer
+    checks each sentence with :func:`check_token_budget`.
+    """
+    return longest <= budget and all(isinstance(w, str) and w.split() == [w] for w in words)
+
+
 def split_sentences(text: str) -> list:
     """Split renderer output (sentences joined by single spaces) back apart."""
     if isinstance(text, (list, tuple)):

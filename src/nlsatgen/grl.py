@@ -15,7 +15,12 @@ Unit clauses have no sentence form here and are rejected.
 Validation happens at the boundary: :func:`render_grl` takes a
 ``CnfFormula``, whose clauses are canonical.  The sentences themselves come
 from ``_render``, which reads canonical signed-int clauses, so the grl
-generator renders its int clauses without building objects.  Parsing
+generator renders its int clauses without building objects.  It writes
+each literal's antecedent text ("no steak" for +steak, "steak" for
+-steak) and consequent text once per call, into tables keyed by signed
+literal, and formats each sentence from them; it splits no sentence to
+count its tokens when the longest sentence the tables can form fits the
+token budget.  Parsing
 mirrors it: the core ``_parse`` returns a ``cnf._IntCnf``, which
 ``verify`` compares and labels as it is, and :func:`parse_grl` builds
 the validated ``CnfFormula`` from it.
@@ -46,6 +51,7 @@ from .fragments import (
     ParseError,
     VarBinding,
     _clause_of,
+    _fits_budget,
     _in_var_order,
     _Memo,
     _pair_in_var_order,
@@ -66,6 +72,8 @@ _SENTENCE = re.compile(
 )
 # words the match can capture as nouns where the walker reads them as grammar
 _GRAMMAR_WORDS = ("no", "not", "and", "then")
+# tokens in the longest table sentence, "If no w and no w then not w."
+_LONGEST = 9
 
 
 def _sentence(cl, words: dict) -> str:
@@ -80,12 +88,41 @@ def _sentence(cl, words: dict) -> str:
 
 
 def _render(clauses, binding: VarBinding, token_budget: int) -> list:
-    """The rendering core: one sentence per signed-int clause, in order."""
+    """The rendering core: one sentence per signed-int clause, in order.
+
+    Each literal's antecedent text (its negation) and consequent text
+    are written once per call into tables keyed by signed literal, and a
+    two- or three-literal clause's sentence is one format over them.
+    Any other width, and a literal the binding does not bind, goes to
+    ``_sentence``, which renders or refuses it as it always has.  No
+    table sentence is split to count its tokens when the longest one
+    fits the budget (``_fits_budget``).
+    """
     words = binding.variables
+    ante, cons = {}, {}
+    for v, w in words.items():
+        ante[v], ante[-v] = f"no {w}", w
+        cons[v], cons[-v] = w, f"not {w}"
+    checked = not _fits_budget(words.values(), _LONGEST, token_budget)
     sentences = []
     for cl in clauses:
-        s = _sentence(cl, words)
-        check_token_budget(s, token_budget)
+        width = len(cl)
+        try:
+            if width == 3:
+                a, b, c = cl
+                s = f"If {ante[a]} and {ante[b]} then {cons[c]}."
+            elif width == 2:
+                a, c = cl
+                s = f"If {ante[a]} then {cons[c]}."
+            else:
+                s = None
+        except KeyError:
+            s = None
+        if s is None:
+            s = _sentence(cl, words)
+            check_token_budget(s, token_budget)
+        elif checked:
+            check_token_budget(s, token_budget)
         sentences.append(s)
     return sentences
 

@@ -29,7 +29,11 @@ clauses when built.  Each wraps one private core (``_reindex``,
 ``_ground``, ``_render``, ``_parse``) on ``_IntProblem``, the same
 problem with signed-int clause tuples; the rcl generator draws with
 ``_draw``, chains those cores and builds no clause objects, and the
-grounded clauses are checked when DIMACS writes them.  ``verify``
+grounded clauses are checked when DIMACS writes them.  ``_render``
+writes each atom's text ("a baker", "not a baker") once per call, into a
+table keyed by signed literal that fills on first use, and formats each
+sentence from it; it splits no sentence to count its tokens when the
+longest sentence a table can form fits the token budget.  ``verify``
 grounds what ``_parse`` returns with ``_ground`` and builds none either.
 
 ``verify`` parses a whole text with ``_scan`` first: one compiled
@@ -54,6 +58,7 @@ from .fragments import (
     ParseError,
     VarBinding,
     _clause_of,
+    _fits_budget,
     _in_var_order,
     _Memo,
     _noun_of,
@@ -66,6 +71,9 @@ from .fragments import (
 from .sampler import SampleSpec, _draw_clauses
 
 DEFAULT_NO_REWRITE_PROB = 0.25
+# tokens in the longest sentence, "Everyone who is not a w and not a w is a w."
+# or "N is not a w or not a w or not a w."
+_LONGEST = 13
 PREDICATE_COUNTS = range(5, 9)  # the predicate counts a sampled problem may have
 
 
@@ -305,28 +313,62 @@ def render_rcl(
 
 
 def _render(p: _IntProblem, binding, lexicon, rng, no_rewrite_prob, token_budget) -> list:
-    """The rendering core, on signed-int clauses; one sentence per clause."""
+    """The rendering core, on signed-int clauses; one sentence per clause.
+
+    Each atom's text ("a baker", "not a baker") is written once per call,
+    with ``_atom_text``, into a table keyed by signed literal, and a
+    width-3 clause's sentence is one format over it.  The table fills on
+    first use, so a word is looked up, and its article asked for, at the
+    atom where today's sentence would first need it, and any error comes
+    from there.  Another width goes to ``_universal_sentence`` or
+    ``_ground_sentence``, which refuse it.  No sentence is split to count
+    its tokens when the longest one fits the budget (``_fits_budget``).
+    """
     words, names = binding.variables, binding.constants
+    atom = _Memo(lambda v: _atom_text(v, words, lexicon))
+    checked = not _fits_budget([*words.values(), *names.values()], _LONGEST, token_budget)
     sentences = []
     for cl in p.universal_clauses:
-        sentences.append(_universal_sentence(cl, words, lexicon, rng, no_rewrite_prob))
-        check_token_budget(sentences[-1], token_budget)
+        if len(cl) != 3:
+            s = _universal_sentence(cl, words, lexicon, rng, no_rewrite_prob)
+        else:
+            a, b, c = cl
+            if a >= 0 and b >= 0 and c >= 0:
+                s = f"Everyone who is not {atom[a]} and not {atom[b]} is {atom[c]}."
+            else:
+                # the restrictor is the first negative literal, "who" the
+                # negation of the next literal, and the consequent the last
+                x, who, cons = (a, -b, c) if a < 0 else (b, -a, c) if b < 0 else (c, -a, b)
+                x_noun, who_txt = words[-x], atom[who]
+                if cons < 0 and rng is not None and rng.random() < no_rewrite_prob:
+                    s = f"No {x_noun} who is {who_txt} is {atom[-cons]}."
+                else:
+                    s = f"Every {x_noun} who is {who_txt} is {atom[cons]}."
+        if checked:
+            check_token_budget(s, token_budget)
+        sentences.append(s)
     for cid, cl in p.ground_clauses:
-        sentences.append(_ground_sentence(names[cid], cl, words, lexicon))
-        check_token_budget(sentences[-1], token_budget)
+        if len(cl) != 3:
+            s = _ground_sentence(names[cid], cl, words, lexicon)
+        else:
+            a, b, c = cl
+            s = f"{names[cid]} is {atom[a]} or {atom[b]} or {atom[c]}."
+        if checked:
+            check_token_budget(s, token_budget)
+        sentences.append(s)
     return sentences
 
 
 _ATOM = r"(?:not )?(?:a|an) [a-z]+"
-_EVERY_RE = re.compile(rf"^Every ([a-z]+) who is ({_ATOM}) is ({_ATOM})$")
-_NO_RE = re.compile(rf"^No ([a-z]+) who is ({_ATOM}) is ((?:a|an) [a-z]+)$")
+_EVERY_RE = re.compile(rf"^Every ([a-z]+) who is ({_ATOM}) is ({_ATOM})\Z")
+_NO_RE = re.compile(rf"^No ([a-z]+) who is ({_ATOM}) is ((?:a|an) [a-z]+)\Z")
 _EVERYONE_STRICT_RE = re.compile(
-    rf"^Everyone who is (not (?:a|an) [a-z]+) and (not (?:a|an) [a-z]+) is ((?:a|an) [a-z]+)$"
+    rf"^Everyone who is (not (?:a|an) [a-z]+) and (not (?:a|an) [a-z]+) is ((?:a|an) [a-z]+)\Z"
 )
 _EVERYONE_LENIENT_RE = re.compile(
-    rf"^(?:Everyone who|Everything that) is ({_ATOM}) and ({_ATOM}) is ({_ATOM})$"
+    rf"^(?:Everyone who|Everything that) is ({_ATOM}) and ({_ATOM}) is ({_ATOM})\Z"
 )
-_GROUND_RE = re.compile(rf"^([A-Z][a-zA-Z]*) is ({_ATOM}) or ({_ATOM}) or ({_ATOM})$")
+_GROUND_RE = re.compile(rf"^([A-Z][a-zA-Z]*) is ({_ATOM}) or ({_ATOM}) or ({_ATOM})\Z")
 
 
 class _RclParser:

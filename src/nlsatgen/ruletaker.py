@@ -42,7 +42,11 @@ rules in order, then one unit clause per fact, the clause order of
 ``_conjecture_pools``, ``_refutation``, ``_render``, ``_parse``,
 ``_parse_conjecture``) and ``fragments._reindex`` work on it; the
 ruletaker generator chains them and builds no clause objects, and
-the theory's clauses are checked when DIMACS writes them.  ``verify``
+the theory's clauses are checked when DIMACS writes them.  ``_render``
+writes each literal's atom ("the bear is big", "the bear is not big")
+once per call, into a table keyed by signed literal, and formats each
+sentence from it; it splits no sentence to count its tokens when the
+longest sentence the table can form fits the token budget.  ``verify``
 decides a parsed conjecture with ``solver._entailment`` and builds none
 either.
 
@@ -70,6 +74,7 @@ from .fragments import (
     ParseError,
     VarBinding,
     _clause_of,
+    _fits_budget,
     _in_var_order,
     _Memo,
     _pair_in_var_order,
@@ -82,6 +87,9 @@ from .solver import DEFAULT_MAX_DECISIONS, SAT, _backbone, _dpll, _satisfiable
 
 LABEL_TRUE = "true"
 LABEL_FALSE = "false"
+# tokens in the longest sentence, a three-literal rule with every atom
+# negated: "If the e is not w and the e is not w then the e is not w."
+_LONGEST = 18
 
 
 @dataclass(frozen=True)
@@ -347,15 +355,47 @@ def render_ruletaker(
 
 def _render(t: _IntCnf, binding: VarBinding, token_budget: int) -> list:
     """The rendering core, on signed ints: one sentence per clause, a rule
-    for a wider clause and a fact for a unit clause."""
+    for a wider clause and a fact for a unit clause.
+
+    Each literal's atom ("the lion is red", "the lion is not red") is
+    written once per call into a table keyed by signed literal, and a
+    clause's sentence is one format over it.  A rule wider than three
+    literals, and a literal the binding does not bind, goes to
+    ``_rule_sentence`` or ``_fact_sentence`` as before.  No table sentence
+    is split to count its tokens when the longest one fits the budget
+    (``_fits_budget``).
+    """
     entity, words = binding.constant_word(1), binding.variables
+    atom = {}
+    for v, w in words.items():
+        atom[v], atom[-v] = f"the {entity} is {w}", f"the {entity} is not {w}"
+    checked = not _fits_budget([entity, *words.values()], _LONGEST, token_budget)
     sentences = []
     for cl in t.clauses:
-        if len(cl) > 1:
-            sentences.append(_rule_sentence(cl, entity, words))
-        else:
-            sentences.append(_fact_sentence(cl[0], entity, words))
-        check_token_budget(sentences[-1], token_budget)
+        width = len(cl)
+        # the antecedent states each literal's negation
+        try:
+            if width == 3:
+                a, b, c = cl
+                s = f"If {atom[-a]} and {atom[-b]} then {atom[c]}."
+            elif width == 2:
+                a, c = cl
+                s = f"If {atom[-a]} then {atom[c]}."
+            elif width == 1:
+                s = f"The{atom[cl[0]][3:]}."
+            else:
+                s = None
+        except KeyError:
+            s = None
+        if s is None:
+            if width > 1:
+                s = _rule_sentence(cl, entity, words)
+            else:
+                s = _fact_sentence(cl[0], entity, words)
+            check_token_budget(s, token_budget)
+        elif checked:
+            check_token_budget(s, token_budget)
+        sentences.append(s)
     return sentences
 
 

@@ -701,6 +701,20 @@ def test_verify_reports_parse_tamperings_anywhere_in_the_text(
     assert [str(issue) for issue in verify_dataset(path)] == expected
 
 
+def test_verify_reports_a_newline_before_an_rcl_period(tmp_path, verify_datasets):
+    config, records = verify_datasets["rcl"]
+    bad = [dict(r) for r in records]
+    text = bad[1]["text"]
+    cut = text.index(".")
+    bad[1]["text"] = text[:cut] + "\n" + text[cut:]
+    path = rewrite(tmp_path / "tampered.jsonl", config, bad)
+    sentence = text[:cut] + "\n."
+    assert [str(issue) for issue in verify_dataset(path)] == [
+        f"{bad[1]['id']}: parse: sentence 1: "
+        f"sentence does not match the fragment grammar: {sentence!r}"
+    ]
+
+
 # The fields the text cannot show: the id is built from fragment, size
 # and seed_index, the strategy is the header's, and only a hard record
 # may be a diversity draw.

@@ -514,6 +514,22 @@ class TestParseRcl:
         with pytest.raises(ParseError, match="period"):
             parse_rcl(sentences, LEX)
 
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+    @pytest.mark.parametrize("sentence", [
+        "Every doctor who is not a philosopher is a baker\n.",
+        "No doctor who is a philosopher is a baker\n.",
+        "Everyone who is not a doctor and not a philosopher is a baker\n.",
+        "John is a doctor or a philosopher or not a baker\n.",
+    ], ids=["every", "no", "everyone", "ground"])
+    def test_newline_before_the_period_is_refused(self, sentence, strict):
+        # a pattern ending in "$" would also match before a final newline
+        sentences = (sentence, "John is a doctor or a philosopher or not a baker.")
+        with pytest.raises(ParseError) as info:
+            parse_rcl(sentences, LEX, strict=strict)
+        assert str(info.value) == (
+            f"sentence 1: sentence does not match the fragment grammar: {sentence!r}"
+        )
+
 
 # ---------------------------------------------------------------------------
 # Reindexing and round trips
