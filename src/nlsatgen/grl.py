@@ -94,9 +94,9 @@ def _render(clauses, binding: VarBinding, token_budget: int) -> list:
     are written once per call into tables keyed by signed literal, and a
     two- or three-literal clause's sentence is one format over them.
     Any other width, and a literal the binding does not bind, goes to
-    ``_sentence``, which renders or refuses it as it always has.  No
-    table sentence is split to count its tokens when the longest one
-    fits the budget (``_fits_budget``).
+    ``_sentence``, which renders it or raises, and has its tokens
+    counted.  No table sentence is split to count its tokens when the
+    longest one fits the budget (``_fits_budget``).
     """
     words = binding.variables
     ante, cons = {}, {}

@@ -262,38 +262,6 @@ def _atom_text(v: int, words: dict, lexicon) -> str:
     return ("not " if v < 0 else "") + f"{art} {noun}"
 
 
-def _universal_sentence(cl, words: dict, lexicon, rng, no_rewrite_prob: float) -> str:
-    if len(cl) != 3:
-        raise FragmentError(
-            f"universal sentences need width-3 clauses, got width {len(cl)}"
-        )
-    r = _restrictor_index(cl)
-    if r < 0:
-        a1, a2, cons = cl
-        return (
-        f"Everyone who is not {_atom_text(a1, words, lexicon)}"
-        f" and not {_atom_text(a2, words, lexicon)}"
-        f" is {_atom_text(cons, words, lexicon)}."
-        )
-    restrictor = cl[r]
-    rest = [v for i, v in enumerate(cl) if i != r]
-    who, cons = -rest[0], rest[1]
-    x_noun = words[-restrictor]
-    who_txt = _atom_text(who, words, lexicon)
-    if cons < 0 and rng is not None and rng.random() < no_rewrite_prob:
-        return f"No {x_noun} who is {who_txt} is {_atom_text(-cons, words, lexicon)}."
-    return f"Every {x_noun} who is {who_txt} is {_atom_text(cons, words, lexicon)}."
-
-
-def _ground_sentence(name: str, cl, words: dict, lexicon) -> str:
-    if len(cl) != 3:
-        raise FragmentError(
-            f"ground sentences need width-3 clauses, got width {len(cl)}"
-        )
-    atoms = " or ".join([_atom_text(v, words, lexicon) for v in cl])
-    return f"{name} is {atoms}."
-
-
 def render_rcl(
     p: RclProblem,
     binding: VarBinding,
@@ -318,10 +286,9 @@ def _render(p: _IntProblem, binding, lexicon, rng, no_rewrite_prob, token_budget
     Each atom's text ("a baker", "not a baker") is written once per call,
     with ``_atom_text``, into a table keyed by signed literal, and a
     width-3 clause's sentence is one format over it.  The table fills on
-    first use, so a word is looked up, and its article asked for, at the
-    atom where today's sentence would first need it, and any error comes
-    from there.  Another width goes to ``_universal_sentence`` or
-    ``_ground_sentence``, which refuse it.  No sentence is split to count
+    first use, so a word is looked up, and its article asked for, only
+    at the first atom that needs it, and any error comes from there.
+    Only width-3 clauses have sentences.  No sentence is split to count
     its tokens when the longest one fits the budget (``_fits_budget``).
     """
     words, names = binding.variables, binding.constants
@@ -330,29 +297,33 @@ def _render(p: _IntProblem, binding, lexicon, rng, no_rewrite_prob, token_budget
     sentences = []
     for cl in p.universal_clauses:
         if len(cl) != 3:
-            s = _universal_sentence(cl, words, lexicon, rng, no_rewrite_prob)
+            raise FragmentError(
+                f"universal sentences need width-3 clauses, got width {len(cl)}"
+            )
+        a, b, c = cl
+        if a >= 0 and b >= 0 and c >= 0:
+            s = f"Everyone who is not {atom[a]} and not {atom[b]} is {atom[c]}."
         else:
-            a, b, c = cl
-            if a >= 0 and b >= 0 and c >= 0:
-                s = f"Everyone who is not {atom[a]} and not {atom[b]} is {atom[c]}."
+            # the restrictor is the first negative literal (as in
+            # ``_sentence_walk``), "who" the negation of the next literal,
+            # and the consequent the last
+            x, who, cons = (a, -b, c) if a < 0 else (b, -a, c) if b < 0 else (c, -a, b)
+            x_noun, who_txt = words[-x], atom[who]
+            if cons < 0 and rng is not None and rng.random() < no_rewrite_prob:
+                s = f"No {x_noun} who is {who_txt} is {atom[-cons]}."
             else:
-                # the restrictor is the first negative literal, "who" the
-                # negation of the next literal, and the consequent the last
-                x, who, cons = (a, -b, c) if a < 0 else (b, -a, c) if b < 0 else (c, -a, b)
-                x_noun, who_txt = words[-x], atom[who]
-                if cons < 0 and rng is not None and rng.random() < no_rewrite_prob:
-                    s = f"No {x_noun} who is {who_txt} is {atom[-cons]}."
-                else:
-                    s = f"Every {x_noun} who is {who_txt} is {atom[cons]}."
+                s = f"Every {x_noun} who is {who_txt} is {atom[cons]}."
         if checked:
             check_token_budget(s, token_budget)
         sentences.append(s)
     for cid, cl in p.ground_clauses:
+        name = names[cid]
         if len(cl) != 3:
-            s = _ground_sentence(names[cid], cl, words, lexicon)
-        else:
-            a, b, c = cl
-            s = f"{names[cid]} is {atom[a]} or {atom[b]} or {atom[c]}."
+            raise FragmentError(
+                f"ground sentences need width-3 clauses, got width {len(cl)}"
+            )
+        a, b, c = cl
+        s = f"{name} is {atom[a]} or {atom[b]} or {atom[c]}."
         if checked:
             check_token_budget(s, token_budget)
         sentences.append(s)

@@ -361,9 +361,9 @@ def _render(t: _IntCnf, binding: VarBinding, token_budget: int) -> list:
     written once per call into a table keyed by signed literal, and a
     clause's sentence is one format over it.  A rule wider than three
     literals, and a literal the binding does not bind, goes to
-    ``_rule_sentence`` or ``_fact_sentence`` as before.  No table sentence
-    is split to count its tokens when the longest one fits the budget
-    (``_fits_budget``).
+    ``_rule_sentence`` or ``_fact_sentence``, which render it or raise,
+    and has its tokens counted.  No table sentence is split to count its
+    tokens when the longest one fits the budget (``_fits_budget``).
     """
     entity, words = binding.constant_word(1), binding.variables
     atom = {}
