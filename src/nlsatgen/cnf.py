@@ -239,13 +239,14 @@ def _dimacs(f: _IntCnf) -> str:
     Up to ``_DIMACS_TABLE_MAX_VARS`` variables a three-literal tuple whose
     variables increase within 1..n_vars is a key of ``_dimacs_lines``,
     built once per process per variable count, so looking its line up is
-    its check.  Every other clause (a list, another width, any order or
-    variable out of range, or any clause above that many variables) is
-    written only after ``_check_int_clause``, which words any refusal,
-    has passed it.
+    its check.  Every other clause (a list, another width, a variable
+    repeated, out of order, 0 or above n_vars, or any clause above that
+    many variables) is written only after ``_check_int_clause``, which
+    words any refusal, has passed it.
     """
     n_vars = f.n_vars
     table = {}
+    # a count that is not an int, which ``CnfFormula`` lets through, gets no table
     if type(n_vars) is int and n_vars <= _DIMACS_TABLE_MAX_VARS:
         table = _dimacs_lines(n_vars)
     lines = [f"p cnf {n_vars} {len(f.clauses)}"]

@@ -238,7 +238,7 @@ def test_ruletaker_tables_give_the_oracle_outcome(binding):
         )
 
 
-def test_an_unbound_entity_is_refused_as_before():
+def test_ruletaker_tables_refuse_an_unbound_entity_as_the_oracle_does():
     t = _IntCnf(1, [(1,)])
     binding = VarBinding({1: "big"})
     assert outcome(ruletaker._render, t, binding, 30) == outcome(rt_render, t, binding, 30)
