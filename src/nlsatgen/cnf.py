@@ -22,8 +22,9 @@ record.  It checks every clause it writes, so a formula that skipped
 the object constructors still cannot emit a clause that is not
 canonical: up to 21 variables a canonical three-literal tuple is looked
 up in a table of DIMACS lines built once per process per variable count
-(``_dimacs_lines``), which holds exactly those clauses, and any other
-clause passes ``_check_int_clause`` before it is written.
+(``_dimacs_lines``), which holds exactly those clauses (above 21 it is
+checked in place), and any other clause passes ``_check_int_clause``
+before it is written.
 """
 
 from __future__ import annotations
@@ -161,6 +162,8 @@ class CnfFormula:
 
     def __post_init__(self):
         object.__setattr__(self, "clauses", tuple(self.clauses))
+        if type(self.n_vars) is not int:  # a bool or float would reach the DIMACS header
+            raise ValueError(f"n_vars must be an int, got {self.n_vars!r}")
         if self.n_vars < 0:
             raise ValueError("n_vars must be >= 0")
         for cl in self.clauses:
@@ -239,22 +242,23 @@ def _dimacs(f: _IntCnf) -> str:
     Up to ``_DIMACS_TABLE_MAX_VARS`` variables a three-literal tuple whose
     variables increase within 1..n_vars is a key of ``_dimacs_lines``,
     built once per process per variable count, so looking its line up is
-    its check.  Every other clause (a list, another width, a variable
-    repeated, out of order, 0 or above n_vars, or any clause above that
-    many variables) is written only after ``_check_int_clause``, which
-    words any refusal, has passed it.
+    its check.  Another three-literal clause (a list, or any above that
+    many variables, where a table would grow as n^3) is tested in place,
+    0 < |a| < |b| < |c| <= n_vars, and written with one f-string.  Every
+    clause that fails the test, or has another width, is written only
+    after ``_check_int_clause``, which words any refusal, has passed it.
     """
     n_vars = f.n_vars
-    table = {}
-    # a count that is not an int, which ``CnfFormula`` lets through, gets no table
-    if type(n_vars) is int and n_vars <= _DIMACS_TABLE_MAX_VARS:
-        table = _dimacs_lines(n_vars)
+    table = _dimacs_lines(n_vars) if n_vars <= _DIMACS_TABLE_MAX_VARS else {}
     lines = [f"p cnf {n_vars} {len(f.clauses)}"]
     for cl in f.clauses:
         line = table.get(cl) if type(cl) is tuple else None
         if line is None:
-            _check_int_clause(cl, n_vars)
-            line = " ".join(map(str, cl)) + " 0"
+            if len(cl) == 3 and 0 < abs(cl[0]) < abs(cl[1]) < abs(cl[2]) <= n_vars:
+                line = f"{cl[0]} {cl[1]} {cl[2]} 0"
+            else:
+                _check_int_clause(cl, n_vars)
+                line = " ".join(map(str, cl)) + " 0"
         lines.append(line)
     return "\n".join(lines) + "\n"
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
+from random import Random
 
 from . import grl, lexicon as lexicon_mod, rcl, ruletaker
 from .cnf import _dimacs, _IntCnf, from_dimacs
@@ -44,7 +45,7 @@ from .fragments import (
     _reindex,
     bind_vocabulary,
 )
-from .rng import derive_rng
+from .rng import _seed_maker, derive_rng
 from .sampler import (
     DIVERSITY_FRACTION,
     HARD,
@@ -283,8 +284,7 @@ def _record(config, band, size, index, m, n_vars, n_clauses, text, dimacs, stats
 # the same DIMACS and DPLL cores, so it builds none either.
 
 
-def _grl_candidate(config, band, vocab, size, index, rng):
-    spec = SampleSpec(n=size, p_int=config.p_int, p_neg=config.p_neg)
+def _grl_candidate(config, band, vocab, size, index, rng, spec):
     m = draw_m(spec, config.strategy, band, rng, config.diversity_fraction)
     try:
         f, _ = _reindex(_IntCnf(size, _draw_clauses(spec, m, rng)))
@@ -298,11 +298,10 @@ def _grl_candidate(config, band, vocab, size, index, rng):
     )}
 
 
-def _rcl_candidate(config, band, vocab, size, index, rng):
+def _rcl_candidate(config, band, vocab, size, index, rng, spec):
     feasible = rcl.feasible_predicate_counts(size)
     n_preds = feasible[rng.randrange(len(feasible))]
     n_consts = size // n_preds
-    spec = SampleSpec(n=size, p_int=1.0, p_neg=config.p_neg)
     m = draw_m(spec, config.strategy, band, rng, config.diversity_fraction)
     try:
         m_universal, m_ground = rcl.split_clause_budget(m, n_consts)
@@ -331,10 +330,7 @@ def _rcl_candidate(config, band, vocab, size, index, rng):
     return {result.label: build}
 
 
-def _rt_candidate(config, band, vocab, size, index, rng):
-    spec = SampleSpec(
-        n=size, p_int=config.p_int, p_neg=config.p_neg, with_replacement=True
-    )
+def _rt_candidate(config, band, vocab, size, index, rng, spec):
     m = draw_m(spec, config.strategy, band, rng, config.diversity_fraction)
     clauses = itertools.islice(_clause_stream(spec, rng), m)
     theory = ruletaker._retrofit(spec, clauses, rng, config.max_decisions)
@@ -377,6 +373,11 @@ def _rt_candidate(config, band, vocab, size, index, rng):
 
 _CANDIDATE_FNS = {GRL: _grl_candidate, RCL: _rcl_candidate, RULETAKER: _rt_candidate}
 
+# generate_candidate's (config, size, seed maker, SampleSpec) for the size
+# it drew last, matched by identity: an equal config or size that formats
+# differently never shares its seeds, and the slot keeps both ids alive.
+_size_setup = (None, None, None, None)
+
 
 def generate_candidate(config: DatasetConfig, band, vocab, size: int, index: int):
     """Candidate (size, index) as ``{label: build}``, or None when rejected.
@@ -388,9 +389,19 @@ def generate_candidate(config: DatasetConfig, band, vocab, size: int, index: int
     returns, so a builder uses no RNG and the collector builds only the
     record it takes.  For ruletaker that skips the refutation solve, the
     conjecture and the DIMACS of each offer it drops.
+    The draw's RNG is ``derive_rng(config.seed, config.fragment, size,
+    index)``, with its key's prefix hashed once per size.
     """
-    rng = derive_rng(config.seed, config.fragment, size, index)
-    return _CANDIDATE_FNS[config.fragment](config, band, vocab, size, index, rng)
+    global _size_setup
+    held_config, held_size, seed, spec = _size_setup
+    if held_config is not config or held_size is not size:
+        seed = _seed_maker(config.seed, config.fragment, size)
+        # rcl draws width-3 clauses, ruletaker with replacement
+        p_int = 1.0 if config.fragment == RCL else config.p_int
+        spec = SampleSpec(size, p_int, config.p_neg, config.fragment == RULETAKER)
+        _size_setup = (config, size, seed, spec)
+    rng = Random(seed(index))
+    return _CANDIDATE_FNS[config.fragment](config, band, vocab, size, index, rng, spec)
 
 
 def _collect_size(config, stream, size) -> list:

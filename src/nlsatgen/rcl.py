@@ -68,7 +68,7 @@ from .fragments import (
     check_all_mentioned,
     check_token_budget,
 )
-from .sampler import SampleSpec, _draw_clauses
+from .sampler import _draw_clauses, _spec
 
 DEFAULT_NO_REWRITE_PROB = 0.25
 # tokens in the longest sentence, "Everyone who is not a w and not a w is a w."
@@ -200,7 +200,7 @@ def _draw(n_predicates, n_constants, m_universal, m_ground, p_neg, rng) -> _IntP
     """Draw universal, then ground clauses, on signed ints.  Ground clauses
     are dealt one per constant first (m_ground >= n_constants), the
     remainder to random constants, so every constant is mentioned."""
-    spec = SampleSpec(n=n_predicates, p_int=1.0, p_neg=p_neg)
+    spec = _spec(n_predicates, 1.0, p_neg)
     universals = _draw_clauses(spec, m_universal, rng)
     counts = [1] * n_constants
     for _ in range(m_ground - n_constants):

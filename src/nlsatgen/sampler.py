@@ -61,12 +61,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, islice, product
 from pathlib import Path
+from random import Random
 from threading import get_ident
 from typing import Optional, Sequence
 
 from .cnf import Clause, _as_clause
 from .fileio import atomic_writer
-from .rng import derive_rng
+from .rng import _seed_maker, derive_rng
 from .solver import DEFAULT_MAX_DECISIONS, BudgetExhaustedError, _dpll, _unsat_threshold
 
 HARD = "hard"
@@ -112,6 +113,10 @@ class SampleSpec:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
+
+
+# rcl's draws' specs; they only draw, and equal values of one type draw alike
+_spec = lru_cache(maxsize=64, typed=True)(SampleSpec)
 
 
 # random.sample keeps a list of the unpicked items when the population
@@ -502,19 +507,20 @@ def _thresholds(spec: SampleSpec, m_max: int, seed: int, trials, max_decisions: 
     """The unsat threshold of each trial in ``trials``, in order.
 
     Trial t reads the first m_max clauses of its own stream, keyed by
-    its index, so its threshold does not depend on which other trials
-    run or in what order.  A trial whose solve exhausts the decision
-    budget draws its next m_max clauses from the same stream.
+    its index (its key's prefix hashed once), so its threshold does not
+    depend on which other trials run or in what order.  A trial whose
+    solve exhausts the decision budget draws its next m_max clauses from
+    the same stream.
     """
     n = spec.n
-    key = ("threshold", seed, n, float(spec.p_int), float(spec.p_neg), m_max)
+    trial_seed = _seed_maker("threshold", seed, n, float(spec.p_int), float(spec.p_neg), m_max)
 
     def threshold(rng):
         return _redraw_on_budget(
             lambda: _unsat_threshold(n, islice(_clause_stream(spec, rng), m_max), max_decisions)
         )
 
-    return [threshold(derive_rng(*key, trial)) for trial in trials]
+    return [threshold(Random(trial_seed(trial))) for trial in trials]
 
 
 def calibrate_critical(
@@ -583,6 +589,25 @@ def calibrate_critical(
     )
 
 
+@lru_cache(maxsize=64)
+def _m_choices(n: int, strategy: str, band: Optional[tuple]) -> tuple:
+    """The clause counts at n per side of the hard coin, (band, widened
+    band), or naive's or biased's one entry; an empty one is its error's
+    text.  Equal bands give equal Fractions, so merged keys change nothing."""
+    if strategy == NAIVE:
+        return (admissible_m(n, *NAIVE_BAND) or f"empty naive band {NAIVE_BAND} at n={n}",)
+    lo, hi = Fraction(band[0]), Fraction(band[1])
+    if strategy == HARD:
+        wide = (max(lo - DIVERSITY_WIDEN, Fraction(1, n)), hi + DIVERSITY_WIDEN)
+        return tuple(
+            admissible_m(n, a, b) or f"empty hard band [{a}, {b}] at n={n}"
+            for a, b in ((lo, hi), wide)
+        )
+    # biased: far left and far right of the band, inside the naive limits
+    ms = (*admissible_m(n, NAIVE_BAND[0], lo / 2), *admissible_m(n, 2 * hi, NAIVE_BAND[1]))
+    return (ms or f"biased strategy bands empty for band [{lo}, {hi}] at n={n}",)
+
+
 def strategy_m_candidates(
     spec: SampleSpec,
     strategy: str,
@@ -593,37 +618,23 @@ def strategy_m_candidates(
     """Admissible clause counts for one draw under a sampling strategy.
 
     For the hard strategy this consumes one rng draw to decide whether
-    the critical band or the widened diversity band applies.
+    the critical band or the widened diversity band applies.  The counts
+    come from a memo keyed by (n, strategy, band), ``_m_choices``; an
+    empty range raises after the coin, naming the bounds it chose.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == NAIVE:
-        ms = admissible_m(spec.n, *NAIVE_BAND)
-        if len(ms) == 0:
-            raise ValueError(f"empty naive band {NAIVE_BAND} at n={spec.n}")
-        return ms
-    if band is None:
+        band = None  # unused
+    elif band is None:
         raise CalibrationError(
             f"no calibration for (n={spec.n}, p_int={spec.p_int}, p_neg={spec.p_neg}); "
             "run calibrate first"
         )
-    lo, hi = Fraction(band[0]), Fraction(band[1])
-    if strategy == HARD:
-        if rng.random() < diversity_fraction:
-            lo = max(lo - DIVERSITY_WIDEN, Fraction(1, spec.n))
-            hi = hi + DIVERSITY_WIDEN
-        ms = admissible_m(spec.n, lo, hi)
-        if len(ms) == 0:
-            raise ValueError(f"empty hard band [{lo}, {hi}] at n={spec.n}")
-        return ms
-    # biased: far left and far right of the band, inside the naive limits
-    left = admissible_m(spec.n, NAIVE_BAND[0], lo / 2)
-    right = admissible_m(spec.n, 2 * hi, NAIVE_BAND[1])
-    ms = [*left, *right]
-    if not ms:
-        raise ValueError(
-            f"biased strategy bands empty for band [{lo}, {hi}] at n={spec.n}"
-        )
+    choices = _m_choices(spec.n, strategy, band if band is None else tuple(band))
+    ms = choices[strategy == HARD and rng.random() < diversity_fraction]
+    if type(ms) is str:
+        raise ValueError(ms)
     return ms
 
 
@@ -635,6 +646,7 @@ def draw_m(
     diversity_fraction: float = DIVERSITY_FRACTION,
 ) -> int:
     """One clause count under ``strategy``, uniform over its candidates;
-    ``band`` is the calibrated one for (n, p_int, p_neg), unused by naive."""
+    ``band`` is the calibrated one for (n, p_int, p_neg), unused by naive.
+    The memo of counts leaves its RNG calls, coin then ``randrange``, as they were."""
     ms = strategy_m_candidates(spec, strategy, band, rng, diversity_fraction)
     return ms[rng.randrange(len(ms))]

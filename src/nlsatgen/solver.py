@@ -55,7 +55,8 @@ thresholds), whether clauses are satisfiable (``_satisfiable``,
 ruletaker's retrofit) and which literals they entail (``_backbone``,
 ruletaker's conjectures).  Up to ``_MASK_SCAN_MAX_VARS`` variables each
 is answered by ``_mask_scan`` and the decision budget is unused; above
-it each searches with ``_dpll`` within the budget.
+it each searches with ``_dpll`` within the budget.  The scan's literal
+masks are built once per n (``_literal_masks``), not once per scan.
 """
 
 from __future__ import annotations
@@ -301,6 +302,14 @@ def _var_masks(n: int) -> tuple:
     return tuple(masks), (1 << size) - 1
 
 
+@lru_cache(maxsize=2)
+def _literal_masks(n: int) -> tuple:
+    """The assignments that make each signed literal true, -v at 2n+1-v
+    as in ``_dpll``'s occurrence lists; index 0 holds the full mask."""
+    masks, full = _var_masks(n)
+    return (full, *masks[1:], *[full ^ mask for mask in reversed(masks[1:])])
+
+
 def solve_bruteforce(f: CnfFormula, max_vars: int = BRUTEFORCE_MAX_VARS) -> SolveResult:
     """Exhaustive truth-table check, usable as an oracle for n <= 24.
 
@@ -332,23 +341,27 @@ def _mask_scan(n: int, clauses) -> tuple:
     """The models of signed-int clauses over 1..n, and how many were read.
 
     ``clauses`` is any iterable, read one clause at a time.  Each
-    clause's assignment mask is ANDed into a running mask over the truth
-    table of 1..n (bit i is assignment i in ``_var_masks`` order), and
-    the scan stops at the first prefix that leaves no assignment
-    standing.  Returns (models, read): models is the running mask, 0
+    clause's assignment mask, the OR of its literals' ``_literal_masks``,
+    is ANDed into a running mask over the truth table of 1..n (bit i is
+    assignment i in ``_var_masks`` order), and the scan stops at the
+    first prefix that leaves no assignment standing.  Returns (models,
+    read): models is the running mask, 0
     when that prefix was found, and read is the number of clauses read,
     which is then that prefix's length.  No search, so no budget; the
     cost is a few 2^n-bit operations per clause.
     """
-    masks, full = _var_masks(n)
-    negated = [full ^ mask for mask in masks]
-    acc = full
+    masks = _literal_masks(n)
+    acc = masks[0]
     read = 0
     for read, cl in enumerate(clauses, 1):
-        cm = 0
-        for lit in cl:
-            cm |= masks[lit] if lit > 0 else negated[-lit]
-        acc &= cm
+        if len(cl) == 3:
+            a, b, c = cl
+            acc &= masks[a] | masks[b] | masks[c]
+        else:
+            cm = 0
+            for lit in cl:
+                cm |= masks[lit]
+            acc &= cm
         if not acc:
             break
     return acc, read

@@ -15,6 +15,7 @@ from nlsatgen.cnf import (
     alpha,
     evaluate,
     from_dimacs,
+    _check_int_clause,
     _dimacs,
     _IntCnf,
     _normalize_ints,
@@ -148,6 +149,13 @@ def test_formula_construction_and_m():
 def test_formula_rejects_variables_beyond_n():
     with pytest.raises(ValueError):
         CnfFormula.from_ints(2, [(1, 3)])
+
+
+@pytest.mark.parametrize("n_vars", [2.5, True, 2.0, "2"])
+def test_formula_refuses_a_variable_count_that_is_not_an_int(n_vars):
+    # to_dimacs would write the count into a header from_dimacs refuses
+    with pytest.raises(ValueError, match="n_vars must be an int, got "):
+        CnfFormula(n_vars, (Clause.from_ints(1, -2),))
 
 
 def test_empty_formula_is_allowed():
@@ -293,6 +301,36 @@ def test_dimacs_core_bytes_are_pinned():
         texts.append(text)
     digest = hashlib.sha256("".join(texts).encode()).hexdigest()
     assert digest == "6b5d0b7582a29f48dcf06d3f7695054c75266ffc43d344500b59ea7363964281"
+
+
+def test_dimacs_core_above_the_table_writes_the_reference_join():
+    # above 21 variables no table is built; canonical three-literal tuples
+    # are checked in place and must give the bytes of the plain join
+    rng = random.Random(52)
+    for n in (22, 30, 60):
+        for _ in range(20):
+            clauses = []
+            for _ in range(round(4.3 * n)):
+                variables = sorted(rng.sample(range(1, n + 1), rng.choice((1, 2, 3, 3, 3))))
+                clauses.append(tuple(v if rng.random() < 0.5 else -v for v in variables))
+            expected = f"p cnf {n} {len(clauses)}\n" + "".join(
+                " ".join(map(str, cl)) + " 0\n" for cl in clauses
+            )
+            assert _dimacs(_IntCnf(n, clauses)) == expected
+
+
+@pytest.mark.parametrize(
+    "clause",
+    [(0, 1, 2), (1, 0, 2), (1, -1, 2), (2, 1, 23), (1, 23, 22), (1, 2, 2),
+     (-3, 2, 23), (1, 2, 23), (1, 2, -24), (0, 0, 0)],
+)
+def test_dimacs_core_above_the_table_refuses_as_the_check_does(clause):
+    with pytest.raises(ValueError) as exc:
+        _check_int_clause(clause, 22)
+    for shaped in (clause, list(clause)):
+        with pytest.raises(ValueError) as refused:
+            _dimacs(_IntCnf(22, [(1, 2, 22), shaped]))
+        assert str(refused.value) == str(exc.value)
 
 
 def test_from_dimacs_reads_what_to_dimacs_writes():

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import random
 import re
+import sys
+import threading
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -1348,6 +1351,70 @@ def test_sat_candidates_build_no_clause_objects(monkeypatch, fragment, sizes):
     # a candidate offers each record as a builder, so build every one
     records = [build() for options in candidates if options for build in options.values()]
     assert len(records) > 20 and all(record["dimacs"] for record in records)
+
+
+def test_candidates_reuse_no_size_set_up_across_keys(monkeypatch):
+    # a size's seed maker and spec are kept between calls; interleaved
+    # sizes, fragments and configs, equal ones included, must give the
+    # candidates of calls that each start with nothing kept
+    configs = [
+        DatasetConfig(fragment=fragment, sizes=(10, 12), count_per_size=2, seed=seed,
+                      strategy="naive", p_neg=p_neg)
+        for fragment in ("grl", "rcl", "ruletaker")
+        for seed, p_neg in ((108, 0.5), (108, 0.5), (7, 0.5), (108, 0.25))
+    ]
+    calls = [(config, size, index) for config in configs for size in (10, 12) for index in range(6)]
+    random.Random(26).shuffle(calls)
+    vocabs = {config.fragment: load_vocabulary(config) for config in configs}
+
+    def records(fresh):
+        out = []
+        for config, size, index in calls:
+            if fresh:
+                monkeypatch.setattr(pipeline, "_size_setup", (None, None, None, None))
+            options = generate_candidate(config, None, vocabs[config.fragment], size, index)
+            out.append({label: build() for label, build in (options or {}).items()})
+        return out
+
+    assert records(fresh=False) == records(fresh=True)
+
+
+def test_candidates_from_many_threads_match_one_thread():
+    # threads share generate_candidate's kept set-up; each must still draw
+    # its own config's candidates, whichever thread replaced it last
+    configs = [
+        DatasetConfig(fragment="grl", sizes=(8, 10), count_per_size=2, seed=seed,
+                      strategy="naive")
+        for seed in range(6)
+    ]
+    vocab = load_vocabulary(configs[0])
+
+    def dimacs_of(config):
+        return [
+            {label: build()["dimacs"] for label, build in (options or {}).items()}
+            for size in (8, 10)
+            for index in range(30)
+            for options in [generate_candidate(config, None, vocab, size, index)]
+        ]
+
+    expected = [dimacs_of(config) for config in configs]
+    got = [None] * len(configs)
+
+    def run(i):
+        got[i] = dimacs_of(configs[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(configs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
 
 
 @pytest.mark.parametrize("size", [6, _MASK_SCAN_MAX_VARS])

@@ -2,7 +2,7 @@
 
 import random
 
-from nlsatgen.rng import derive_rng, derive_seed
+from nlsatgen.rng import _seed_maker, derive_rng, derive_seed
 
 
 def test_same_parts_same_seed():
@@ -44,3 +44,27 @@ def test_derive_rng_independent_streams():
 def test_seed_fits_in_128_bits():
     s = derive_seed("x", 123456789, "y")
     assert 0 <= s < 2 ** 128
+
+
+def test_seed_maker_gives_derive_seeds_in_any_call_order():
+    # keys whose parts are equal but format differently (1, 1.0, True;
+    # 0.0, -0.0; (1,), (True,)) must never share a seed or a maker
+    parts = [1, 1.0, True, 0.0, -0.0, "1", "", "a\x1fb", (1,), (True,), (1.0, "x"), ()]
+    prefixes = [(), (1,), (1.0,), (True,), (0.0,), (-0.0,), ("1",), ((1,), -0.0),
+                (108, "ruletaker", 8), (108, "ruletaker", 8.0), ("threshold", 0, 10, 1.0, 0.5, 120)]
+    makers = [(prefix, _seed_maker(*prefix)) for prefix in prefixes]
+    calls = [(prefix, seed, last) for prefix, seed in makers for last in parts]
+    random.Random(26).shuffle(calls)
+    seen = {}
+    for prefix, seed, last in calls:
+        expected = derive_seed(*prefix, last)
+        assert seed(last) == expected, (prefix, last)
+        seen[expected] = (prefix, last)
+    assert len(seen) == len(calls)
+
+
+def test_seed_maker_streams_are_derive_rngs():
+    seed = _seed_maker("stream", 42)
+    for last in (0, 1, 2, 7.5, "x"):
+        a, b = random.Random(seed(last)), derive_rng("stream", 42, last)
+        assert a.getstate() == b.getstate()

@@ -873,6 +873,100 @@ def test_biased_strategy_unions_the_easy_ends():
     assert ms[-1] == 80
 
 
+def reference_draw_m(spec, strategy, band, rng, diversity_fraction):
+    """``draw_m`` as ``strategy_m_candidates`` plus ``randrange`` were
+    written before the memo: the band's Fractions worked out per call."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == NAIVE:
+        ms = admissible_m(spec.n, *NAIVE_BAND)
+        if len(ms) == 0:
+            raise ValueError(f"empty naive band {NAIVE_BAND} at n={spec.n}")
+        return ms[rng.randrange(len(ms))]
+    if band is None:
+        raise CalibrationError(
+            f"no calibration for (n={spec.n}, p_int={spec.p_int}, p_neg={spec.p_neg}); "
+            "run calibrate first"
+        )
+    lo, hi = Fraction(band[0]), Fraction(band[1])
+    if strategy == HARD:
+        if rng.random() < diversity_fraction:
+            lo = max(lo - 1, Fraction(1, spec.n))
+            hi = hi + 1
+        ms = admissible_m(spec.n, lo, hi)
+        if len(ms) == 0:
+            raise ValueError(f"empty hard band [{lo}, {hi}] at n={spec.n}")
+        return ms[rng.randrange(len(ms))]
+    left = admissible_m(spec.n, NAIVE_BAND[0], lo / 2)
+    ms = [*left, *admissible_m(spec.n, 2 * hi, NAIVE_BAND[1])]
+    if not ms:
+        raise ValueError(f"biased strategy bands empty for band [{lo}, {hi}] at n={spec.n}")
+    return ms[rng.randrange(len(ms))]
+
+
+def candidates_then_randrange(spec, strategy, band, rng, diversity_fraction):
+    ms = strategy_m_candidates(spec, strategy, band, rng, diversity_fraction)
+    return ms[rng.randrange(len(ms))]
+
+
+def drawn(fn, spec, strategy, band, rng, diversity_fraction):
+    """(m or the exception's type and text, the RNG state after)."""
+    try:
+        result = fn(spec, strategy, band, rng, diversity_fraction)
+    except Exception as exc:  # the exception is part of what must agree
+        result = type(exc), str(exc)
+    return result, rng.getstate()
+
+
+def test_draw_m_memo_gives_the_plain_rules_draws_states_and_errors():
+    bands = [
+        (Fraction(39, 8), Fraction(45, 8)),
+        (Fraction(24, 5), Fraction(26, 5)),
+        (Fraction(1, 2), Fraction(1)),          # widened band clamps at 1/n
+        (Fraction(101, 40), Fraction(102, 40)),  # empty at n = 4, not once widened
+        (Fraction(1, 2), Fraction(5)),           # biased: both ends empty
+        (5, 6), (5.0, 6.0), ("5", "6"),          # equal bands of other types
+        [Fraction(5), Fraction(6)],              # a list keys the memo as a tuple
+        ("x", "6"), (Fraction(5),),              # refused before any coin
+        None,
+    ]
+    strategies = [HARD, NAIVE, BIASED, "weird"]
+    cases = [
+        (n, strategy, band, fraction)
+        for n in (4, 8, 10, 12)
+        for strategy in strategies
+        for band in bands
+        for fraction in (0.0, DIVERSITY_FRACTION, 0.5, 1.0)
+    ]
+    # interleave sizes, bands and strategies so the memo is hit and missed,
+    # and compare both public names with the rule written out per call
+    order = random.Random(26)
+    for _ in range(3):
+        order.shuffle(cases)
+        for n, strategy, band, fraction in cases:
+            spec = SampleSpec(n=n)
+            seed = order.getrandbits(32)
+            want = drawn(reference_draw_m, spec, strategy, band, random.Random(seed), fraction)
+            got = drawn(draw_m, spec, strategy, band, random.Random(seed), fraction)
+            assert got == want, (n, strategy, band, fraction)
+            rng = random.Random(seed)
+            got = drawn(candidates_then_randrange, spec, strategy, band, rng, fraction)
+            assert got == want, (n, strategy, band, fraction)
+
+
+def test_draw_m_empty_hard_band_raises_after_the_coin_with_its_bounds():
+    spec = SampleSpec(n=4)
+    band = (Fraction(101, 40), Fraction(51, 20))
+    rng = random.Random(1)
+    with pytest.raises(ValueError, match=r"empty hard band \[101/40, 51/20\] at n=4"):
+        draw_m(spec, HARD, band, rng, 0.0)
+    coin_only = random.Random(1)
+    coin_only.random()
+    assert rng.getstate() == coin_only.getstate()
+    # the widened side is not empty and draws from [61/40, 71/20]
+    assert 7 <= draw_m(spec, HARD, band, random.Random(1), 1.0) <= 14
+
+
 def test_biased_strategy_requires_calibration():
     spec = SampleSpec(n=10, p_int=1.0, p_neg=0.5)
     with pytest.raises(CalibrationError):

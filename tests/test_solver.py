@@ -23,7 +23,7 @@ from nlsatgen.solver import (
     solve,
     solve_bruteforce,
 )
-from nlsatgen.solver import _dpll
+from nlsatgen.solver import _MASK_SCAN_MAX_VARS, _dpll, _mask_scan
 
 
 # ---------------------------------------------------------------- basics
@@ -240,6 +240,33 @@ def _band_formula(spec, lo, hi, rng) -> CnfFormula:
     """A ``_band_m`` clause count, then that many clauses."""
     m = _band_m(spec, lo, hi, rng)
     return CnfFormula(spec.n, tuple([sample_clause(spec, rng) for _ in range(m)]))
+
+
+def test_mask_scan_agrees_with_bruteforce():
+    # widths 1-3 at every n up to the scan's limit, then n alternating
+    # 8, 10, 12, 8 past the literal-mask cache's two entries: the scan
+    # stops at the shortest unsat prefix, and its models' lowest bit is
+    # the brute force's first model
+    rng = random.Random(26)
+    sizes = list(range(1, _MASK_SCAN_MAX_VARS + 1)) + [8, 10, 12, 8] * 3
+    for n in sizes:
+        for widths in ((1, 2, 3), (2, 3, 3), (3,)):
+            widths = [w for w in widths if w <= n] or [1]
+            clauses = []
+            for _ in range(rng.randint(1, 6 * n)):
+                variables = sorted(rng.sample(range(1, n + 1), rng.choice(widths)))
+                clauses.append(tuple(v if rng.random() < 0.5 else -v for v in variables))
+            models, read = _mask_scan(n, iter(clauses))
+            prefix = CnfFormula.from_ints(n, clauses[:read])
+            result = solve_bruteforce(prefix)
+            if models:
+                assert read == len(clauses)
+                assert result.label == SAT
+                idx = (models & -models).bit_length() - 1
+                assert result.model == {v: bool((idx >> (n - v)) & 1) for v in range(1, n + 1)}
+            else:
+                assert result.label == UNSAT
+                assert solve_bruteforce(CnfFormula.from_ints(n, clauses[:read - 1])).label == SAT
 
 
 def test_solve_agrees_with_bruteforce_on_random_formulas():
