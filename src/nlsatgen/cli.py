@@ -24,11 +24,10 @@ from .pipeline import (
     DatasetError,
     GenerationStallError,
     _check_sizes_distinct,
+    _verify,
     export_dimacs_files,
     generate_records,
-    read_dataset,
     stats_report,
-    verify_dataset,
     write_dataset,
 )
 from .sampler import (
@@ -165,7 +164,7 @@ def cmd_stats(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        issues = verify_dataset(args.dataset, max_decisions=args.max_decisions)
+        issues, count = _verify(args.dataset, args.max_decisions)
     except BudgetExhaustedError as exc:
         # the issues found before the budget ran out, then main's error line
         for issue in exc.issues:
@@ -176,8 +175,7 @@ def cmd_verify(args) -> int:
             print(issue, file=sys.stderr)
         print(f"verification failed: {len(issues)} issue(s)", file=sys.stderr)
         return 1
-    _, records = read_dataset(args.dataset)
-    print(f"ok: {len(records)} records verified")
+    print(f"ok: {count} records verified")
     return 0
 
 

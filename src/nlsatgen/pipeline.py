@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import itertools
 import json
-import multiprocessing
 import statistics
 from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
@@ -508,6 +508,16 @@ def _size_records(task) -> list:
     return _collect_size(config, stream, size)
 
 
+def __getattr__(name):
+    """Import multiprocessing, as a patchable global, once a pooled run needs it."""
+    if name != "multiprocessing":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global multiprocessing
+    import multiprocessing
+
+    return multiprocessing
+
+
 def generate_records(config: DatasetConfig, table=None, jobs: int = 1) -> list:
     """Generate the full dataset; returns records with splits assigned.
 
@@ -525,7 +535,9 @@ def generate_records(config: DatasetConfig, table=None, jobs: int = 1) -> list:
     if workers <= 1:
         per_size = map(_size_records, tasks)
     else:
-        with multiprocessing.Pool(workers) as pool:
+        # a patched pipeline.multiprocessing (the module global) is used as is
+        mp = globals().get("multiprocessing") or __getattr__("multiprocessing")
+        with mp.Pool(workers) as pool:
             per_size = pool.map(_size_records, tasks)
     records = [rec for size_records in per_size for rec in size_records]
     assign_splits(config, records)
@@ -541,38 +553,51 @@ def write_dataset(path, config: DatasetConfig, records: list) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def read_dataset(path) -> tuple:
-    """Returns (header, records); raises DatasetError on malformed files."""
+def _stream_dataset(path):
+    """Yield a dataset's header, then its records one at a time.
+
+    Lines and their numbers are those of ``str.splitlines()`` on the whole
+    text, so a form feed or a U+2028 ends a line; the file is closed when
+    the stream ends, fails or is closed.
+    """
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        with open(path, encoding="utf-8") as fh:
+            lines = (line for text in fh for line in text.splitlines())
+            first = next(lines, None)
+            if first is None:
+                raise DatasetError(f"{path}: empty file")
+            try:
+                header = json.loads(first)
+            except json.JSONDecodeError as exc:
+                raise DatasetError(f"{path}: line 1 is not JSON: {exc}") from None
+            if not isinstance(header, dict) or header.get("kind") != "header":
+                raise DatasetError(f"{path}: first line must be the header object")
+            if header.get("schema_version") != SCHEMA_VERSION:
+                raise DatasetError(
+                    f"{path}: schema_version {header.get('schema_version')!r} unsupported"
+                )
+            yield header
+            rec = None
+            for line_no, line in enumerate(lines, start=2):
+                if not line.strip():
+                    continue
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DatasetError(f"{path}: line {line_no} is not JSON: {exc}") from None
+                if not isinstance(rec, dict):
+                    raise DatasetError(f"{path}: line {line_no} is not a JSON object")
+                yield rec
+            if rec is None:
+                raise DatasetError(f"{path}: no instance records")
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from None
-    if not lines:
-        raise DatasetError(f"{path}: empty file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"{path}: line 1 is not JSON: {exc}") from None
-    if not isinstance(header, dict) or header.get("kind") != "header":
-        raise DatasetError(f"{path}: first line must be the header object")
-    if header.get("schema_version") != SCHEMA_VERSION:
-        raise DatasetError(
-            f"{path}: schema_version {header.get('schema_version')!r} unsupported"
-        )
-    records = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"{path}: line {line_no} is not JSON: {exc}") from None
-        if not isinstance(rec, dict):
-            raise DatasetError(f"{path}: line {line_no} is not a JSON object")
-        records.append(rec)
-    if not records:
-        raise DatasetError(f"{path}: no instance records")
+
+
+def read_dataset(path) -> tuple:
+    """Returns (header, records); raises DatasetError on malformed files."""
+    header, *records = _stream_dataset(path)
     return header, records
 
 
@@ -684,45 +709,57 @@ def verify_dataset(path, max_decisions: int = DEFAULT_MAX_DECISIONS) -> list:
     clause objects.  A solve that needs more than ``max_decisions``
     decisions stops the check with a ``BudgetExhaustedError`` that names
     the record and holds, as ``issues``, every issue found before it.
+
+    Records are read and checked one at a time, keeping only the ids and
+    a label count per size, so a malformed line raises ``DatasetError``
+    (as from ``read_dataset``) only after the records before it are
+    checked: one whose solve runs out of budget raises its error first.
     """
+    return _verify(path, max_decisions)[0]
+
+
+def _verify(path, max_decisions: int) -> tuple:
+    """``verify_dataset``'s issues and the number of records read, in one pass."""
     if max_decisions < 0:
         raise ValueError(f"max_decisions must be non-negative, got {max_decisions}")
-    header, records = read_dataset(path)
-    fragment = header.get("fragment")
-    vocab = _packaged_vocab(fragment)
-    issues = []
-    seen_ids = set()
-    by_size = {}
-    for rec in records:
-        rid = rec.get("id", "<missing id>")
-        if not isinstance(rid, str):
-            issues.append(VerifyIssue(rid, "field", f"bad id {rid!r}"))
-        elif rid in seen_ids:
-            issues.append(VerifyIssue(rid, "field", "duplicate id"))
-        else:
-            seen_ids.add(rid)
-        if rec.get("fragment") != fragment:
-            issues.append(VerifyIssue(rid, "field", "fragment differs from header"))
-            continue
-        if rec.get("split") not in SPLIT_NAMES:
-            issues.append(VerifyIssue(rid, "field", f"bad split {rec.get('split')!r}"))
-        try:
-            _verify_record(rec, vocab, max_decisions, issues)
-        except BudgetExhaustedError as exc:
-            error = BudgetExhaustedError(f"record {rid}: {exc}")
-            error.issues = issues
-            raise error from None
-        size = rec.get("size")
-        if _is_int(size):
-            by_size.setdefault(size, []).append(rec.get("label"))
-        else:
-            issues.append(VerifyIssue(rid, "field", f"bad size {size!r}"))
-        issues.extend(_origin_issues(rec, rid, size, header))
+    with closing(_stream_dataset(path)) as stream:
+        header = next(stream)
+        fragment = header.get("fragment")
+        vocab = _packaged_vocab(fragment)
+        labels = _labels(fragment)
+        issues = []
+        seen_ids = set()
+        by_size = {}  # size -> count per label of ``labels``
+        for count, rec in enumerate(stream, start=1):
+            rid = rec.get("id", "<missing id>")
+            if not isinstance(rid, str):
+                issues.append(VerifyIssue(rid, "field", f"bad id {rid!r}"))
+            elif rid in seen_ids:
+                issues.append(VerifyIssue(rid, "field", "duplicate id"))
+            else:
+                seen_ids.add(rid)
+            if rec.get("fragment") != fragment:
+                issues.append(VerifyIssue(rid, "field", "fragment differs from header"))
+                continue
+            if rec.get("split") not in SPLIT_NAMES:
+                issues.append(VerifyIssue(rid, "field", f"bad split {rec.get('split')!r}"))
+            try:
+                _verify_record(rec, vocab, max_decisions, issues)
+            except BudgetExhaustedError as exc:
+                error = BudgetExhaustedError(f"record {rid}: {exc}")
+                error.issues = issues
+                raise error from None
+            size = rec.get("size")
+            if _is_int(size):
+                counts = by_size.setdefault(size, dict.fromkeys(labels, 0))
+                if rec.get("label") in labels:
+                    counts[rec["label"]] += 1
+            else:
+                issues.append(VerifyIssue(rid, "field", f"bad size {size!r}"))
+            issues.extend(_origin_issues(rec, rid, size, header))
     if header.get("balance_labels") is False:
-        return issues
-    labels = _labels(fragment)
-    for size, got in sorted(by_size.items()):
-        counts = {lab: got.count(lab) for lab in labels}
+        return issues, count
+    for size, counts in sorted(by_size.items()):
         if len(set(counts.values())) != 1:
             issues.append(
                 VerifyIssue(
@@ -730,7 +767,7 @@ def verify_dataset(path, max_decisions: int = DEFAULT_MAX_DECISIONS) -> list:
                     f"labels are not balanced: {counts}",
                 )
             )
-    return issues
+    return issues, count
 
 
 def _origin_issues(rec: dict, rid, size, header: dict) -> list:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nlsatgen import cli
+from nlsatgen import cli, pipeline
 from nlsatgen.cli import _parse_sizes, _parse_splits, main
 from nlsatgen.fragments import parse_theory, split_sentences
 from nlsatgen.lexicon import default_occupation_lexicon, load_lexicon
@@ -424,6 +424,15 @@ class TestVerify:
     def test_clean_dataset_passes(self, small_dataset, capsys):
         assert main(["verify", str(small_dataset)]) == 0
         assert "ok: 4 records verified" in capsys.readouterr().out
+
+    def test_verify_counts_records_in_its_one_pass(self, small_dataset, monkeypatch, capsys):
+        def second_read(path):
+            raise AssertionError("verify read the dataset a second time")
+
+        monkeypatch.setattr(pipeline, "read_dataset", second_read)
+        monkeypatch.setattr(cli, "read_dataset", second_read, raising=False)
+        assert main(["verify", str(small_dataset)]) == 0
+        assert capsys.readouterr() == ("ok: 4 records verified\n", "")
 
     def test_tampered_dataset_fails(self, small_dataset, tmp_path, capsys):
         lines = small_dataset.read_text().splitlines()

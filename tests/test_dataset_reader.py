@@ -5,7 +5,11 @@ lines and their numbers are those of ``str.splitlines()`` on the whole
 text, so a form feed or a U+2028 ends a line as a newline does.
 """
 
+import gc
 import json
+import sys
+import tracemalloc
+import warnings
 from unittest import mock
 
 import pytest
@@ -18,6 +22,7 @@ from nlsatgen.pipeline import (
     verify_dataset,
     write_dataset,
 )
+from nlsatgen.solver import BudgetExhaustedError
 
 CONFIG = dict(fragment="grl", sizes=(5,), count_per_size=4, seed=42, strategy="naive")
 
@@ -118,3 +123,83 @@ def test_reader_cases_are_pinned(tmp_path, lines, case):
     with mock.patch.object(pipeline, "_verify_record", checked):
         assert verify_dataset(path) == []
     assert checked.call_count == expected
+
+
+# ---------------------------------------------------------------------------
+# Streaming: flat memory, closed files, and the one change in order
+# ---------------------------------------------------------------------------
+
+
+def _verify_peak(path) -> int:
+    """The traced allocation peak of one clean ``verify_dataset`` pass."""
+    tracemalloc.start()
+    try:
+        assert verify_dataset(path) == []
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_memory_does_not_grow_with_the_file(tmp_path):
+    # Only the ids (about 90 bytes each) and per-size label counts are
+    # kept; holding the records made the big file's peak about 8x.
+    paths = []
+    for per_size in (50, 400):  # 150 and 1,200 records
+        config = pipeline.DatasetConfig(**CONFIG | dict(sizes=(12, 14, 16), count_per_size=per_size))
+        paths.append(tmp_path / f"grl-{per_size}.jsonl")
+        write_dataset(paths[-1], config, generate_records(config))
+    small, big = paths
+    verify_dataset(small)  # fill the vocabulary and table caches, untraced
+    assert _verify_peak(big) < 1.5 * _verify_peak(small)
+
+
+@pytest.mark.parametrize("case", ["clean", "malformed line 3", "budget"])
+def test_reader_leaves_no_file_open(tmp_path, lines, monkeypatch, case):
+    header, records = lines
+    opened = []
+
+    def tracked_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(pipeline, "open", tracked_open, raising=False)
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    path = tmp_path / "case.jsonl"
+    body = [header, *records] if case == "clean" else [header, records[0], "oops", *records[1:]]
+    path.write_bytes(_lf(body))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        if case == "clean":
+            assert verify_dataset(path) == []
+            assert len(read_dataset(path)[1]) == 4
+        else:
+            error = BudgetExhaustedError if case == "budget" else DatasetError
+            with pytest.raises(error) as exc:
+                verify_dataset(path, max_decisions=0 if case == "budget" else 10_000)
+            with pytest.raises(DatasetError):
+                read_dataset(path)
+        # closed at once, not when the stream or the error is collected
+        assert len(opened) == 2 and all(fh.closed for fh in opened)
+        exc = None
+        gc.collect()
+    assert unraisable == []
+
+
+def test_a_budget_stop_comes_before_a_later_malformed_line(tmp_path, lines):
+    # Each record is checked as it is read, so record 1's solve runs out
+    # before line 3 is reached; reading the whole file first gave the
+    # DatasetError of line 3, which read_dataset still raises.
+    header, records = lines
+    path = tmp_path / "budget.jsonl"
+    path.write_bytes(_lf([header, records[0], "oops", *records[1:]]))
+    rid = json.loads(records[0])["id"]
+    with pytest.raises(BudgetExhaustedError) as exc:
+        verify_dataset(path, max_decisions=0)
+    assert str(exc.value) == f"record {rid}: budget exhausted: more than 0 decisions needed"
+    assert exc.value.issues == []
+    with pytest.raises(DatasetError) as exc:
+        read_dataset(path)
+    assert str(exc.value) == (
+        f"{path}: line 3 is not JSON: Expecting value: line 1 column 1 (char 0)"
+    )

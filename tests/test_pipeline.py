@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -312,6 +314,21 @@ class TestGenerateRecords:
 
         monkeypatch.setattr(pipeline, "multiprocessing", SimpleNamespace(Pool=no_pool))
         assert generate_records(config, jobs=4) == serial
+
+    def test_only_a_pooled_run_imports_multiprocessing(self):
+        code = (
+            "import sys; import nlsatgen as nl\n"
+            "config = nl.DatasetConfig('grl', (5, 6), 2, 42, strategy='naive')\n"
+            "print('multiprocessing' in sys.modules)\n"
+            "for jobs in (1, 2):\n"
+            "    nl.generate_records(config, jobs=jobs)\n"
+            "    print('multiprocessing' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        ).stdout
+        assert out.split() == ["False", "False", "True"]
 
     @pytest.mark.parametrize("jobs", [0, -7])
     def test_jobs_below_one_is_refused(self, jobs):
