@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .cnf import _dimacs
-from .fileio import atomic_writer
+from .fileio import _read_text, atomic_writer
 from .fragments import FRAGMENTS, RULETAKER, FragmentError, ParseError, _parse_formula
 from .pipeline import (
     DatasetConfig,
@@ -120,7 +120,7 @@ def cmd_generate(args) -> int:
     settings = {}
     if args.config:
         try:
-            settings = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            settings = json.loads(_read_text(args.config))
         except OSError as exc:
             raise DatasetError(f"cannot read config: {exc}") from None
         except json.JSONDecodeError as exc:
@@ -181,7 +181,7 @@ def cmd_verify(args) -> int:
 
 def cmd_parse(args) -> int:
     if args.file:
-        text = Path(args.file).read_text(encoding="utf-8").strip()
+        text = _read_text(args.file).strip()
     else:
         text = args.text
     if not text:

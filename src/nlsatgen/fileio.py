@@ -1,4 +1,4 @@
-"""Atomic text-file writes.
+"""Atomic text-file writes, and text reads that name a file not UTF-8.
 
 Datasets, their stats sidecars and calibration tables are written to a
 temporary file in the target's directory and then moved over the
@@ -31,3 +31,12 @@ def atomic_writer(path):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _read_text(path) -> str:
+    """A file's UTF-8 text; a file that is not UTF-8 raises a ValueError
+    that names it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc.reason}") from None

@@ -24,10 +24,12 @@ when DIMACS writes them.
 Parsing has the same split.  Each parser is a private core
 (``grl._parse``, ``rcl._parse``, ``ruletaker._parse``) that builds
 canonical signed-int clauses with ``_clause_of``, under a public name
-that returns the validated objects; :func:`parse_theory` calls the
-public names and ``_parse_formula`` the cores, so ``verify`` and the
-``parse`` command build no clause objects.  ``_parse_formula`` tries
-each fragment's whole-text scan (``_scan``) before the core.
+that returns the validated objects.  :func:`parse_theory` and
+``_parse_formula`` share one reader, ``_read``: a strict text goes to
+the fragment's whole-text scan (``_scan``) first, and anything the scan
+does not read to the core.  ``parse_theory`` builds the validated
+objects from what it returns, and ``_parse_formula`` uses it as it is,
+so ``verify`` and the ``parse`` command build no clause objects.
 """
 
 from __future__ import annotations
@@ -307,21 +309,40 @@ def parse_theory(text, fragment: str, lexicon=None, strict: bool = True):
     When ``lexicon`` is omitted the packaged default for the fragment
     is used.
     """
-    # The parsers are looked up on their modules at call time, so a
-    # wrapper installed on a module attribute sees every parse.
+    from . import rcl, ruletaker
+
+    parsed = _read(text, fragment, lexicon, strict)
+    if fragment == GRL:
+        return _as_formula(parsed[0]), parsed[1]
+    if fragment == RCL:
+        return rcl._as_problem(parsed[0]), parsed[1]
+    return ruletaker._as_theory(parsed[0]), *parsed[1:]
+
+
+def _read(text, fragment: str, lexicon, strict: bool) -> tuple:
+    """What the fragment's signed-int core returns for ``text``.
+
+    A strict text given as one string is first read by the fragment's
+    whole-text scan (``grl._scan``, ``rcl._scan``, ``ruletaker._scan``),
+    which returns what the core would or None.  On None, and for lenient
+    text or a sentence list, the text is split into sentences, then the
+    fragment is checked, and the core parses them; it alone words a
+    ``ParseError``, so the scan changes no result and no error.  A
+    sentence list is never joined to be scanned: each of its items must
+    be one sentence.
+    """
     from . import grl, rcl, ruletaker
 
-    parsers = {GRL: grl.parse_grl, RCL: rcl.parse_rcl, RULETAKER: ruletaker.parse_ruletaker}
-    return _parse_with(parsers, text, fragment, lexicon, strict)
-
-
-def _parse_with(parsers: dict, text, fragment: str, lexicon, strict: bool):
-    """Split the text and run the fragment's parser from ``parsers`` on it."""
-    sentences = split_sentences(text)
+    module = {GRL: grl, RCL: rcl, RULETAKER: ruletaker}.get(fragment)
     lex = lexicon if lexicon is not None else _packaged_vocab(fragment)
-    if fragment not in parsers:
+    if strict and isinstance(text, str) and module is not None:
+        parsed = module._scan(text, lex)
+        if parsed is not None:
+            return parsed
+    sentences = split_sentences(text)
+    if module is None:
         raise ValueError(f"unknown fragment {fragment!r}")
-    return parsers[fragment](sentences, lex, strict)
+    return module._parse(sentences, lex, strict)
 
 
 def _parse_formula(text, fragment: str, lexicon=None, strict: bool = True) -> tuple:
@@ -330,24 +351,10 @@ def _parse_formula(text, fragment: str, lexicon=None, strict: bool = True) -> tu
     Returns (the ``_IntCnf`` the text denotes, what the core returned):
     a grl formula, a grounded rcl problem, or a ruletaker theory as rules
     then one unit clause per fact.  No clause object is built.
-
-    A strict text given as one string is first read by the fragment's
-    whole-text scan (``grl._scan``, ``rcl._scan``, ``ruletaker._scan``),
-    which returns what the core would or None.  On None the text is
-    split into sentences and the core parses them as it always has; it
-    alone words a ``ParseError``, so the scan changes no result and no
-    error.
     """
-    from . import grl, rcl, ruletaker
+    from . import rcl
 
-    parsers = {GRL: grl._parse, RCL: rcl._parse, RULETAKER: ruletaker._parse}
-    parsed = None
-    if strict and isinstance(text, str) and fragment in parsers:
-        lexicon = lexicon if lexicon is not None else _packaged_vocab(fragment)
-        scans = {GRL: grl._scan, RCL: rcl._scan, RULETAKER: ruletaker._scan}
-        parsed = scans[fragment](text, lexicon)
-    if parsed is None:
-        parsed = _parse_with(parsers, text, fragment, lexicon, strict)
+    parsed = _read(text, fragment, lexicon, strict)
     if fragment == RCL:
         return rcl._ground(parsed[0]), parsed
     return parsed[0], parsed

@@ -25,18 +25,14 @@ mirrors it: the core ``_parse`` returns a ``cnf._IntCnf``, which
 ``verify`` compares and labels as it is, and :func:`parse_grl` builds
 the validated ``CnfFormula`` from it.
 
-Strict parsing reads a sentence with one compiled match of the
-renderer's surface (``_SURFACE``) and looks the captured words up in the
-lexicon.  A sentence the match refuses, or whose words are not lexicon
-nouns as written, goes to the token walker ``_walk``, which also reads
-every lenient sentence and is the only code that words a parse error.
-
-``verify`` reads a whole text before that: ``_scan`` runs one compiled
-pattern of the renderer's sentences (``_SENTENCE``) over it, requires
-the matches to cover it end to end, and returns what ``_parse`` would,
-or None for any text it does not read exactly.  On None,
-``fragments._parse_formula`` splits the text and runs ``_parse``, so
-every accepted text and every error is the same as without the scan.
+A text has two readers.  A strict text given as one string is read by
+``_scan``, which runs one compiled pattern of the renderer's sentences
+(``_SENTENCE``) over it, requires the matches to cover it end to end,
+and returns what ``_parse`` would, or None for any text it does not
+read exactly.  ``_parse`` reads everything else, sentence by sentence,
+with the token walker ``_walk``: lenient text, sentence lists, and every
+text the scan refuses.  It alone words a parse error, so every accepted
+text and every error is the same as without the scan.
 """
 
 from __future__ import annotations
@@ -61,16 +57,13 @@ from .fragments import (
 )
 
 _TOKEN = re.compile(r"\S+")
-# The renderer's sentence body: the antecedents' "no" and nouns, then the
-# consequent's "not" and noun.  "\S" and ``str.split`` agree on whitespace.
-_SURFACE = re.compile(r"If (no )?(\S+)(?: and (no )?(\S+))? then (not )?(\S+)")
-# The same surface over a whole text, for ``_scan``: each sentence with
-# its atoms (an optionally negated noun of lowercase letters), its
+# The renderer's surface over a whole text, for ``_scan``: each sentence
+# with its atoms (an optionally negated noun of lowercase letters), its
 # period, and a space or the end of the text.
 _SENTENCE = re.compile(
     r"(If ((?:no )?[a-z]+)(?: and ((?:no )?[a-z]+))? then ((?:not )?[a-z]+)\.(?: |\Z))"
 )
-# words the match can capture as nouns where the walker reads them as grammar
+# words the scan could read as nouns where the walker reads them as grammar
 _GRAMMAR_WORDS = ("no", "not", "and", "then")
 # tokens in the longest table sentence, "If no w and no w then not w."
 _LONGEST = 9
@@ -159,47 +152,13 @@ def parse_grl(sentences, lexicon, strict: bool = True):
 
 def _parse(sentences, lexicon, strict: bool) -> tuple:
     """The parsing core: (``_IntCnf``, binding), one canonical signed-int
-    clause per sentence.
-
-    A strict sentence is first tried against ``_SURFACE``, one compiled
-    match of the renderer's surface, and its captured words are looked
-    up in the lexicon.  A sentence that does not match, or that captures
-    a word that is not a lexicon noun as written, goes to the token
-    walker, ``_walk``, as does every lenient sentence; the walker alone
-    words an error.  The match accepts a subset of what the walker
-    accepts and gives the same clause, so long as no grammar word is a
-    lexicon noun; a lexicon that holds one is walked throughout.
-    """
+    clause per sentence, each read by the token walker ``_walk``."""
     noun_to_var: dict = {}
     clauses = []
-    singular_of = lexicon.singular_of
-    fast = strict and not any(singular_of(w) == w for w in _GRAMMAR_WORDS)
     for idx, sentence in enumerate(sentences, start=1):
         if not sentence.endswith(".") or sentence.count(".") != 1:
             raise ParseError(idx, None, "sentence must end with its only period")
-        body = sentence[:-1]
-        m = _SURFACE.fullmatch(body) if fast else None
-        if m is not None:
-            no1, w1, no2, w2, not3, w3 = m.groups()
-            words = (w1, w3) if w2 is None else (w1, w2, w3)
-            for word in words:
-                if word not in noun_to_var:
-                    if singular_of(word) != word:
-                        break
-                    noun_to_var[word] = len(noun_to_var) + 1
-            else:
-                # an antecedent states the negation of its clause literal
-                v = noun_to_var[w1]
-                literals = [v if no1 else -v]
-                if w2 is not None:
-                    v = noun_to_var[w2]
-                    literals.append(v if no2 else -v)
-                v = noun_to_var[w3]
-                literals.append(-v if not3 else v)
-                clauses.append(_clause_of(literals, idx))
-                continue
-        clauses.append(_clause_of(_walk(body, idx, lexicon, strict, noun_to_var), idx))
-
+        clauses.append(_clause_of(_walk(sentence[:-1], idx, lexicon, strict, noun_to_var), idx))
     binding = VarBinding({v: noun for noun, v in noun_to_var.items()})
     return _IntCnf(len(noun_to_var), clauses), binding
 

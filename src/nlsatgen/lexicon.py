@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
 from typing import Optional
+
+from .fileio import _read_text
 
 # Template words; letting these double as nouns would make sentences ambiguous.
 RESERVED_WORDS = frozenset(
@@ -85,7 +86,7 @@ class Lexicon:
 
 def _read_entries(path) -> list:
     entries = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in _read_text(path).splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
             entries.append(line)

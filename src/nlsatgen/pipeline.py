@@ -593,6 +593,8 @@ def _stream_dataset(path):
                 raise DatasetError(f"{path}: no instance records")
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8: {exc.reason}") from None
 
 
 def read_dataset(path) -> tuple:

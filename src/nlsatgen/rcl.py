@@ -36,12 +36,14 @@ sentence from it; it splits no sentence to count its tokens when the
 longest sentence a table can form fits the token budget.  ``verify``
 grounds what ``_parse`` returns with ``_ground`` and builds none either.
 
-``verify`` parses a whole text with ``_scan`` first: one compiled
-pattern of the four sentence forms (``_SENTENCE``) runs over it, the
-matches must cover it end to end, and the words are looked up on their
-first appearance.  It returns what ``_parse`` would, or None for any
-text it does not read exactly; on None, ``fragments._parse_formula``
-splits the text and runs ``_parse``, which alone words a parse error.
+A text has two readers.  A strict text given as one string is read by
+``_scan`` first: one compiled pattern of the four sentence forms
+(``_SENTENCE``) runs over it, the matches must cover it end to end, and
+the words are looked up on their first appearance.  It returns what
+``_parse`` would, or None for any text it does not read exactly; on
+None, ``fragments._read`` splits the text and runs ``_parse``, which
+also reads lenient text and sentence lists and alone words a parse
+error.
 """
 
 from __future__ import annotations
@@ -344,20 +346,13 @@ _GROUND_RE = re.compile(rf"^([A-Z][a-zA-Z]*) is ({_ATOM}) or ({_ATOM}) or ({_ATO
 
 class _RclParser:
     """The parsing core's state: ids by first appearance, and the
-    problem's clauses as canonical signed-int tuples.
-
-    ``atoms`` remembers, for one text, each atom's signed predicate id
-    by its text (such as "not a baker").  Only an atom's first occurrence
-    is looked up in the lexicon and has its article checked; a bad atom
-    raises there, where reading every occurrence would raise first.
-    """
+    problem's clauses as canonical signed-int tuples."""
 
     def __init__(self, lexicon, strict: bool):
         self.lexicon = lexicon
         self.strict = strict
         self.pred_ids: dict = {}
         self.const_ids: dict = {}
-        self.atoms: dict = {}  # atom text -> signed predicate id
         self.universals = []
         self.grounds = []
 
@@ -365,14 +360,7 @@ class _RclParser:
         return self.pred_ids.setdefault(noun, len(self.pred_ids) + 1)
 
     def atom(self, text: str, idx: int, offset: int) -> int:
-        """The signed predicate id of an atom such as "not a baker"; only
-        its first occurrence in the text is read, and can raise."""
-        pred = self.atoms.get(text)
-        if pred is None:
-            pred = self.atoms[text] = self._read_atom(text, idx, offset)
-        return pred
-
-    def _read_atom(self, text: str, idx: int, offset: int) -> int:
+        """The signed predicate id of an atom such as "not a baker"."""
         negated = text.startswith("not ")
         body = text[4:] if negated else text
         art, _, word = body.partition(" ")
@@ -449,7 +437,7 @@ def _scan(text: str, lexicon):
     One compiled pattern, ``_SENTENCE``, runs over the whole text, and
     its matches must cover it end to end.  A noun or name is looked up
     in the lexicon on its first appearance, and an atom has its article
-    checked on its first, as ``_RclParser.atom`` does.  None comes back
+    checked on its first.  None comes back
     as soon as anything is off (a gap between sentences, an unknown noun
     or name, a wrong article, a repeated noun, no ground sentence), and
     the caller then runs ``_parse``, which words the error.  The scan

@@ -50,13 +50,14 @@ longest sentence the table can form fits the token budget.  ``verify``
 decides a parsed conjecture with ``solver._entailment`` and builds none
 either.
 
-``verify`` parses a whole text with ``_scan`` first: one compiled
-pattern of the rule and fact sentences (``_SENTENCE``) runs over it, the
-matches must cover it end to end, and the words are looked up in the
-vocabulary's sets, which ``RetrofitVocab`` builds once.  It returns what
-``_parse`` would, or None for any text it does not read exactly; on
-None, ``fragments._parse_formula`` splits the text and runs ``_parse``,
-which alone words a parse error.
+A text has two readers.  A strict text given as one string is read by
+``_scan`` first: one compiled pattern of the rule and fact sentences
+(``_SENTENCE``) runs over it, the matches must cover it end to end, and
+the words are looked up in the vocabulary's sets, which
+``RetrofitVocab`` builds once.  It returns what ``_parse`` would, or
+None for any text it does not read exactly; on None,
+``fragments._read`` splits the text and runs ``_parse``, which also
+reads lenient text and sentence lists and alone words a parse error.
 """
 
 from __future__ import annotations

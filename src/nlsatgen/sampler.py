@@ -66,7 +66,7 @@ from threading import get_ident
 from typing import Optional, Sequence
 
 from .cnf import Clause, _as_clause
-from .fileio import atomic_writer
+from .fileio import _read_text, atomic_writer
 from .rng import _seed_maker, derive_rng
 from .solver import DEFAULT_MAX_DECISIONS, BudgetExhaustedError, _dpll, _unsat_threshold
 
@@ -459,8 +459,7 @@ class CalibrationTable:
     def load(cls, path) -> "CalibrationTable":
         path = Path(path)
         table = cls()
-        text = path.read_text(encoding="utf-8")
-        lines = text.splitlines()
+        lines = _read_text(path).splitlines()
         if not lines or lines[0] != f"# {cls.VERSION}":
             raise ValueError(f"{path}: not a {cls.VERSION} file")
         for line_no, line in enumerate(lines[1:], start=2):

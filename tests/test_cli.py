@@ -751,3 +751,38 @@ class TestRetrofitCommand:
             f"{r['text']}\nconjecture: {r['conjecture_text']}\nlabel: {r['label']}\n\n"
             for r in records
         )
+
+
+# ---------------------------------------------------------------------------
+# Files that are not UTF-8
+# ---------------------------------------------------------------------------
+
+NAIVE_10 = ["--sizes", "10", "--per-size", "2", "--seed", "1", "--strategy", "naive"]
+NOT_UTF8_READERS = {
+    "verify": ["verify", "{bad}"],
+    "stats": ["stats", "{bad}"],
+    "export-dimacs": ["export-dimacs", "{bad}", "{tmp}/cnf"],
+    "parse --file": ["parse", "--fragment", "grl", "--file", "{bad}"],
+    "generate --config": ["generate", "--config", "{bad}"],
+    "--nouns": ["generate", "--fragment", "grl", *NAIVE_10, "--nouns", "{bad}"],
+    "--names": ["generate", "--fragment", "rcl", *NAIVE_10, "--nouns", "{nouns}", "--names", "{bad}"],
+    "--attributes": ["generate", "--fragment", "ruletaker", *NAIVE_10, "--attributes", "{bad}"],
+    "--entities": ["generate", "--fragment", "ruletaker", *NAIVE_10, "--entities", "{bad}"],
+    "generate --cache": ["generate", "--fragment", "grl", *NAIVE_10, "--cache", "{bad}"],
+    "calibrate --cache": ["calibrate", "--n", "5", "--cache", "{bad}"],
+}
+
+
+@pytest.mark.parametrize("reader", NOT_UTF8_READERS)
+def test_a_file_that_is_not_utf8_is_a_usage_error_naming_it(tmp_path, capsys, reader):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe\n")
+    nouns = tmp_path / "nouns.txt"
+    nouns.write_text("\n".join(default_occupation_lexicon().count_nouns) + "\n")
+    out = tmp_path / "ds.jsonl"
+    argv = [arg.format(bad=bad, tmp=tmp_path, nouns=nouns) for arg in NOT_UTF8_READERS[reader]]
+    if argv[0] == "generate":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {bad}: not UTF-8: invalid start byte\n")
+    assert not out.exists()

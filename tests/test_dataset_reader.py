@@ -97,6 +97,7 @@ READER_CASES = {
         lambda h, r: _lf([h, r[0], "[1]", *r[1:]]),
         "{path}: line 3 is not a JSON object",
     ),
+    "not UTF-8": (lambda h, r: b"\xff\xfe\n", "{path}: not UTF-8: invalid start byte"),
 }
 
 

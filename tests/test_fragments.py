@@ -1,12 +1,29 @@
-"""Clause building shared by the parsers: repeated variables and literal order."""
+"""What the parsers share: clause building (repeated variables and
+literal order) and the one reader behind ``parse_theory`` and
+``_parse_formula``."""
 
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nlsatgen.fragments import ParseError, _clause_of, _remap
+from nlsatgen import grl, rcl, ruletaker
+from nlsatgen.fragments import (
+    FRAGMENTS,
+    GRL,
+    RCL,
+    RULETAKER,
+    ParseError,
+    _clause_of,
+    _packaged_vocab,
+    _parse_formula,
+    _remap,
+    parse_theory,
+    split_sentences,
+)
 from nlsatgen.grl import parse_grl
 from nlsatgen.lexicon import Lexicon, default_occupation_lexicon
+from nlsatgen.pipeline import DatasetConfig, generate_records
 from nlsatgen.rcl import parse_rcl
 from nlsatgen.ruletaker import RetrofitVocab, parse_ruletaker
 
@@ -130,3 +147,74 @@ def test_remap_keeps_the_order_of_merged_variables():
     assert _remap((1, 2, -3), {1: 3, 2: 3, 3: 3}) == (3, 3, -3)
     assert _remap((2, -3), {2: 4, 3: 1}) == (-1, 4)
     assert _remap((-3,), {3: 6}) == (-6,)
+
+
+# ---------------------------------------------------------------- the shared reader
+
+READERS = {"parse_theory": parse_theory, "_parse_formula": _parse_formula}
+LEXICONS = {GRL: GRL_LEX, RCL: RCL_LEX, RULETAKER: RT_VOCAB}
+TWO_SENTENCES = {
+    GRL: "If carrot then steak. If steak then apples.",
+    RCL: "Every baker who is an actor is an archer. Alice is a baker or an actor or an archer.",
+    RULETAKER: "If the lion is red then the lion is round. The lion is green.",
+}
+
+
+@pytest.mark.parametrize("read", READERS.values(), ids=list(READERS))
+@pytest.mark.parametrize("fragment", FRAGMENTS)
+def test_a_sentence_list_is_never_joined_and_scanned(read, fragment):
+    # the text reads as two sentences, but a list item is one sentence
+    text, lexicon = TWO_SENTENCES[fragment], LEXICONS[fragment]
+    read(text, fragment, lexicon)
+    with pytest.raises(ParseError) as exc:
+        read([text], fragment, lexicon)
+    assert str(exc.value) == "sentence 1: sentence must end with its only period"
+
+
+@pytest.mark.parametrize("read", READERS.values(), ids=list(READERS))
+@pytest.mark.parametrize("text, error, message", [
+    ("", ParseError, "sentence 1: text must be sentences ending with periods"),
+    ("x.", ValueError, "unknown fragment 'foo'"),
+])
+def test_the_text_is_split_before_the_fragment_is_checked(read, text, error, message):
+    with pytest.raises(ValueError) as exc:
+        read(text, "foo")
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+# the generator's sizes per fragment, and the characters an edit writes
+RENDERED_SIZES = {GRL: (5, 8), RCL: (10, 12), RULETAKER: (5, 7)}
+EDIT_CHARS = " .aInotTheyx"
+MODULES = {GRL: grl, RCL: rcl, RULETAKER: ruletaker}
+PUBLIC_PARSERS = {GRL: parse_grl, RCL: parse_rcl, RULETAKER: parse_ruletaker}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    fragment=st.sampled_from(FRAGMENTS),
+    size_at=st.integers(0, 1),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_scan_core_and_parse_theory_agree(fragment, size_at, seed, data):
+    # a generated text reads the same through the scan, the core on its
+    # sentences and parse_theory; after any one-character edit the scan
+    # reads it as the core does, or not at all
+    config = DatasetConfig(
+        fragment=fragment, sizes=(RENDERED_SIZES[fragment][size_at],),
+        count_per_size=2, seed=seed, strategy="naive",
+    )
+    text = generate_records(config)[0]["text"]
+    module, vocab = MODULES[fragment], _packaged_vocab(fragment)
+    assert module._scan(text, vocab) == module._parse(split_sentences(text), vocab, True)
+    expected = PUBLIC_PARSERS[fragment](split_sentences(text), vocab)
+    assert parse_theory(text, fragment, vocab) == expected
+    for _ in range(20):
+        at = data.draw(st.integers(0, len(text) - 1))
+        char = data.draw(st.sampled_from(EDIT_CHARS))
+        edit = data.draw(st.sampled_from((0, 1, 2)))  # replace, insert, delete
+        edited = text[:at] + (char if edit < 2 else "") + text[at + (edit != 1):]
+        got = module._scan(edited, vocab)
+        if got is not None:
+            assert got == module._parse(split_sentences(edited), vocab, True)

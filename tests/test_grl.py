@@ -166,7 +166,7 @@ def test_first_sentence_errors_are_numbered_one():
     assert "sentence 1" in str(exc.value)
 
 
-# ---------------------------------------------- compiled match against walker
+# ------------------------------------------------------- scan against walker
 
 
 class GrammarNounLexicon:
@@ -195,26 +195,21 @@ def enumerated_sentences(words, max_words):
             yield "If " + " ".join(body) + "."
 
 
-WALKER_ONLY = re.compile(r"(?!)")  # a _SURFACE that never matches
-
-
 @pytest.mark.parametrize("lexicon", [
     LEX,
     GrammarNounLexicon(("and", "then", "no", "not", "carrot", "steak", "apples")),
 ], ids=["lexicon", "grammar-word-nouns"])
-def test_compiled_match_agrees_with_walker_on_every_short_sentence(lexicon, monkeypatch):
+def test_compiled_match_agrees_with_walker_on_every_short_sentence(lexicon):
     # every body of up to five words over grammar words, nouns and a
-    # plural, alone and after a sentence that numbers two nouns; with
-    # "no" a noun, the match would read "If no then steak." as the noun
-    # "no" where the walker reads a negation with no noun
+    # plural, alone and after a sentence that numbers two nouns, read by
+    # the walker; the scan's agreement on the same sentences is
+    # test_scan_never_reads_a_text_otherwise
     words = ("no", "not", "and", "then", "carrot", "carrots", "steak", "apples")
     cases = []
     for s in enumerated_sentences(words, 5):
         cases += [(s,), ("If steak then not apples.", s)]
-    with_match = [parse_outcome(c, lexicon) for c in cases]
-    monkeypatch.setattr(grl, "_SURFACE", WALKER_ONLY)
-    assert [parse_outcome(c, lexicon) for c in cases] == with_match
-    accepted = sum(not isinstance(out[0], int) for out in with_match)
+    outcomes = [parse_outcome(c, lexicon) for c in cases]
+    accepted = sum(not isinstance(out[0], int) for out in outcomes)
     assert accepted >= 60
 
 
@@ -241,7 +236,8 @@ def test_scan_never_reads_a_text_otherwise(lexicon):
 
 
 def test_compiled_match_reads_every_rendered_sentence(monkeypatch):
-    # the walker is not needed for anything the renderer writes
+    # the walker is not needed for anything the renderer writes: the
+    # strict reader's scan reads every rendered text
     def no_walk(*args):
         raise AssertionError("rendered sentence fell back to the walker")
 
@@ -249,7 +245,7 @@ def test_compiled_match_reads_every_rendered_sentence(monkeypatch):
     for s1, s2, s3 in product((1, -1), repeat=3):
         f = CnfFormula.from_ints(3, [(s1 * 1, s2 * 2, s3 * 3), (s1 * 1, s3 * 3)])
         binding = VarBinding({1: "carrot", 2: "steak", 3: "apples"})
-        assert parse_grl(render_grl(f, binding).sentences, LEX) == (f, binding)
+        assert parse_theory(render_grl(f, binding).text, GRL, LEX) == (f, binding)
 
 
 def test_grammar_word_nouns_are_walked():
@@ -263,8 +259,13 @@ def test_grammar_word_nouns_are_walked():
 
 
 def test_lenient_parse_never_uses_the_match(monkeypatch):
-    monkeypatch.setattr(grl, "_SURFACE", None)
+    def no_scan(*args):
+        raise AssertionError("lenient text went to the scan")
+
+    monkeypatch.setattr(grl, "_scan", no_scan)
     f, binding = parse_grl(("If carrot and no steak then apples.",), LEX, strict=False)
+    assert f.to_int_clauses() == [[-1, 2, 3]]
+    f, binding = parse_theory("If carrot and no steak then apples.", GRL, LEX, strict=False)
     assert f.to_int_clauses() == [[-1, 2, 3]]
 
 
