@@ -1,7 +1,6 @@
 """Propositional if-then fragment: rendering, parsing, round-trip identity."""
 
 import random
-import re
 from itertools import product
 
 import pytest

@@ -1109,8 +1109,9 @@ def test_grl_compiled_match_agrees_with_walker_on_golden_texts(
 ):
     # every record text, then one mutated sentence per record and
     # mutation, read by the walker: some mutations still parse and
-    # others are errors (the scan's agreement with it on the joined texts
-    # is test_strict_formula_outcomes_are_pinned and the scan tests)
+    # others are errors (the scan reads every golden text in
+    # test_scan_reads_every_bench_and_golden_text, and agrees with the
+    # core on edited texts in tests/test_fragments.py)
     _, records = _golden_config(fragment, sizes, strategy, **settings)
     lexicon = _packaged_vocab(GRL)
     texts = []
