@@ -143,7 +143,10 @@ def _verify_peak(path) -> int:
 
 def test_verify_memory_does_not_grow_with_the_file(tmp_path):
     # Only the ids (about 90 bytes each) and per-size label counts are
-    # kept; holding the records made the big file's peak about 8x.
+    # kept: about 100 bytes of peak per extra record.  Holding the
+    # records costs about 5.4 KB per extra record.  The bound is on the
+    # growth, not the ratio of the peaks, so it does not loosen as the
+    # per-text garbage of a pass shrinks.
     paths = []
     for per_size in (50, 400):  # 150 and 1,200 records
         config = pipeline.DatasetConfig(**CONFIG | dict(sizes=(12, 14, 16), count_per_size=per_size))
@@ -151,7 +154,8 @@ def test_verify_memory_does_not_grow_with_the_file(tmp_path):
         write_dataset(paths[-1], config, generate_records(config))
     small, big = paths
     verify_dataset(small)  # fill the vocabulary and table caches, untraced
-    assert _verify_peak(big) < 1.5 * _verify_peak(small)
+    extra = 1200 - 150
+    assert _verify_peak(big) - _verify_peak(small) < 150 * extra
 
 
 @pytest.mark.parametrize("case", ["clean", "malformed line 3", "budget"])
