@@ -333,10 +333,8 @@ def main(argv=None) -> int:
     except (BudgetExhaustedError, GenerationStallError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DatasetError, CalibrationError, FragmentError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    # DatasetError, FragmentError and ParseError are ValueErrors
+    except (CalibrationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

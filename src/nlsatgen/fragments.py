@@ -10,8 +10,10 @@ reproduce x exactly; the reindexing is a fixpoint after one round.
 
 Decisions shared by the fragments live here once: the packaged default
 vocabulary per fragment (``_packaged_vocab``), the formula a parsed
-text denotes (``_parse_formula``), and the parsers' strict or lenient
-noun lookup (``_noun_of``) and clause building (``_clause_of``).
+text denotes (``_parse_formula``), the parsers' strict or lenient noun
+lookup (``_noun_of``) and clause building (``_clause_of``), the scans'
+ids by first appearance (``_Ids``), and the binders' refusal of a word
+list too short (``_check_words``), which generate also makes up front.
 
 Validation happens at the boundary: :func:`reindex_formula` takes a
 ``CnfFormula``, whose constructors have checked every clause, and
@@ -35,7 +37,7 @@ so ``verify`` and the ``parse`` command build no clause objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .cnf import CnfFormula, _as_formula, _IntCnf
 
@@ -83,12 +85,6 @@ class VarBinding:
 
     def constant_word(self, cid: int) -> str:
         return self.constants[cid]
-
-    def remap(self, var_map: dict, const_map: Optional[dict] = None) -> "VarBinding":
-        variables = {var_map[v]: w for v, w in self.variables.items()}
-        if const_map is None:
-            return VarBinding(variables, dict(self.constants))
-        return VarBinding(variables, {const_map[c]: w for c, w in self.constants.items()})
 
 
 @dataclass(frozen=True)
@@ -151,19 +147,19 @@ def bind_vocabulary(obj, lexicon, rng) -> VarBinding:
     """
     n_constants = getattr(obj, "n_constants", 0)
     n_vars = getattr(obj, "n_predicates", None) or obj.n_vars
-    if n_vars > len(lexicon.count_nouns):
-        raise FragmentError(
-            f"lexicon has {len(lexicon.count_nouns)} count nouns, need {n_vars}"
-        )
+    _check_words("lexicon", lexicon.count_nouns, "count nouns", n_vars)
     variables = dict(enumerate(rng.sample(lexicon.count_nouns, n_vars), start=1))
     constants = {}
     if n_constants:
-        if n_constants > len(lexicon.proper_nouns):
-            raise FragmentError(
-                f"lexicon has {len(lexicon.proper_nouns)} proper nouns, need {n_constants}"
-            )
+        _check_words("lexicon", lexicon.proper_nouns, "proper nouns", n_constants)
         constants = dict(enumerate(rng.sample(lexicon.proper_nouns, n_constants), start=1))
     return VarBinding(variables, constants)
+
+
+def _check_words(owner: str, words, what: str, need: int) -> None:
+    """Refuse a word list too short to bind ``need`` distinct words."""
+    if need > len(words):
+        raise FragmentError(f"{owner} has {len(words)} {what}, need {need}")
 
 
 def appearance_map(var_walk: Iterable) -> dict:
@@ -250,9 +246,24 @@ class _Refused(Exception):
     ``ruletaker._scan``) at a word it does not read as written."""
 
 
+class _Ids(dict):
+    """The scans' ids by first appearance: a missing key is numbered
+    ``len(self) + 1``, or raises ``_Refused`` unless ``admits(key)``."""
+
+    def __init__(self, admits):
+        super().__init__()
+        self.admits = admits
+
+    def __missing__(self, key):
+        if not self.admits(key):
+            raise _Refused(key)
+        value = self[key] = len(self) + 1
+        return value
+
+
 class _Memo(dict):
     """A dict that computes each missing value once, with ``read(key)``;
-    the scans keep ids by first appearance and atoms by their text in it."""
+    the scans keep atoms by their text in it, and rcl's renderer atom texts."""
 
     def __init__(self, read):
         super().__init__()

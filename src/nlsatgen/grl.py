@@ -48,6 +48,7 @@ from .fragments import (
     VarBinding,
     _clause_of,
     _fits_budget,
+    _Ids,
     _in_var_order,
     _Memo,
     _pair_in_var_order,
@@ -180,18 +181,13 @@ def _scan(text: str, lexicon):
     singular_of = lexicon.singular_of
     if not text.endswith(".") or any(singular_of(w) == w for w in _GRAMMAR_WORDS):
         return None
-
-    def new_var(noun: str) -> int:
-        if singular_of(noun) != noun:
-            raise _Refused(noun)
-        return len(noun_to_var) + 1
+    noun_to_var = _Ids(lambda noun: singular_of(noun) == noun)
 
     def read_atom(atom: str) -> int:
         """The signed id an atom states: "carrot" +, "no carrot" and "not carrot" -."""
         negation, _, noun = atom.rpartition(" ")
         return -noun_to_var[noun] if negation else noun_to_var[noun]
 
-    noun_to_var = _Memo(new_var)
     stated = _Memo(read_atom)
     clauses = []
     at = 0

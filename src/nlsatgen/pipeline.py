@@ -40,6 +40,7 @@ from .fragments import (
     RULETAKER,
     FragmentError,
     ParseError,
+    _check_words,
     _packaged_vocab,
     _parse_formula,
     _reindex,
@@ -51,10 +52,10 @@ from .sampler import (
     HARD,
     NAIVE,
     STRATEGIES,
-    CalibrationError,
     SampleSpec,
     _clause_stream,
     _draw_clauses,
+    _missing_band,
     draw_m,
 )
 from .solver import (
@@ -210,30 +211,18 @@ def load_vocabulary(config: DatasetConfig):
 
 def _check_vocabulary_capacity(config: DatasetConfig, vocab) -> None:
     biggest = max(config.sizes)
-    if config.fragment == GRL:
-        have = len(vocab.count_nouns)
-        if biggest > have:
-            raise DatasetError(f"lexicon has {have} count nouns, need {biggest}")
-    elif config.fragment == RCL:
-        preds = max(
-            p for size in config.sizes for p in rcl.feasible_predicate_counts(size)
-        )
-        consts = max(
-            size // min(rcl.feasible_predicate_counts(size)) for size in config.sizes
-        )
-        if preds > len(vocab.count_nouns):
-            raise DatasetError(
-                f"lexicon has {len(vocab.count_nouns)} count nouns, need {preds}"
-            )
-        if consts > len(vocab.proper_nouns):
-            raise DatasetError(
-                f"lexicon has {len(vocab.proper_nouns)} proper nouns, need {consts}"
-            )
-    else:
-        if biggest > len(vocab.attributes):
-            raise DatasetError(
-                f"vocabulary has {len(vocab.attributes)} attributes, need {biggest}"
-            )
+    try:
+        if config.fragment == GRL:
+            _check_words("lexicon", vocab.count_nouns, "count nouns", biggest)
+        elif config.fragment == RCL:
+            preds = max(p for size in config.sizes for p in rcl.feasible_predicate_counts(size))
+            consts = max(size // min(rcl.feasible_predicate_counts(size)) for size in config.sizes)
+            _check_words("lexicon", vocab.count_nouns, "count nouns", preds)
+            _check_words("lexicon", vocab.proper_nouns, "proper nouns", consts)
+        else:
+            _check_words("vocabulary", vocab.attributes, "attributes", biggest)
+    except FragmentError as exc:
+        raise DatasetError(str(exc)) from None
 
 
 def bands_for_config(config: DatasetConfig, table) -> dict:
@@ -244,10 +233,7 @@ def bands_for_config(config: DatasetConfig, table) -> dict:
         if config.strategy != NAIVE:
             band = table.band_for(size, config.p_int, config.p_neg) if table else None
             if band is None:
-                raise CalibrationError(
-                    f"no calibration for (n={size}, p_int={config.p_int}, "
-                    f"p_neg={config.p_neg}); run calibrate first"
-                )
+                raise _missing_band(size, config.p_int, config.p_neg)
         bands[size] = band
     return bands
 
@@ -573,10 +559,10 @@ def _stream_dataset(path):
                 raise DatasetError(f"{path}: line 1 is not JSON: {exc}") from None
             if not isinstance(header, dict) or header.get("kind") != "header":
                 raise DatasetError(f"{path}: first line must be the header object")
-            if header.get("schema_version") != SCHEMA_VERSION:
-                raise DatasetError(
-                    f"{path}: schema_version {header.get('schema_version')!r} unsupported"
-                )
+            version = header.get("schema_version")
+            # True and 1.0 equal 1, but are not the int a writer puts there
+            if not _is_int(version) or version != SCHEMA_VERSION:
+                raise DatasetError(f"{path}: schema_version {version!r} unsupported")
             yield header
             rec = None
             for line_no, line in enumerate(lines, start=2):

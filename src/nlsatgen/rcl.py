@@ -36,14 +36,14 @@ sentence from it; it splits no sentence to count its tokens when the
 longest sentence a table can form fits the token budget.  ``verify``
 grounds what ``_parse`` returns with ``_ground`` and builds none either.
 
-A text has two readers.  A strict text given as one string is read by
-``_scan`` first: one compiled pattern of the four sentence forms
-(``_SENTENCE``) runs over it, the matches must cover it end to end, and
-the words are looked up on their first appearance.  It returns what
-``_parse`` would, or None for any text it does not read exactly; on
-None, ``fragments._read`` splits the text and runs ``_parse``, which
-also reads lenient text and sentence lists and alone words a parse
-error.
+A text has two readers, both built from the one statement of the four
+strict sentence forms, ``_FORMS``.  A strict string is read by ``_scan``
+first: their alternation runs over it, the matches must cover it end to
+end, and the words are looked up on their first appearance.  It returns
+what ``_parse`` would, or None for any text it does not read exactly;
+on None, ``fragments._read`` splits the text and runs ``_parse``, which
+matches each sentence against the forms, also reads lenient text and
+sentence lists, and alone words a parse error.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from .fragments import (
     VarBinding,
     _clause_of,
     _fits_budget,
+    _Ids,
     _in_var_order,
     _Memo,
     _noun_of,
@@ -332,16 +333,22 @@ def _render(p: _IntProblem, binding, lexicon, rng, no_rewrite_prob, token_budget
     return sentences
 
 
-_ATOM = r"(?:not )?(?:a|an) [a-z]+"
-_EVERY_RE = re.compile(rf"^Every ([a-z]+) who is ({_ATOM}) is ({_ATOM})\Z")
-_NO_RE = re.compile(rf"^No ([a-z]+) who is ({_ATOM}) is ((?:a|an) [a-z]+)\Z")
-_EVERYONE_STRICT_RE = re.compile(
-    rf"^Everyone who is (not (?:a|an) [a-z]+) and (not (?:a|an) [a-z]+) is ((?:a|an) [a-z]+)\Z"
+_ATOM = r"(?:not )?an? [a-z]+"
+# The renderer's Every, No, Everyone and ground forms, in the order the
+# core tries them, each atom ("not a baker") one group.  The core matches
+# a sentence body with a form plus ``\Z``; ``_scan`` matches a whole text
+# with ``_SENTENCE``: any form, its period, then a space or the end.
+_FORMS = (
+    rf"Every ([a-z]+) who is ({_ATOM}) is ({_ATOM})",
+    rf"No ([a-z]+) who is ({_ATOM}) is (an? [a-z]+)",
+    r"Everyone who is (not an? [a-z]+) and (not an? [a-z]+) is (an? [a-z]+)",
+    rf"([A-Z][a-zA-Z]*) is ({_ATOM}) or ({_ATOM}) or ({_ATOM})",
 )
+_EVERY_RE, _NO_RE, _EVERYONE_STRICT_RE, _GROUND_RE = [re.compile(f + r"\Z") for f in _FORMS]
 _EVERYONE_LENIENT_RE = re.compile(
-    rf"^(?:Everyone who|Everything that) is ({_ATOM}) and ({_ATOM}) is ({_ATOM})\Z"
+    rf"(?:Everyone who|Everything that) is ({_ATOM}) and ({_ATOM}) is ({_ATOM})\Z"
 )
-_GROUND_RE = re.compile(rf"^([A-Z][a-zA-Z]*) is ({_ATOM}) or ({_ATOM}) or ({_ATOM})\Z")
+_SENTENCE = re.compile(rf"((?:{'|'.join(_FORMS)})\.(?: |\Z))")
 
 
 class _RclParser:
@@ -417,19 +424,6 @@ class _RclParser:
         raise ParseError(idx, None, f"sentence does not match the fragment grammar: {s!r}")
 
 
-# The renderer's surface for one sentence, for ``_scan``, and what
-# follows it: a space, or the end of the text.  The branches are the
-# Every, No, Everyone and ground forms, in the order
-# ``_RclParser.sentence`` tries them; an atom ("not a baker") is one group.
-_SENTENCE = re.compile(
-    r"((?:Every ([a-z]+) who is ((?:not )?an? [a-z]+) is ((?:not )?an? [a-z]+)"
-    r"|No ([a-z]+) who is ((?:not )?an? [a-z]+) is (an? [a-z]+)"
-    r"|Everyone who is (not an? [a-z]+) and (not an? [a-z]+) is (an? [a-z]+)"
-    r"|([A-Z][a-zA-Z]*) is ((?:not )?an? [a-z]+) or ((?:not )?an? [a-z]+)"
-    r" or ((?:not )?an? [a-z]+))\.(?: |\Z))"
-)
-
-
 def _scan(text: str, lexicon):
     """What ``_parse`` returns for a strict text that is exactly the
     renderer's surface, or None.
@@ -446,17 +440,9 @@ def _scan(text: str, lexicon):
     """
     if not text.endswith("."):
         return None
-    singular_of, article, names = lexicon.singular_of, lexicon.article, lexicon.proper_nouns
-
-    def new_pred(noun: str) -> int:
-        if singular_of(noun) != noun:
-            raise _Refused(noun)
-        return len(pred_ids) + 1
-
-    def new_const(name: str) -> int:
-        if name not in names:
-            raise _Refused(name)
-        return len(const_ids) + 1
+    singular_of, article = lexicon.singular_of, lexicon.article
+    pred_ids = _Ids(lambda noun: singular_of(noun) == noun)
+    const_ids = _Ids(lexicon.proper_nouns.__contains__)
 
     def read_atom(atom: str) -> int:
         """The signed predicate id of an atom such as "not a baker"."""
@@ -467,8 +453,6 @@ def _scan(text: str, lexicon):
             raise _Refused(atom)
         return -pred if negated else pred
 
-    pred_ids = _Memo(new_pred)
-    const_ids = _Memo(new_const)
     atoms = _Memo(read_atom)
     universals = []
     grounds = []

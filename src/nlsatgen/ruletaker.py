@@ -58,6 +58,8 @@ the words are looked up in the vocabulary's sets, which
 None for any text it does not read exactly; on None,
 ``fragments._read`` splits the text and runs ``_parse``, which also
 reads lenient text and sentence lists and alone words a parse error.
+A conjecture is one fact sentence, which strict and lenient reading
+take alike, so :func:`parse_conjecture` has no strict mode.
 """
 
 from __future__ import annotations
@@ -70,12 +72,13 @@ from itertools import islice
 from .cnf import Clause, CnfFormula, Literal, _as_clause, _as_formula, _IntCnf, _normalize_ints
 from .fragments import (
     RULETAKER,
-    FragmentError,
     NlTheory,
     ParseError,
     VarBinding,
+    _check_words,
     _clause_of,
     _fits_budget,
+    _Ids,
     _in_var_order,
     _Memo,
     _pair_in_var_order,
@@ -313,10 +316,7 @@ def reindex_theory(theory: RetrofitTheory) -> tuple:
 
 def bind_attributes(theory: RetrofitTheory, vocab: RetrofitVocab, rng) -> VarBinding:
     """Draw attribute words for each variable and one entity noun."""
-    if theory.n_vars > len(vocab.attributes):
-        raise FragmentError(
-            f"vocabulary has {len(vocab.attributes)} attributes, need {theory.n_vars}"
-        )
+    _check_words("vocabulary", vocab.attributes, "attributes", theory.n_vars)
     variables = dict(enumerate(rng.sample(vocab.attributes, theory.n_vars), start=1))
     entity = vocab.entities[rng.randrange(len(vocab.entities))]
     return VarBinding(variables, {1: entity})
@@ -410,9 +410,8 @@ class _RtParser:
     """The parsing core's state: attribute ids by first appearance, the
     entity, and rules and facts as signed ints."""
 
-    def __init__(self, vocab: RetrofitVocab, strict: bool):
+    def __init__(self, vocab: RetrofitVocab):
         self.vocab = vocab
-        self.strict = strict
         self.var_ids: dict = {}
         self.entity = None
         self.rules = []
@@ -487,7 +486,7 @@ def _parse(sentences, vocab: RetrofitVocab, strict: bool) -> tuple:
     fact.  Facts that repeat or contradict raise ``ValueError`` with the
     message ``RetrofitTheory`` gives them, after every sentence parsed.
     """
-    parser = _RtParser(vocab, strict)
+    parser = _RtParser(vocab)
     fact_seen = False
     for idx, s in enumerate(sentences, start=1):
         is_rule = s.startswith("If ")
@@ -541,17 +540,13 @@ def _scan(text: str, vocab: RetrofitVocab):
     if not text.endswith(".") or any(w in attributes or w in entities for w in _GRAMMAR_WORDS):
         return None
 
-    def new_var(word: str) -> int:
-        if word not in attributes:
-            raise _Refused(word)
-        return len(var_ids) + 1
+    var_ids = _Ids(attributes.__contains__)
 
     def read_atom(atom: str) -> int:
         """The signed id an atom states: "loud" +, "not loud" -."""
         negation, _, word = atom.rpartition(" ")
         return -var_ids[word] if negation else var_ids[word]
 
-    var_ids = _Memo(new_var)
     stated = _Memo(read_atom)
     entity = None
     rules = []
@@ -587,14 +582,14 @@ def _scan(text: str, vocab: RetrofitVocab):
     return theory, VarBinding({v: w for w, v in var_ids.items()}, {1: entity}), entity
 
 
-def parse_conjecture(sentence: str, vocab: RetrofitVocab, binding: VarBinding, strict: bool = True) -> Literal:
+def parse_conjecture(sentence: str, vocab: RetrofitVocab, binding: VarBinding) -> Literal:
     """Parse a conjecture sentence against an existing theory's binding."""
-    return Literal.from_int(_parse_conjecture(sentence, vocab, binding, strict))
+    return Literal.from_int(_parse_conjecture(sentence, vocab, binding))
 
 
-def _parse_conjecture(sentence: str, vocab, binding: VarBinding, strict: bool = True) -> int:
+def _parse_conjecture(sentence: str, vocab, binding: VarBinding) -> int:
     """The conjecture core: the signed-int literal the sentence states."""
-    parser = _RtParser(vocab, strict)
+    parser = _RtParser(vocab)
     parser.entity = binding.constant_word(1)
     parser.var_ids = {w: v for v, w in binding.variables.items()}
     n_known = len(parser.var_ids)

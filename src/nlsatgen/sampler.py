@@ -434,10 +434,6 @@ class CalibrationTable:
     def band_for(self, n, p_int, p_neg) -> Optional[tuple]:
         return self.bands.get(_key(n, p_int, p_neg))
 
-    def points_for(self, n, p_int, p_neg) -> list:
-        entry = self.points.get(_key(n, p_int, p_neg), {})
-        return [(a, ph, tr) for a, (ph, tr) in sorted(entry.items())]
-
     def save(self, path) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -588,6 +584,13 @@ def calibrate_critical(
     )
 
 
+def _missing_band(n, p_int, p_neg) -> CalibrationError:
+    """The error for a strategy that needs the band of an uncalibrated (n, p_int, p_neg)."""
+    return CalibrationError(
+        f"no calibration for (n={n}, p_int={p_int}, p_neg={p_neg}); run calibrate first"
+    )
+
+
 @lru_cache(maxsize=64)
 def _m_choices(n: int, strategy: str, band: Optional[tuple]) -> tuple:
     """The clause counts at n per side of the hard coin, (band, widened
@@ -626,10 +629,7 @@ def strategy_m_candidates(
     if strategy == NAIVE:
         band = None  # unused
     elif band is None:
-        raise CalibrationError(
-            f"no calibration for (n={spec.n}, p_int={spec.p_int}, p_neg={spec.p_neg}); "
-            "run calibrate first"
-        )
+        raise _missing_band(spec.n, spec.p_int, spec.p_neg)
     choices = _m_choices(spec.n, strategy, band if band is None else tuple(band))
     ms = choices[strategy == HARD and rng.random() < diversity_fraction]
     if type(ms) is str:

@@ -151,9 +151,9 @@ class TestCalibrate:
             rc = main(["calibrate", "--n", "5", "--trials", trials, "--seed", "0",
                        "--cache", str(path)])
             assert rc == 0
-        points = CalibrationTable.load(path).points_for(5, 1.0, 0.5)
+        points = CalibrationTable.load(path).points[(5, 1.0, 0.5)]
         assert points
-        assert {trials for _, _, trials in points} == {40}
+        assert {trials for _, trials in points.values()} == {40}
 
 
 # ---------------------------------------------------------------------------

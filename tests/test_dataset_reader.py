@@ -66,6 +66,15 @@ READER_CASES = {
         lambda h, r: _lf([_header_of(h, schema_version=2), *r]),
         "{path}: schema_version 2 unsupported",
     ),
+    # both equal 1 in Python, but only the int 1 is version 1
+    "schema_version true": (
+        lambda h, r: _lf([_header_of(h, schema_version=True), *r]),
+        "{path}: schema_version True unsupported",
+    ),
+    "schema_version 1.0": (
+        lambda h, r: _lf([_header_of(h, schema_version=1.0), *r]),
+        "{path}: schema_version 1.0 unsupported",
+    ),
     "header only": (lambda h, r: _lf([h]), "{path}: no instance records"),
     "LF": (lambda h, r: _lf([h, *r]), 4),
     "CRLF": (lambda h, r: "".join(p + "\r\n" for p in [h, *r]).encode("utf-8"), 4),

@@ -2,6 +2,7 @@
 literal order) and the one reader behind ``parse_theory`` and
 ``_parse_formula``."""
 
+import gc
 from itertools import permutations, product
 
 import pytest
@@ -218,3 +219,24 @@ def test_scan_core_and_parse_theory_agree(fragment, size_at, seed, data):
         got = module._scan(edited, vocab)
         if got is not None:
             assert got == module._parse(split_sentences(edited), vocab, True)
+
+
+@pytest.mark.parametrize("fragment", FRAGMENTS)
+def test_a_strict_read_leaves_no_reference_cycle(fragment):
+    # a scan's ids, atoms and clauses are freed by reference counting as
+    # soon as the read returns, so verify's per-text garbage never waits
+    # for the cyclic collector
+    config = DatasetConfig(
+        fragment=fragment, sizes=RENDERED_SIZES[fragment],
+        count_per_size=4, seed=108, strategy="naive",
+    )
+    texts = [rec["text"] for rec in generate_records(config)]
+    vocab = _packaged_vocab(fragment)
+    gc.collect()
+    gc.disable()
+    try:
+        for text in texts:
+            _parse_formula(text, fragment, vocab)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

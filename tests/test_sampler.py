@@ -789,7 +789,7 @@ def test_calibration_table_round_trip(tmp_path):
     assert "band 12 1.0 0.5 14/3 31/6" in text
     loaded = CalibrationTable.load(path)
     assert loaded.band_for(12, 1.0, 0.5) == (Fraction(14, 3), Fraction(31, 6))
-    assert loaded.points_for(12, 1.0, 0.5) == [(Fraction(9, 2), 0.52, 500)]
+    assert loaded.points == {(12, 1.0, 0.5): {Fraction(9, 2): (0.52, 500)}}
     assert loaded.band_for(11, 1.0, 0.5) is None
 
 
