@@ -10,20 +10,21 @@ the antecedent and "not" in the consequent:
     (-apple v -grape v -carrot) "If apple and grape then not carrot."
     (carrot v -steak)           "If no carrot then not steak."
 
-Unit clauses have no sentence form here and are rejected.
+Unit clauses, and clauses wider than three, have no sentence form here
+and raise ``FragmentError``; an unbound literal raises ``KeyError``.
 
 Validation happens at the boundary: :func:`render_grl` takes a
 ``CnfFormula``, whose clauses are canonical.  The sentences themselves come
-from ``_render``, which reads canonical signed-int clauses, so the grl
-generator renders its int clauses without building objects.  It writes
-each literal's antecedent text ("no steak" for +steak, "steak" for
--steak) and consequent text once per call, into tables keyed by signed
-literal, and formats each sentence from them; it splits no sentence to
-count its tokens when the longest sentence the tables can form fits the
-token budget.  Parsing
-mirrors it: the core ``_parse`` returns a ``cnf._IntCnf``, which
-``verify`` compares and labels as it is, and :func:`parse_grl` builds
-the validated ``CnfFormula`` from it.
+from ``_render``, the fragment's one writer, which reads canonical
+signed-int clauses, so the grl generator renders its int clauses without
+building objects.  It writes each literal's antecedent text ("no steak"
+for +steak, "steak" for -steak) and consequent text once per call, into
+tables keyed by signed literal, and formats each sentence from them; it
+splits no sentence to count its tokens when the longest sentence the
+tables can form fits the token budget.  Parsing mirrors it: the core
+``_parse`` returns a ``cnf._IntCnf``, which ``verify`` compares and
+labels as it is, and :func:`parse_grl` builds the validated
+``CnfFormula`` from it.
 
 A text has two readers.  A strict text given as one string is read by
 ``_scan``, which runs one compiled pattern of the renderer's sentences
@@ -70,27 +71,15 @@ _GRAMMAR_WORDS = ("no", "not", "and", "then")
 _LONGEST = 9
 
 
-def _sentence(cl, words: dict) -> str:
-    """One clause's sentence; ``cl`` is a canonical signed-int clause."""
-    if len(cl) < 2:
-        raise FragmentError("unit clauses have no rendering in this fragment")
-    *antecedents, consequent = cl
-    # the antecedent holds each literal's negation: "no x" for +x
-    ante = " and ".join([words[-v] if v < 0 else f"no {words[v]}" for v in antecedents])
-    cons = f"not {words[-consequent]}" if consequent < 0 else words[consequent]
-    return f"If {ante} then {cons}."
-
-
 def _render(clauses, binding: VarBinding, token_budget: int) -> list:
     """The rendering core: one sentence per signed-int clause, in order.
 
     Each literal's antecedent text (its negation) and consequent text
     are written once per call into tables keyed by signed literal, and a
     two- or three-literal clause's sentence is one format over them.
-    Any other width, and a literal the binding does not bind, goes to
-    ``_sentence``, which renders it or raises, and has its tokens
-    counted.  No table sentence is split to count its tokens when the
-    longest one fits the budget (``_fits_budget``).
+    Any other width raises ``FragmentError``, and an unbound literal
+    ``KeyError`` naming its variable.  No sentence is split to count its
+    tokens when the longest one fits the budget (``_fits_budget``).
     """
     words = binding.variables
     ante, cons = {}, {}
@@ -101,21 +90,21 @@ def _render(clauses, binding: VarBinding, token_budget: int) -> list:
     sentences = []
     for cl in clauses:
         width = len(cl)
+        if not 2 <= width <= 3:
+            raise FragmentError(
+                "unit clauses have no rendering in this fragment" if width < 2
+                else f"rule sentences need width-2 or width-3 clauses, got width {width}"
+            )
         try:
             if width == 3:
                 a, b, c = cl
                 s = f"If {ante[a]} and {ante[b]} then {cons[c]}."
-            elif width == 2:
+            else:
                 a, c = cl
                 s = f"If {ante[a]} then {cons[c]}."
-            else:
-                s = None
-        except KeyError:
-            s = None
-        if s is None:
-            s = _sentence(cl, words)
-            check_token_budget(s, token_budget)
-        elif checked:
+        except KeyError as exc:
+            raise KeyError(abs(exc.args[0])) from None
+        if checked:
             check_token_budget(s, token_budget)
         sentences.append(s)
     return sentences

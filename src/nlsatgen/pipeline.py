@@ -327,23 +327,22 @@ def _rt_candidate(config, band, vocab, size, index, rng, spec):
     except FragmentError:
         return None  # some attribute never occurs; the text could not mention it
     pools = ruletaker._conjecture_pools(theory, config.max_decisions)
+    true, false = RT_LABELS
+    if not pools[false]:  # "true" is then empty too: both come from the backbone
+        return None  # theory neither entails nor refutes any literal
     # Draw both label options in a fixed order so the byte stream does
     # not depend on which one the collector ends up needing.
-    picks = {}
-    for label in RT_LABELS:
-        pool = pools[label]
-        if pool:
-            picks[label] = pool[rng.randrange(len(pool))]
-    if not picks:
-        return None  # theory neither entails nor refutes any literal
-    true, false = RT_LABELS
+    picks = {label: pools[label][rng.randrange(len(pools[label]))] for label in RT_LABELS}
     # The natural label goes first: uniform over all decidable conjectures.
-    if len(picks) == 2 and rng.randrange(len(pools[true]) + len(pools[false])) >= len(pools[true]):
+    if rng.randrange(len(pools[true]) + len(pools[false])) >= len(pools[true]):
         picks = dict(reversed(picks.items()))
     binding = ruletaker.bind_attributes(theory, vocab, rng)
-    text = " ".join(ruletaker._render(theory, binding, config.token_budget))
+    # each conjecture is one more fact, written after the theory's sentences
+    t = _IntCnf(theory.n_vars, theory.clauses + [(q,) for q in picks.values()])
+    sentences = ruletaker._render(t, binding, config.token_budget)
+    text = " ".join(sentences[:-2])
 
-    def build(label, conjecture):
+    def build(label, conjecture, conjecture_text):
         # The pools decided the label; this DPLL solve only measures the
         # refutation, and verify re-decides the label with its own solves.
         stats = ruletaker._refutation(theory, conjecture, label, config.max_decisions).stats
@@ -351,10 +350,10 @@ def _rt_candidate(config, band, vocab, size, index, rng, spec):
             config, band, size, index, m, size, len(theory.clauses), text, _dimacs(theory),
             stats, label,
         )
-        conjecture_text = ruletaker._render_conjecture(conjecture, binding, config.token_budget)
         return record | {"conjecture_text": conjecture_text}
 
-    return {label: partial(build, label, conjecture) for label, conjecture in picks.items()}
+    offers = zip(picks.items(), sentences[-2:])
+    return {label: partial(build, label, q, q_text) for (label, q), q_text in offers}
 
 
 _CANDIDATE_FNS = {GRL: _grl_candidate, RCL: _rcl_candidate, RULETAKER: _rt_candidate}
@@ -373,8 +372,9 @@ def generate_candidate(config: DatasetConfig, band, vocab, size: int, index: int
     draw can offer both.  ``build()`` makes that label's record; the
     draw, the solve that labels it and every RNG call happen before it
     returns, so a builder uses no RNG and the collector builds only the
-    record it takes.  For ruletaker that skips the refutation solve, the
-    conjecture and the DIMACS of each offer it drops.
+    record it takes.  For ruletaker that skips the refutation solve and
+    the DIMACS of each offer it drops, but both conjectures are written,
+    and checked against the token budget, with the draw.
     The draw's RNG is ``derive_rng(config.seed, config.fragment, size,
     index)``, with its key's prefix hashed once per size.
     """

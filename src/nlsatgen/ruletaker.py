@@ -43,12 +43,14 @@ rules in order, then one unit clause per fact, the clause order of
 ``_parse_conjecture``) and ``fragments._reindex`` work on it; the
 ruletaker generator chains them and builds no clause objects, and
 the theory's clauses are checked when DIMACS writes them.  ``_render``
+is the one writer, and a conjecture is one more fact in its call.  It
 writes each literal's atom ("the bear is big", "the bear is not big")
 once per call, into a table keyed by signed literal, and formats each
 sentence from it; it splits no sentence to count its tokens when the
-longest sentence the table can form fits the token budget.  ``verify``
-decides a parsed conjecture with ``solver._entailment`` and builds none
-either.
+longest sentence the table can form fits the token budget.  A clause of
+width 0 or above 3 raises ``FragmentError``, and an unbound literal
+``KeyError``.  ``verify`` decides a parsed conjecture with
+``solver._entailment`` and builds none either.
 
 A text has two readers.  A strict text given as one string is read by
 ``_scan`` first: one compiled pattern of the rule and fact sentences
@@ -72,6 +74,7 @@ from itertools import islice
 from .cnf import Clause, CnfFormula, Literal, _as_clause, _as_formula, _IntCnf, _normalize_ints
 from .fragments import (
     RULETAKER,
+    FragmentError,
     NlTheory,
     ParseError,
     VarBinding,
@@ -322,49 +325,31 @@ def bind_attributes(theory: RetrofitTheory, vocab: RetrofitVocab, rng) -> VarBin
     return VarBinding(variables, {1: entity})
 
 
-def _atom(v: int, entity: str, words: dict) -> str:
-    """One signed-int literal about the entity: "the lion is (not) red"."""
-    if v < 0:
-        return f"the {entity} is not {words[-v]}"
-    return f"the {entity} is {words[v]}"
-
-
-def _fact_sentence(v: int, entity: str, words: dict) -> str:
-    return "The" + _atom(v, entity, words)[3:] + "."
-
-
-def _rule_sentence(cl, entity: str, words: dict) -> str:
-    # the antecedent states each literal's negation
-    *antecedents, consequent = cl
-    ante = " and ".join([_atom(-v, entity, words) for v in antecedents])
-    return f"If {ante} then {_atom(consequent, entity, words)}."
-
-
 def render_ruletaker(
     theory: RetrofitTheory,
     binding: VarBinding,
     conjecture: Literal = None,
     token_budget: int = 30,
 ) -> tuple:
-    """Render rules then facts; returns (NlTheory, conjecture sentence or None)."""
-    sentences = _render(_ints_of(theory), binding, token_budget)
-    conjecture_text = None
-    if conjecture is not None:
-        conjecture_text = _render_conjecture(conjecture.to_int(), binding, token_budget)
+    """Render rules, facts, then the conjecture as one more fact; returns
+    (NlTheory, conjecture sentence or None)."""
+    t = _ints_of(theory)
+    facts = [] if conjecture is None else [(conjecture.to_int(),)]
+    sentences = _render(_IntCnf(t.n_vars, t.clauses + facts), binding, token_budget)
+    conjecture_text = sentences.pop() if facts else None
     return NlTheory(RULETAKER, tuple(sentences), binding), conjecture_text
 
 
 def _render(t: _IntCnf, binding: VarBinding, token_budget: int) -> list:
     """The rendering core, on signed ints: one sentence per clause, a rule
-    for a wider clause and a fact for a unit clause.
+    for a wider clause and a fact for a unit clause, conjectures included.
 
     Each literal's atom ("the lion is red", "the lion is not red") is
     written once per call into a table keyed by signed literal, and a
-    clause's sentence is one format over it.  A rule wider than three
-    literals, and a literal the binding does not bind, goes to
-    ``_rule_sentence`` or ``_fact_sentence``, which render it or raise,
-    and has its tokens counted.  No table sentence is split to count its
-    tokens when the longest one fits the budget (``_fits_budget``).
+    clause's sentence is one format over it.  A clause of width 0 or
+    above 3 raises ``FragmentError``, and an unbound literal ``KeyError``
+    naming its variable.  No sentence is split to count its tokens when
+    the longest one fits the budget (``_fits_budget``).
     """
     entity, words = binding.constant_word(1), binding.variables
     atom = {}
@@ -374,6 +359,8 @@ def _render(t: _IntCnf, binding: VarBinding, token_budget: int) -> list:
     sentences = []
     for cl in t.clauses:
         width = len(cl)
+        if not 1 <= width <= 3:
+            raise FragmentError(f"sentences need clauses of width 1 to 3, got width {width}")
         # the antecedent states each literal's negation
         try:
             if width == 3:
@@ -382,28 +369,14 @@ def _render(t: _IntCnf, binding: VarBinding, token_budget: int) -> list:
             elif width == 2:
                 a, c = cl
                 s = f"If {atom[-a]} then {atom[c]}."
-            elif width == 1:
+            else:
                 s = f"The{atom[cl[0]][3:]}."
-            else:
-                s = None
-        except KeyError:
-            s = None
-        if s is None:
-            if width > 1:
-                s = _rule_sentence(cl, entity, words)
-            else:
-                s = _fact_sentence(cl[0], entity, words)
-            check_token_budget(s, token_budget)
-        elif checked:
+        except KeyError as exc:
+            raise KeyError(abs(exc.args[0])) from None
+        if checked:
             check_token_budget(s, token_budget)
         sentences.append(s)
     return sentences
-
-
-def _render_conjecture(conjecture: int, binding: VarBinding, token_budget: int) -> str:
-    s = _fact_sentence(conjecture, binding.constant_word(1), binding.variables)
-    check_token_budget(s, token_budget)
-    return s
 
 
 class _RtParser:

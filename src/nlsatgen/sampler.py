@@ -542,7 +542,8 @@ def calibrate_critical(
     stream is drawn and searched, and a trial whose solve exhausts the
     decision budget redraws from its own stream, a few times, before
     giving up.  No two trials share an RNG, so the thresholds do not
-    depend on the order in which the trials run.
+    depend on the order in which the trials run.  A p_neg of 0 or 1 is
+    refused before any trial: one assignment satisfies all its formulas.
     """
     if trials_per_point <= 0:
         raise ValueError("trials must be positive")
@@ -550,6 +551,11 @@ def calibrate_critical(
         raise ValueError(f"tolerance must be a non-negative number, got {tolerance!r}")
     m_max = math.floor(Fraction(alpha_max) * n)
     spec = SampleSpec(n=n, p_int=p_int, p_neg=p_neg)
+    if p_neg in (0, 1):
+        raise CalibrationError(
+            f"p_neg = {p_neg} signs every literal alike: setting every variable "
+            f"{'false' if p_neg else 'true'} satisfies every formula at every ratio"
+        )
     thresholds = _thresholds(spec, m_max, seed, range(trials_per_point), max_decisions)
     # a threshold is at most m_max + 1; P_sat(m) counts those above m,
     # the suffix sum of their counts from m + 1

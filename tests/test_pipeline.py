@@ -657,6 +657,49 @@ def test_verify_reports_each_tampering_exactly(tmp_path, verify_datasets, fragme
     assert [str(issue) for issue in verify_dataset(path)] == expected
 
 
+def _other_fragment(rec):
+    # every other field is broken too: none of those checks may run
+    _flip_label(rec)
+    rec.update(fragment="rcl", split="holdout", seed_index=-1)
+    del rec["dimacs"]
+
+
+# Record-level issues that no other verify test reaches, one tampering
+# of the first record each.
+VERIFY_FIELD_TABLE = [
+    ("grl", "fragment differs", _other_fragment, [
+        "grl-n5-000000: field: fragment differs from header",
+        "grl-n5: balance: labels are not balanced: {'sat': 1, 'unsat': 2}",
+    ]),
+    ("grl", "bad split", lambda rec: rec.update(split="holdout"), [
+        "grl-n5-000000: field: bad split 'holdout'",
+    ]),
+    ("grl", "missing dimacs", lambda rec: rec.pop("dimacs"), [
+        "grl-n5-000000: field: missing dimacs",
+    ]),
+    ("ruletaker", "missing conjecture_text", lambda rec: rec.pop("conjecture_text"), [
+        "ruletaker-n5-000000: field: missing conjecture_text",
+    ]),
+    ("ruletaker", "unknown label", lambda rec: rec.update(label="maybe"), [
+        "ruletaker-n5-000000: label: unknown label 'maybe'",
+        "ruletaker-n5: balance: labels are not balanced: {'true': 1, 'false': 2}",
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "fragment,tamper,expected",
+    [(frag, tamper, expected) for frag, _, tamper, expected in VERIFY_FIELD_TABLE],
+    ids=[f"{frag}-{what}" for frag, what, _, _ in VERIFY_FIELD_TABLE],
+)
+def test_verify_reports_each_field_issue_exactly(tmp_path, verify_datasets, fragment, tamper, expected):
+    config, records = verify_datasets[fragment]
+    bad = [dict(r) for r in records]
+    tamper(bad[0])
+    path = rewrite(tmp_path / "tampered.jsonl", config, bad)
+    assert [str(issue) for issue in verify_dataset(path)] == expected
+
+
 def _last_word(word):
     def tamper(rec):
         rec["text"] = rec["text"][:-1].rsplit(" ", 1)[0] + f" {word}."

@@ -24,6 +24,8 @@ from nlsatgen.lexicon import default_occupation_lexicon
 def grl_sentence(cl, words):
     if len(cl) < 2:
         raise FragmentError("unit clauses have no rendering in this fragment")
+    if len(cl) > 3:
+        raise FragmentError(f"rule sentences need width-2 or width-3 clauses, got width {len(cl)}")
     *antecedents, consequent = cl
     ante = " and ".join([words[-v] if v < 0 else f"no {words[v]}" for v in antecedents])
     cons = f"not {words[-consequent]}" if consequent < 0 else words[consequent]
@@ -117,6 +119,8 @@ def rt_render(t, binding, token_budget):
     entity, words = binding.constant_word(1), binding.variables
     sentences = []
     for cl in t.clauses:
+        if not 1 <= len(cl) <= 3:
+            raise FragmentError(f"sentences need clauses of width 1 to 3, got width {len(cl)}")
         if len(cl) > 1:
             sentences.append(rt_rule_sentence(cl, entity, words))
         else:

@@ -607,6 +607,17 @@ def test_calibrate_refuses_negative_or_nan_tolerance(tolerance, monkeypatch):
         calibrate_critical(6, 1.0, 0.5, tolerance=tolerance, trials_per_point=20)
 
 
+@pytest.mark.parametrize("p_neg", [0.0, 1.0, 0, 1])
+def test_calibrate_refuses_a_family_with_every_literal_signed_alike(p_neg, monkeypatch):
+    # the all-true (p_neg 0) or all-false (p_neg 1) assignment satisfies
+    # every formula, so no alpha_max would help; refused before any trial
+    monkeypatch.setattr(sampler, "_thresholds", None)
+    with pytest.raises(CalibrationError, match="p_neg") as exc:
+        calibrate_critical(6, 1.0, p_neg, trials_per_point=50)
+    assert "alpha_max" not in str(exc.value)
+    assert ("false" if p_neg else "true") in str(exc.value)
+
+
 def test_calibrate_accepts_zero_tolerance():
     # the closeness check still has the Wilson half-width to give
     result = calibrate_critical(6, 1.0, 0.5, tolerance=0.0, trials_per_point=200, seed=0)
