@@ -25,6 +25,26 @@ up in a table of DIMACS lines built once per process per variable count
 (``_dimacs_lines``), which holds exactly those clauses (above 21 it is
 checked in place), and any other clause passes ``_check_int_clause``
 before it is written.
+
+Tables kept per process.  The int cores read four tables per variable
+count n, each built the first time a core needs it at that n, kept for
+the life of the process, and never built above its cap:
+
+* ``sampler._clause_tables(n, width)``, n <= 21 (``sampler._SAMPLE_SETSIZE``),
+  width 2 or 3: ``order`` holds n!/(n - width)! ids and ``signed``
+  C(n, width) * 2^width clauses; at n = 21, 7,980 and 10,640 for width 3
+  and 420 and 840 for width 2.
+* ``_dimacs_lines(n)``, n <= 21 (``_DIMACS_TABLE_MAX_VARS``): C(n, 3) * 8
+  lines, 10,640 at n = 21.
+* ``solver._clause_entries(n)``, n <= 21 (``_DIMACS_TABLE_MAX_VARS``): one
+  ``_dpll`` entry per key of ``_dimacs_lines(n)``, keyed by the same
+  tuples, so C(n, 3) * 8 entries, 10,640 at n = 21.
+* ``solver._var_masks(n)`` and ``solver._literal_masks(n)``: n + 1 and
+  2n + 1 masks of 2^n bits, for at most two values of n at a time.
+
+At n = 10 and 12, the sizes the benchmark generates, the line and entry
+tables hold 0.50 and 0.30 MB.  Besides these, the packaged word lists
+are read once per process per fragment (``fragments._packaged_vocab``).
 """
 
 from __future__ import annotations
@@ -217,9 +237,9 @@ def to_dimacs(f: CnfFormula) -> str:
     return _dimacs(_IntCnf(f.n_vars, [cl.to_ints() for cl in f.clauses]))
 
 
-# ``_dimacs`` reads canonical three-literal clauses from a table per
-# variable count up to this many variables: C(21, 3) * 8 = 10,640 lines
-# at most, as for the sampler's clause tables.
+# ``_dimacs`` and ``solver._dpll`` read canonical three-literal clauses
+# from tables per variable count up to this many variables (see "Tables
+# kept per process" above).
 _DIMACS_TABLE_MAX_VARS = 21
 
 

@@ -21,7 +21,11 @@ returns one built (and so checked) again.  The renumbering itself,
 ``_reindex``, works on signed-int clauses (``cnf._IntCnf``) and builds
 no objects, so the grl generator runs it on its draws and the ruletaker
 generator on its theory directly; the renumbered clauses are checked
-when DIMACS writes them.
+when DIMACS writes them.  It numbers variables with one
+``dict.fromkeys`` pass over the literals (``appearance_map``), then
+renumbers every clause through one literal table built from that map
+(``_renumber``), as ``rcl._reindex`` does for predicates: -v sits at
+2k+1-v in a list of 2k+1, as in ``solver._dpll``'s occurrence lists.
 
 Parsing has the same split.  Each parser is a private core
 (``grl._parse``, ``rcl._parse``, ``ruletaker._parse``) that builds
@@ -37,6 +41,8 @@ so ``verify`` and the ``parse`` command build no clause objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain
 from typing import Iterable
 
 from .cnf import CnfFormula, _as_formula, _IntCnf
@@ -164,11 +170,8 @@ def _check_words(owner: str, words, what: str, need: int) -> None:
 
 def appearance_map(var_walk: Iterable) -> dict:
     """Map ids to 1..n by order of first appearance along a walk."""
-    mapping = {}
-    for v in var_walk:
-        if v not in mapping:
-            mapping[v] = len(mapping) + 1
-    return mapping
+    first = dict.fromkeys(var_walk)
+    return dict(zip(first, range(1, len(first) + 1)))
 
 
 def check_all_mentioned(mapping: dict, n: int, what: str = "variables") -> None:
@@ -211,17 +214,35 @@ def _pair_in_var_order(a: int, b: int):
 
 
 def _remap(cl, mapping: dict) -> tuple:
-    """Renumber a signed-int clause, restoring increasing-variable order."""
-    if len(cl) == 3:
-        a, b, c = cl
-        clause = _in_var_order(
-            mapping[a] if a > 0 else -mapping[-a],
-            mapping[b] if b > 0 else -mapping[-b],
-            mapping[c] if c > 0 else -mapping[-c],
-        )
-        if clause is not None:
-            return clause
+    """Renumber a signed-int clause of any width by ``mapping`` (old
+    variable to new), restoring increasing-variable order."""
     return tuple(sorted([mapping[v] if v > 0 else -mapping[-v] for v in cl], key=abs))
+
+
+def _renumber(clauses, mapping: dict) -> list:
+    """Renumber signed-int clauses by ``mapping``, each to a tuple in
+    increasing-variable order, through one literal table.
+
+    The table maps v to ``mapping[v]`` and -v to ``-mapping[v]``, with -v
+    wrapping around a list of 2k+1 for the largest mapped variable k, so
+    a three-literal clause is three lookups and ``_in_var_order``.  A
+    clause of another width, or one whose variables merge, goes through
+    ``_remap``.
+    """
+    new = [0] * (2 * max(mapping, default=0) + 1)
+    for v, w in mapping.items():
+        new[v] = w
+        new[-v] = -w
+    renumbered = []
+    for cl in clauses:
+        if len(cl) == 3:
+            a, b, c = cl
+            clause = _in_var_order(new[a], new[b], new[c])
+            if clause is not None:
+                renumbered.append(clause)
+                continue
+        renumbered.append(_remap(cl, mapping))
+    return renumbered
 
 
 def reindex_formula(f: CnfFormula) -> tuple:
@@ -236,9 +257,9 @@ def reindex_formula(f: CnfFormula) -> tuple:
 
 def _reindex(f: _IntCnf) -> tuple:
     """The renumbering core, on signed-int clauses: (_IntCnf, map)."""
-    mapping = appearance_map(abs(v) for cl in f.clauses for v in cl)
+    mapping = appearance_map(map(abs, chain.from_iterable(f.clauses)))
     check_all_mentioned(mapping, f.n_vars)
-    return _IntCnf(f.n_vars, [_remap(cl, mapping) for cl in f.clauses]), mapping
+    return _IntCnf(f.n_vars, _renumber(f.clauses, mapping)), mapping
 
 
 class _Refused(Exception):
@@ -300,13 +321,24 @@ def _clause_of(literals, idx: int, repeat: str = "a noun repeats within the sent
 
 def _packaged_vocab(fragment: str):
     """The packaged word lists a fragment renders with by default; an unknown
-    fragment gets the ruletaker lists, so verifying it reports parse issues."""
+    fragment gets the ruletaker lists, so verifying it reports parse issues.
+
+    Each fragment's lists are read and checked once per process, and every
+    caller shares that one object: its tuples, frozensets and read-only
+    dicts cannot be changed.  The public ``lexicon.default_*`` loaders
+    still read the files on every call.
+    """
+    return _read_packaged_vocab(fragment if fragment in (GRL, RCL) else RULETAKER)
+
+
+@lru_cache(maxsize=None)
+def _read_packaged_vocab(fragment: str):
     from . import lexicon as lex_mod, ruletaker
 
     if fragment == GRL:
-        return lex_mod.default_food_lexicon()
+        return lex_mod._read_only(lex_mod.default_food_lexicon())
     if fragment == RCL:
-        return lex_mod.default_occupation_lexicon()
+        return lex_mod._read_only(lex_mod.default_occupation_lexicon())
     return ruletaker.RetrofitVocab(lex_mod.default_attributes(), lex_mod.default_entities())
 
 

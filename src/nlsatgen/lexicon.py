@@ -118,6 +118,29 @@ def load_wordlist(path) -> tuple:
     return tuple(words)
 
 
+class _ReadOnlyDict(dict):
+    """A dict that refuses every change, for word lists shared within a
+    process; it pickles as a new one with the same items."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("shared word lists are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
+def _read_only(lexicon: Lexicon) -> Lexicon:
+    """An equal lexicon whose dicts refuse changes, so that it can be shared."""
+    shared = Lexicon(
+        lexicon.count_nouns, lexicon.proper_nouns, _ReadOnlyDict(lexicon.article_overrides)
+    )
+    object.__setattr__(shared, "_singular", _ReadOnlyDict(shared._singular))
+    return shared
+
+
 def _data_path(name: str):
     return resources.files("nlsatgen").joinpath("data").joinpath(name)
 

@@ -21,7 +21,10 @@ Ground sentences list their literals verbatim:
 
 Grounding expands each universal clause over every constant.  Ground
 variable ids are constant-major: predicate p of constant c maps to
-(c - 1) * n_predicates + p.
+(c - 1) * n_predicates + p.  ``_ground`` shifts clauses through one
+literal table per constant, indexed by signed literal, and ``_reindex``
+renumbers predicates through one literal table built from their first
+appearances in sentence order (``fragments._renumber``).
 
 Validation happens at the boundary: the public functions take and
 return ``RclProblem`` and ``CnfFormula`` objects, which check their
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .cnf import Clause, CnfFormula, _as_clause, _as_formula, _IntCnf
@@ -66,7 +70,7 @@ from .fragments import (
     _Memo,
     _noun_of,
     _Refused,
-    _remap,
+    _renumber,
     appearance_map,
     check_all_mentioned,
     check_token_budget,
@@ -162,16 +166,29 @@ def ground_rcl(p: RclProblem) -> CnfFormula:
 
 def _ground(p: _IntProblem) -> _IntCnf:
     """The grounding core: shifting predicate p of constant c by
-    ``ground_var(0, c, P)`` gives ``ground_var(p, c, P)``."""
+    ``ground_var(0, c, P)`` gives ``ground_var(p, c, P)``.
+
+    Each constant has one literal table of the shift, indexed by signed
+    literal as in ``_dpll``'s occurrence lists (-p wraps around a list of
+    2P+1), so a three-literal clause is shifted by three lookups.
+    """
     n_predicates = p.n_predicates
-    offsets = [ground_var(0, c, n_predicates) for c in range(1, p.n_constants + 1)]
-    clauses = [_shift(cl, off) for cl in p.universal_clauses for off in offsets]
-    clauses += [_shift(cl, offsets[cid - 1]) for cid, cl in p.ground_clauses]
+    tables = []
+    for c in range(1, p.n_constants + 1):
+        off = ground_var(0, c, n_predicates)
+        tables.append(
+            [0, *range(1 + off, n_predicates + 1 + off), *range(-n_predicates - off, -off)]
+        )
+    clauses = [_shift(cl, table) for cl in p.universal_clauses for table in tables]
+    clauses += [_shift(cl, tables[cid - 1]) for cid, cl in p.ground_clauses]
     return _IntCnf(n_predicates * p.n_constants, clauses)
 
 
-def _shift(cl, off: int) -> tuple:
-    return tuple([v + off if v > 0 else v - off for v in cl])
+def _shift(cl, table: list) -> tuple:
+    if len(cl) == 3:
+        a, b, c = cl
+        return table[a], table[b], table[c]
+    return tuple([table[v] for v in cl])
 
 
 def feasible_predicate_counts(n_ground: int) -> list:
@@ -224,13 +241,16 @@ def _restrictor_index(cl) -> int:
     return -1
 
 
-def _sentence_walk(cl) -> list:
-    """Predicates in the order the sentence mentions them."""
-    walk = [abs(v) for v in cl]
+def _sentence_walk(cl):
+    """The literals in the order the sentence mentions their predicates:
+    the restrictor first, then the others in clause order."""
+    if len(cl) == 3:
+        a, b, c = cl
+        if a < 0 or b >= 0 and c >= 0:
+            return cl
+        return (b, a, c) if b < 0 else (c, a, b)
     r = _restrictor_index(cl)
-    if r > 0:
-        walk.insert(0, walk.pop(r))
-    return walk
+    return cl if r <= 0 else (cl[r], *cl[:r], *cl[r + 1:])
 
 
 def reindex_problem(p: RclProblem) -> tuple:
@@ -245,18 +265,17 @@ def reindex_problem(p: RclProblem) -> tuple:
 
 def _reindex(p: _IntProblem) -> tuple:
     """The renumbering core, on signed-int clauses."""
-    pred_walk = []
-    for cl in p.universal_clauses:
-        pred_walk.extend(_sentence_walk(cl))
-    for _, cl in p.ground_clauses:
-        pred_walk.extend([abs(v) for v in cl])
-    pred_map = appearance_map(pred_walk)
+    ground_clauses = [cl for _, cl in p.ground_clauses]
+    walk = chain(*map(_sentence_walk, p.universal_clauses), *ground_clauses)
+    pred_map = appearance_map(map(abs, walk))
     check_all_mentioned(pred_map, p.n_predicates, "predicates")
-    const_map = appearance_map(cid for cid, _ in p.ground_clauses)
+    const_ids = [cid for cid, _ in p.ground_clauses]
+    const_map = appearance_map(const_ids)
     check_all_mentioned(const_map, p.n_constants, "constants")
-    universals = [_remap(cl, pred_map) for cl in p.universal_clauses]
-    grounds = [(const_map[cid], _remap(cl, pred_map)) for cid, cl in p.ground_clauses]
-    return _IntProblem(p.n_predicates, p.n_constants, universals, grounds), pred_map, const_map
+    clauses = _renumber([*p.universal_clauses, *ground_clauses], pred_map)
+    u = len(p.universal_clauses)
+    grounds = list(zip([const_map[cid] for cid in const_ids], clauses[u:]))
+    return _IntProblem(p.n_predicates, p.n_constants, clauses[:u], grounds), pred_map, const_map
 
 
 def _atom_text(v: int, words: dict, lexicon) -> str:

@@ -184,7 +184,8 @@ def _clause_stream(spec: SampleSpec, rng):
     at that n is drawn from; a stream builds only the widths its p_int
     can give.  A process that drew at every n <= 21 at both widths would
     hold about 5.1 MB of tables, 0.9 MB of it for n = 21; n = 8 and 10
-    at width 3 hold 0.11 MB.  Equal draws yield the same tuple object.
+    at width 3 hold 0.11 MB.  Their entry counts are stated with the
+    other per-process tables in the ``cnf`` module docstring.  Equal draws yield the same tuple object.
     With replacement the literals go straight into a tuple, since a
     table would need n^3 * 8 entries; above ``_SAMPLE_SETSIZE`` the loop
     keeps sample's set of picks.

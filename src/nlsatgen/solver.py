@@ -22,7 +22,13 @@ v.  One pair of masks holds the variables assigned true and false; a
 second pair holds the same for the part of the trail already
 propagated.  Each clause is a positive and a negative variable mask,
 listed under each of its literals in one list indexed by signed literal,
-so -v wraps around the end of a list of 2n+1.  Propagating a literal
+so -v wraps around the end of a list of 2n+1.  Up to 21 variables a
+canonical three-literal tuple's entry (its masks and its width - 1) is
+read from a table built once per process per n, ``_clause_entries``,
+whose keys are the tuples of ``cnf._dimacs_lines``; a clause given as a
+list, a narrower clause and any clause above 21 variables has its entry
+computed in place, and a unit clause seeds the first propagation as it
+is read, in clause order.  Propagating a literal
 looks only at those clauses of its negation in which all literals but
 one have been propagated false, counted on the propagated masks, and
 then reads the assigned masks for the clause's one free literal or the
@@ -65,7 +71,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .cnf import CnfFormula, Literal
+from .cnf import _DIMACS_TABLE_MAX_VARS, CnfFormula, Literal, _dimacs_lines
 
 DEFAULT_MAX_DECISIONS = 10_000_000
 
@@ -112,6 +118,23 @@ def solve(f: CnfFormula, max_decisions: int = DEFAULT_MAX_DECISIONS) -> SolveRes
     return _dpll(f.n_vars, f.to_int_clauses(), max_decisions)
 
 
+@lru_cache(maxsize=None)
+def _clause_entries(n: int) -> dict:
+    """``_dpll``'s entry (pos, neg, 2) for every canonical three-literal
+    tuple over 1..n, keyed by the same tuple objects as ``_dimacs_lines(n)``."""
+    entries = {}
+    masks = {}  # equal masks share one int: 299 ints for the 3,520 masks at n = 12
+    for cl in _dimacs_lines(n):
+        pos = neg = 0
+        for lit in cl:
+            if lit > 0:
+                pos |= 1 << lit
+            else:
+                neg |= 1 << -lit
+        entries[cl] = (masks.setdefault(pos, pos), masks.setdefault(neg, neg), 2)
+    return entries
+
+
 def _dpll(n: int, clauses, max_decisions: int) -> SolveResult:
     """The search core: DPLL over signed-int clauses on variables 1..n.
 
@@ -119,6 +142,14 @@ def _dpll(n: int, clauses, max_decisions: int) -> SolveResult:
     lists, +v / -v).  Nothing is validated here; callers either pass a
     canonical ``CnfFormula`` through :func:`solve` or build the clauses
     from a draw that is canonical by construction.
+
+    Up to ``cnf._DIMACS_TABLE_MAX_VARS`` variables a canonical
+    three-literal tuple's entry is read from ``_clause_entries(n)``,
+    built once per process per n.  A clause given as a list, a narrower
+    clause, or any clause above that many variables has its entry
+    computed in place, and a unit clause also seeds the first
+    propagation, in clause order.  Either way a clause's entry is the
+    same, so the search, its statistics and its model are too.
     """
     m = len(clauses)
     if m == 0:
@@ -128,40 +159,46 @@ def _dpll(n: int, clauses, max_decisions: int) -> SolveResult:
     # literal (-v wraps around to 2n+1-v) and lists, per clause holding
     # that literal, the clause's positive and negative variable masks
     # and its width - 1.
+    entries = _clause_entries(n) if n <= _DIMACS_TABLE_MAX_VARS else {}
     occ = [[] for _ in range(2 * n + 1)]
     masks = []
-    for cl in clauses:
-        pos = neg = 0
-        for lit in cl:
-            if lit > 0:
-                pos |= 1 << lit
-            else:
-                neg |= 1 << -lit
-        entry = (pos, neg, len(cl) - 1)
-        masks.append(entry)
-        for lit in cl:
-            occ[lit].append(entry)
-    every_var = (2 << n) - 2              # bits 1..n
     at = af = 0                           # variables assigned true / false
-    pt = pf = 0                           # the same for trail[:qhead], the propagated part
     trail = []                            # literals made true, in assignment order
+    propagations = 0
+    for cl in clauses:
+        entry = entries.get(cl) if type(cl) is tuple else None
+        if entry is not None:
+            a, b, c = cl
+            occ[a].append(entry)
+            occ[b].append(entry)
+            occ[c].append(entry)
+        else:
+            pos = neg = 0
+            for lit in cl:
+                if lit > 0:
+                    pos |= 1 << lit
+                else:
+                    neg |= 1 << -lit
+            entry = (pos, neg, len(cl) - 1)
+            for lit in cl:
+                occ[lit].append(entry)
+            if len(cl) == 1:  # a level-0 unit seeds the first propagation
+                lit = cl[0]
+                bit = 1 << (lit if lit > 0 else -lit)
+                if not (at | af) & bit:
+                    propagations += 1
+                    if lit > 0:
+                        at |= bit
+                    else:
+                        af |= bit
+                    trail.append(lit)
+        masks.append(entry)
+    every_var = (2 << n) - 2              # bits 1..n
+    pt = pf = 0                           # the same for trail[:qhead], the propagated part
     qhead = 0                             # next trail position to propagate
     first_open = 0                        # clauses before it are satisfied
     dstack = []                           # (decision literal, at, af, trail base, first_open)
-    decisions = conflicts = propagations = 0
-
-    # level-0 units seed the first propagation
-    for cl in clauses:
-        if len(cl) == 1:
-            lit = cl[0]
-            bit = 1 << (lit if lit > 0 else -lit)
-            if not (at | af) & bit:
-                propagations += 1
-                if lit > 0:
-                    at |= bit
-                else:
-                    af |= bit
-                trail.append(lit)
+    decisions = conflicts = 0
 
     while True:
         # propagate the trail to fixpoint or to the first falsified clause

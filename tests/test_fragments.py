@@ -2,13 +2,19 @@
 literal order) and the one reader behind ``parse_theory`` and
 ``_parse_formula``."""
 
+import builtins
 import gc
+import io
+import pickle
+import random
+from dataclasses import FrozenInstanceError
 from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlsatgen import grl, rcl, ruletaker
+from nlsatgen.cnf import CnfFormula
 from nlsatgen.fragments import (
     FRAGMENTS,
     GRL,
@@ -19,11 +25,18 @@ from nlsatgen.fragments import (
     _packaged_vocab,
     _parse_formula,
     _remap,
+    bind_vocabulary,
     parse_theory,
     split_sentences,
 )
-from nlsatgen.grl import parse_grl
-from nlsatgen.lexicon import Lexicon, default_occupation_lexicon
+from nlsatgen.grl import parse_grl, render_grl
+from nlsatgen.lexicon import (
+    Lexicon,
+    default_attributes,
+    default_entities,
+    default_food_lexicon,
+    default_occupation_lexicon,
+)
 from nlsatgen.pipeline import DatasetConfig, generate_records
 from nlsatgen.rcl import parse_rcl
 from nlsatgen.ruletaker import RetrofitVocab, parse_ruletaker
@@ -240,3 +253,55 @@ def test_a_strict_read_leaves_no_reference_cycle(fragment):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------- packaged word lists
+
+
+def test_packaged_word_lists_are_read_once_and_shared_read_only(monkeypatch):
+    shared = {fragment: _packaged_vocab(fragment) for fragment in FRAGMENTS}
+    f = CnfFormula.from_ints(3, [(1, 2, 3), (-1, 2)])
+    text = render_grl(f, bind_vocabulary(f, shared[GRL], random.Random(0))).text
+
+    def no_open(*args, **kwargs):
+        raise AssertionError("a file was opened")
+
+    monkeypatch.setattr(builtins, "open", no_open)
+    monkeypatch.setattr(io, "open", no_open)
+    with pytest.raises(AssertionError, match="a file was opened"):
+        default_food_lexicon()  # the probe sees a read
+    for fragment in FRAGMENTS:
+        assert _packaged_vocab(fragment) is shared[fragment]
+    for unknown in ("nope", None, ["grl"]):
+        assert _packaged_vocab(unknown) is shared[RULETAKER]
+    assert parse_theory(text, GRL)[0] == f
+    monkeypatch.undo()
+
+    # the shared objects equal what the public loaders read afresh
+    assert shared[GRL] == default_food_lexicon()
+    assert shared[RCL] == default_occupation_lexicon()
+    assert shared[RULETAKER] == RetrofitVocab(default_attributes(), default_entities())
+    assert type(default_occupation_lexicon().article_overrides) is dict
+    assert default_food_lexicon() is not default_food_lexicon()
+
+    # no caller can change them, nor a copy made for a worker process
+    lexicon = shared[RCL]
+    for lex in (lexicon, pickle.loads(pickle.dumps(lexicon))):
+        assert lex == lexicon
+        for table in (lex.article_overrides, lex._singular):
+            for change in (
+                lambda: table.__setitem__("baker", "an"),
+                lambda: table.__delitem__(next(iter(table))),
+                lambda: table.update(baker="an"),
+                lambda: table.setdefault("baker", "an"),
+                lambda: table.pop(next(iter(table))),
+                table.popitem,
+                table.clear,
+                lambda: table.__ior__({"baker": "an"}),
+            ):
+                with pytest.raises(TypeError, match="read-only"):
+                    change()
+        with pytest.raises(FrozenInstanceError):
+            lex.count_nouns = ()
+    assert lexicon.article("unicyclist") == "a"
+    assert dict(lexicon.article_overrides) == default_occupation_lexicon().article_overrides

@@ -11,14 +11,24 @@ clause by clause, and a refusal by its type and text.
 """
 
 import random
+from math import comb, perm
 
 import pytest
 
-from nlsatgen import rcl
-from nlsatgen.cnf import CnfFormula, _IntCnf
+from nlsatgen import cnf, rcl
+from nlsatgen.cnf import CnfFormula, _dimacs, _dimacs_lines, _IntCnf
 from nlsatgen.fragments import FragmentError, _reindex, reindex_formula
 from nlsatgen.rcl import RclProblem, _IntProblem, reindex_problem
-from nlsatgen.solver import SAT, UNSAT, BudgetExhaustedError, SolveResult, SolveStats, _dpll
+from nlsatgen.sampler import SampleSpec, _clause_stream, _clause_tables
+from nlsatgen.solver import (
+    SAT,
+    UNSAT,
+    BudgetExhaustedError,
+    SolveResult,
+    SolveStats,
+    _clause_entries,
+    _dpll,
+)
 
 # ---------------------------------------------------------------- references
 
@@ -381,7 +391,8 @@ def test_reindex_problem_refuses_with_the_reference_text():
                 rng, n_predicates, n_constants,
                 rng.randrange(0, n_predicates), rng.randrange(1, 2 * n_constants + 1),
             )
-            want = outcome(ref_rcl_reindex, _IntProblem(n_predicates, n_constants, universals, grounds))
+            int_problem = _IntProblem(n_predicates, n_constants, universals, grounds)
+            want = outcome(ref_rcl_reindex, int_problem)
             p = RclProblem(
                 n_predicates, n_constants,
                 [rcl._as_clause(cl) for cl in universals],
@@ -395,3 +406,52 @@ def test_reindex_problem_refuses_with_the_reference_text():
                 assert got[0] == rcl._as_problem(want[0])
                 assert [list(m.items()) for m in got[1:]] == [list(m.items()) for m in want[1:]]
     assert refused == {"predicates", "constants"}
+
+
+# ---------------------------------------------------------------- table budget
+
+
+def test_tables_kept_per_process_hold_what_the_cnf_docstring_states():
+    # "Tables kept per process" in the cnf module docstring: each table is
+    # built at most up to 21 variables and holds the stated entry count
+    # there; nothing is built at 22
+    cap = 21
+    caches = (_dimacs_lines, _clause_entries, _clause_tables)
+    for cache in caches:
+        cache.cache_clear()
+    rng = random.Random("budget")
+
+    def use_every_table(n):
+        _dimacs(_IntCnf(n, [(1, -2, n)]))
+        _dpll(n, [(1, -2, n)], 10)
+        for p_int in (0.0, 1.0):
+            next(_clause_stream(SampleSpec(n, p_int, 0.5), rng))
+
+    use_every_table(cap + 1)
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
+    use_every_table(cap)
+    assert [cache.cache_info().currsize for cache in caches] == [1, 1, 2]
+    stated = {
+        "_dimacs_lines": comb(cap, 3) * 8,
+        "_clause_entries": comb(cap, 3) * 8,
+        "order, width 3": perm(cap, 3),
+        "signed, width 3": comb(cap, 3) * 8,
+        "order, width 2": perm(cap, 2),
+        "signed, width 2": comb(cap, 2) * 4,
+    }
+    order3, signed3 = _clause_tables(cap, 3)
+    order2, signed2 = _clause_tables(cap, 2)
+    held = {
+        "_dimacs_lines": len(_dimacs_lines(cap)),
+        "_clause_entries": len(_clause_entries(cap)),
+        "order, width 3": len(order3),
+        "signed, width 3": len(signed3),
+        "order, width 2": len(order2),
+        "signed, width 2": len(signed2),
+    }
+    assert held == stated
+    assert _clause_entries(cap).keys() == _dimacs_lines(cap).keys()
+    for count in stated.values():
+        assert f"{count:,}" in cnf.__doc__
+    for name in ("sampler._clause_tables", "_dimacs_lines", "solver._clause_entries"):
+        assert name in cnf.__doc__
