@@ -125,14 +125,21 @@ def _clause_entries(n: int) -> dict:
     entries = {}
     masks = {}  # equal masks share one int: 299 ints for the 3,520 masks at n = 12
     for cl in _dimacs_lines(n):
-        pos = neg = 0
-        for lit in cl:
-            if lit > 0:
-                pos |= 1 << lit
-            else:
-                neg |= 1 << -lit
-        entries[cl] = (masks.setdefault(pos, pos), masks.setdefault(neg, neg), 2)
+        pos, neg, rest = _entry(cl)
+        entries[cl] = (masks.setdefault(pos, pos), masks.setdefault(neg, neg), rest)
     return entries
+
+
+def _entry(cl) -> tuple:
+    """``_dpll``'s entry for a clause: its positive and negative variable
+    masks, variable v at bit v, and its width - 1."""
+    pos = neg = 0
+    for lit in cl:
+        if lit > 0:
+            pos |= 1 << lit
+        else:
+            neg |= 1 << -lit
+    return pos, neg, len(cl) - 1
 
 
 def _dpll(n: int, clauses, max_decisions: int) -> SolveResult:
@@ -173,13 +180,7 @@ def _dpll(n: int, clauses, max_decisions: int) -> SolveResult:
             occ[b].append(entry)
             occ[c].append(entry)
         else:
-            pos = neg = 0
-            for lit in cl:
-                if lit > 0:
-                    pos |= 1 << lit
-                else:
-                    neg |= 1 << -lit
-            entry = (pos, neg, len(cl) - 1)
+            entry = _entry(cl)
             for lit in cl:
                 occ[lit].append(entry)
             if len(cl) == 1:  # a level-0 unit seeds the first propagation
