@@ -185,10 +185,10 @@ def _clause_stream(spec: SampleSpec, rng):
     can give.  A process that drew at every n <= 21 at both widths would
     hold about 5.1 MB of tables, 0.9 MB of it for n = 21; n = 8 and 10
     at width 3 hold 0.11 MB.  Their entry counts are stated with the
-    other per-process tables in the ``cnf`` module docstring.  Equal draws yield the same tuple object.
-    With replacement the literals go straight into a tuple, since a
-    table would need n^3 * 8 entries; above ``_SAMPLE_SETSIZE`` the loop
-    keeps sample's set of picks.
+    other per-process tables in the ``cnf`` module docstring.  Equal
+    draws yield the same tuple object.  With replacement the literals go
+    straight into a tuple, since a table would need n^3 * 8 entries;
+    above ``_SAMPLE_SETSIZE`` the loop keeps sample's set of picks.
 
     The stream is lazy: a clause's RNG calls are made when it is taken,
     so a reader that stops early, as retrofit does on an unsat prefix,
